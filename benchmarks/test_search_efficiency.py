@@ -6,7 +6,7 @@ The acceptance bar of the ``repro.search`` PR: on a paper-scale grid
 weighted-cost optimum while spending **at most 20% of the grid**, and must
 need **no more evaluations to get there than seeded random sampling** with
 the same budget.  The timed section is the full adaptive search loop on the
-batch backend — proposal generation, mixed-radix decode and evaluation —
+batch engine — proposal generation, mixed-radix decode and evaluation —
 so strategy-overhead regressions show up alongside estimator ones.
 """
 
@@ -55,15 +55,15 @@ def _evaluations_to_optimum(result, optimum: float) -> int:
 
 def test_successive_halving_beats_random_to_the_optimum(benchmark):
     grid = SweepSpec.from_dict(SPACE)
-    engine = SweepEngine(backend="batch")
+    engine = SweepEngine()
     sh_spec = _spec("successive_halving")
     optimum = min(
         sh_spec.weighted_cost(record)
         for record in engine.iter_records(grid.expand())
     )
 
-    sh_result = benchmark(run_search, sh_spec, SweepEngine(backend="batch"))
-    random_result = run_search(_spec("random"), SweepEngine(backend="batch"))
+    sh_result = benchmark(run_search, sh_spec, SweepEngine())
+    random_result = run_search(_spec("random"), SweepEngine())
 
     sh_evals = _evaluations_to_optimum(sh_result, optimum)
     random_evals = _evaluations_to_optimum(random_result, optimum)

@@ -1,16 +1,21 @@
-"""Sweep-throughput benchmark: compiled batch fast path vs serial scalar.
+"""Sweep-throughput benchmark: compiled batch engine vs the scalar oracle.
 
-The acceptance bar of the ``repro.fastpath`` PR: on the paper-scale
+The acceptance bar of the ``repro.fastpath`` engine: on the paper-scale
 ``ga102-grid`` preset (4 nodes ^ 3 chiplets x 5 packagings x 2 fab sources
-= 640 scenarios) the batch backend must deliver **>= 10x scenarios/sec**
-over the serial scalar path at steady state, with bit-identical records.
+= 640 scenarios) the batch engine must deliver **>= 17x scenarios/sec**
+over the serial scalar reference oracle
+(:func:`repro.sweep.engine.reference_records`, one uncached
+``EcoChip.estimate`` per scenario) at steady state, with bit-identical
+records.  The floors were 10x and 1.5x against the kernel-memoising scalar
+engine this oracle replaced; the oracle is ~1.7x slower than that engine,
+so both floors are scaled by 1.7 to keep the gate as strict as before.
 
 Steady state means the compiled-template caches are warm — the regime a
 long-running scenario service (the ROADMAP's north star) operates in, and
 the regime pytest-benchmark measures by design (it runs warm-up rounds).
 The one-time compile cost is reported separately as the cold-start speedup
 with a much smaller bar: even a single cold end-to-end evaluation of the
-grid must beat the scalar path.
+grid must beat the scalar oracle.
 """
 
 from __future__ import annotations
@@ -20,14 +25,14 @@ import time
 from conftest import print_series
 
 from repro.fastpath import BatchEstimator
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import reference_records
 from repro.sweep.spec import SweepSpec
 
-#: Steady-state (warm-template) speedup floor from the PR acceptance criteria.
-STEADY_STATE_SPEEDUP_FLOOR = 10.0
+#: Steady-state (warm-template) speedup floor over the scalar oracle.
+STEADY_STATE_SPEEDUP_FLOOR = 17.0
 
 #: Cold-start (compile included) speedup floor — a sanity bound, not the bar.
-COLD_START_SPEEDUP_FLOOR = 1.5
+COLD_START_SPEEDUP_FLOOR = 2.6
 
 #: A process-cold start against a warm persistent compile cache must beat a
 #: from-scratch compile by at least this factor (the disk-cache PR's bar).
@@ -39,10 +44,8 @@ GRID = SweepSpec.preset("ga102-grid")
 def _scalar_seconds(scenarios, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
-        engine = SweepEngine(jobs=1)
         start = time.perf_counter()
-        for _record in engine.iter_records(scenarios):
-            pass
+        reference_records(scenarios)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -55,8 +58,7 @@ def test_batch_steady_state_speedup_at_least_10x(benchmark):
     # Warm compile + the parity precondition that makes the speedup claim
     # meaningful: identical records, not merely similar ones.
     warm_records = estimator.evaluate(scenarios)
-    scalar_records = list(SweepEngine(jobs=1).iter_records(scenarios))
-    assert warm_records == scalar_records
+    assert warm_records == reference_records(scenarios)
 
     benchmark(estimator.evaluate, scenarios)
     batch_seconds = benchmark.stats.stats.mean
@@ -65,7 +67,7 @@ def test_batch_steady_state_speedup_at_least_10x(benchmark):
     print_series(
         "Sweep throughput, ga102-grid (640 scenarios)",
         [
-            f"  scalar serial : {count / scalar_seconds:10.0f} scenarios/s",
+            f"  scalar oracle : {count / scalar_seconds:10.0f} scenarios/s",
             f"  batch (steady): {count / batch_seconds:10.0f} scenarios/s",
             f"  speedup       : {speedup:10.1f}x (floor: {STEADY_STATE_SPEEDUP_FLOOR}x)",
         ],
@@ -91,7 +93,7 @@ def test_batch_cold_start_still_beats_scalar():
     print_series(
         "Cold-start (compile included), ga102-grid",
         [
-            f"  scalar serial: {count / scalar_seconds:10.0f} scenarios/s",
+            f"  scalar oracle: {count / scalar_seconds:10.0f} scenarios/s",
             f"  batch cold   : {count / cold_best:10.0f} scenarios/s",
             f"  speedup      : {speedup:10.1f}x (floor: {COLD_START_SPEEDUP_FLOOR}x)",
         ],
@@ -100,7 +102,7 @@ def test_batch_cold_start_still_beats_scalar():
 
 
 def test_batch_cold_start_compile(benchmark):
-    """Cold-start cost of the batch backend (template compilation included).
+    """Cold-start cost of the batch engine (template compilation included).
 
     Every round builds a fresh :class:`BatchEstimator`, so the measurement
     is dominated by template compilation — floorplanning, per-architecture

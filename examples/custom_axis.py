@@ -13,10 +13,10 @@ sweep machinery without touching a line of :mod:`repro.sweep` internals:
 * a **validator** makes typos fail at spec construction, not mid-sweep,
 * the registered axis immediately works in spec dictionaries,
   ``eco-chip sweep --set design_iterations=...``, ``Session`` calls and
-  both sweep backends — with the same bit-parity bar the built-in axes
-  meet, which this script asserts (scalar vs batch, serial vs ``jobs=2``;
-  worker processes auto-import this module exactly like out-of-tree
-  packaging plugins).
+  the sweep engine — with the same bit-parity bar the built-in axes meet,
+  which this script asserts (the batch engine against the scalar
+  reference oracle, serial vs ``jobs=2``; worker processes auto-import
+  this module exactly like out-of-tree packaging plugins).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ register_axis(
 
 def main() -> None:
     from repro import Session
+    from repro.sweep import SweepSpec, reference_records
 
     spec = {
         "name": "custom-axis-demo",
@@ -65,13 +66,13 @@ def main() -> None:
         "lifetimes": [2.0, 6.0],
     }
 
-    serial = Session(jobs=1, backend="scalar").sweep(spec)
-    batch = Session(jobs=1, backend="batch").sweep(spec)
-    parallel = Session(jobs=2, backend="batch").sweep(spec)
-    assert list(serial.records) == list(batch.records), "batch diverged from scalar"
+    oracle = reference_records(SweepSpec.from_dict(spec))
+    serial = Session(jobs=1).sweep(spec)
+    parallel = Session(jobs=2).sweep(spec)
+    assert list(serial.records) == oracle, "the engine diverged from the oracle"
     assert list(serial.records) == list(parallel.records), "jobs=2 diverged from serial"
     print(
-        f"{len(serial.records)} scenarios: scalar, batch and jobs=2 records "
+        f"{len(serial.records)} scenarios: oracle, batch and jobs=2 records "
         "are bit-identical for the plugged-in axis"
     )
 

@@ -16,12 +16,13 @@ It demonstrates the full plugin contract:
   chiplet adjacencies for it,
 * one :func:`~repro.packaging.registry.register_packaging` call that makes
   the architecture available everywhere at once — ``spec_from_dict``,
-  sweep specs, both sweep backends and ``eco-chip --list-packaging``.
+  sweep specs, the sweep engine and ``eco-chip --list-packaging``
+  (registration rejects a model without ``compile_terms``).
 
 Running the script sweeps a GA102-class system over the new architecture
-with both the scalar and the compiled batch backend and verifies the
-records are bit-identical (exact float equality) — the same acceptance bar
-the built-in architectures meet.
+on the compiled batch engine and verifies the records are bit-identical
+(exact float equality) to the scalar reference oracle — the same
+acceptance bar the built-in architectures meet.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class OrganicBridgeModel(PackagingModel):
 
 
 #: One registration call plugs the architecture into every layer: the
-#: scalar estimator, ``spec_from_dict`` / sweep specs, both sweep backends
+#: scalar estimator, ``spec_from_dict`` / sweep specs, the sweep engine
 #: and the CLI listings.
 register_packaging(
     "organic_bridge",
@@ -274,7 +275,7 @@ register_packaging(
 
 
 def main() -> None:
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.engine import SweepEngine, reference_records
     from repro.sweep.spec import SweepSpec
 
     spec = SweepSpec.from_dict(
@@ -301,13 +302,13 @@ def main() -> None:
     )
     scenarios = spec.expand()
 
-    scalar = list(SweepEngine(jobs=1).iter_records(scenarios))
-    batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
-    assert scalar == batch, "batch backend diverged from the scalar pipeline"
+    scalar = reference_records(scenarios)
+    batch = list(SweepEngine(jobs=1).iter_records(scenarios))
+    assert scalar == batch, "batch engine diverged from the scalar pipeline"
     # Worker processes auto-import this plugin module (the engine ships the
     # registry's plugin-module snapshot through the pool initializer), so
     # parallel sweeps see the out-of-tree architecture too.
-    parallel = list(SweepEngine(jobs=2, backend="batch").iter_records(scenarios))
+    parallel = list(SweepEngine(jobs=2).iter_records(scenarios))
     assert parallel == scalar, "parallel workers diverged from the serial pipeline"
     print(
         f"{len(scenarios)} scenarios: scalar, batch and jobs=2 records are "

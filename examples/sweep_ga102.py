@@ -3,10 +3,10 @@
 
 Expands the paper-scale ``ga102-grid`` preset (4 nodes ^ 3 chiplets x 5
 packaging architectures x 2 fab energy sources = 640 scenarios), evaluates
-it serially, with worker processes, and through the compiled batch backend
-(``repro.fastpath``), verifies all paths agree bit-for-bit, streams the
-records to a JSONL file, and reports the Pareto front under total carbon vs
-silicon area.
+it on the compiled batch engine (``repro.fastpath``) in-process and with
+worker processes, checks both against the serial scalar reference oracle
+bit-for-bit, streams the records to a JSONL file, and reports the Pareto
+front under total carbon vs silicon area.
 
 Run with::
 
@@ -20,7 +20,14 @@ import tempfile
 import time
 
 from repro.core.explorer import pareto_front
-from repro.sweep import SweepEngine, SweepSpec, load_records, open_store, rows_from_records
+from repro.sweep import (
+    SweepEngine,
+    SweepSpec,
+    load_records,
+    open_store,
+    reference_records,
+    rows_from_records,
+)
 
 
 def main() -> None:
@@ -28,47 +35,41 @@ def main() -> None:
     scenarios = spec.expand()
     print(f"spec {spec.name!r} expands into {len(scenarios)} scenarios")
 
-    # Serial run, streaming to JSONL.
+    # In-process run, streaming to JSONL: templates compile once and each
+    # template group evaluates as flat arithmetic.
     out_path = os.path.join(tempfile.mkdtemp(prefix="eco-chip-sweep-"), "results.jsonl")
-    serial_engine = SweepEngine(jobs=1)
     with open_store(out_path) as store:
-        serial = serial_engine.run(scenarios, store=store)
-    stats = serial.cache_stats
+        serial = SweepEngine(jobs=1).run(scenarios, store=store)
     print(
-        f"serial:   {serial.scenario_count} scenarios in {serial.elapsed_s:.2f}s "
-        f"({serial.scenarios_per_second:,.0f}/s), kernel cache "
-        f"{stats.hits} hits / {stats.misses} misses"
+        f"jobs=1:   {serial.scenario_count} scenarios in {serial.elapsed_s:.2f}s "
+        f"({serial.scenarios_per_second:,.0f}/s, compile included)"
     )
 
     # Parallel run (speedup depends on the host's core count).
     jobs = min(4, os.cpu_count() or 1)
-    parallel_engine = SweepEngine(jobs=jobs)
     start = time.perf_counter()
-    parallel_records = list(parallel_engine.iter_records(scenarios))
+    parallel_records = list(SweepEngine(jobs=jobs).iter_records(scenarios))
     parallel_s = time.perf_counter() - start
     print(
         f"jobs={jobs}:   {len(parallel_records)} scenarios in {parallel_s:.2f}s "
         f"({len(parallel_records) / parallel_s:,.0f}/s) on {os.cpu_count()} cpu(s)"
     )
 
-    # Compiled batch backend: templates compile once, scenarios evaluate as
-    # flat arithmetic — same records, bit for bit, at much higher throughput.
-    batch_engine = SweepEngine(backend="batch")
+    # The reference oracle: one full EcoChip.estimate per scenario, no
+    # caches — the engine must reproduce it bit for bit.
     start = time.perf_counter()
-    batch_records = list(batch_engine.iter_records(scenarios))
-    batch_s = time.perf_counter() - start
+    oracle_records = reference_records(scenarios)
+    oracle_s = time.perf_counter() - start
     print(
-        f"batch:    {len(batch_records)} scenarios in {batch_s:.2f}s "
-        f"({len(batch_records) / batch_s:,.0f}/s, compile included)"
+        f"oracle:   {len(oracle_records)} scenarios in {oracle_s:.2f}s "
+        f"({len(oracle_records) / oracle_s:,.0f}/s, scalar pipeline)"
     )
 
     stored = load_records(out_path)
-    serial_total = sum(r["total_carbon_g"] for r in stored)
-    parallel_total = sum(r["total_carbon_g"] for r in parallel_records)
-    batch_total = sum(r["total_carbon_g"] for r in batch_records)
-    assert parallel_total == serial_total, "parallel and serial paths must agree exactly"
-    assert batch_total == serial_total, "batch and scalar backends must agree exactly"
-    print(f"bit-identical totals across paths: {serial_total / 1000.0:,.1f} kg CO2e summed")
+    assert stored == oracle_records, "the engine must reproduce the oracle exactly"
+    assert parallel_records == oracle_records, "parallel and serial paths must agree exactly"
+    total = sum(r["total_carbon_g"] for r in stored)
+    print(f"bit-identical records across paths: {total / 1000.0:,.1f} kg CO2e summed")
 
     best = serial.best
     print(

@@ -42,7 +42,6 @@ def run_sweep(out: Path, extra: list, env: dict = None) -> None:
     command = sweep_command() + [
         "sweep",
         "--preset", PRESET,
-        "--backend", "batch",
         "--out", str(out),
         "--quiet",
     ] + extra

@@ -8,7 +8,7 @@ installed ``eco-chip search`` CLI and asserts:
 1. the search spends **at most 20% of the exhaustive grid** in
    evaluations (store row count);
 2. its best weighted cost lands **within 1% of the exhaustive optimum**
-   (computed in-process over the full grid on the batch backend);
+   (computed in-process over the full grid by the sweep engine);
 3. every stored row carries a ``search_round`` column;
 4. re-running with ``--resume`` on the finished store is a byte-exact
    no-op — no budget is re-spent.
@@ -64,10 +64,8 @@ def main() -> int:
     spec_path.write_text(json.dumps(config))
     out = work_dir / "rows.jsonl"
 
-    # The real CLI, batch backend.
-    command = search_command() + [
-        "--spec", str(spec_path), "--backend", "batch", "--out", str(out),
-    ]
+    # The real CLI.
+    command = search_command() + ["--spec", str(spec_path), "--out", str(out)]
     result = subprocess.run(command, capture_output=True, text=True, timeout=600)
     print(result.stdout)
     if result.returncode != 0:
@@ -78,7 +76,7 @@ def main() -> int:
     # Exhaustive optimum, in-process.
     spec = SearchSpec.from_dict(config)
     grid = SweepSpec.from_dict(space).expand()
-    engine = SweepEngine(backend="batch")
+    engine = SweepEngine()
     optimum = min(spec.weighted_cost(record) for record in engine.iter_records(grid))
 
     records = load_records(out)
@@ -110,8 +108,7 @@ def main() -> int:
     # Resume on a finished store must be a byte-exact no-op.
     before = out.read_bytes()
     command = search_command() + [
-        "--spec", str(spec_path), "--backend", "batch",
-        "--resume", str(out), "--quiet",
+        "--spec", str(spec_path), "--resume", str(out), "--quiet",
     ]
     result = subprocess.run(command, capture_output=True, text=True, timeout=600)
     if result.returncode != 0:

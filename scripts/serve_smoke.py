@@ -94,7 +94,7 @@ def main() -> int:
         from repro.api import Session
 
         direct_path = store_dir / "direct.jsonl"
-        Session(backend="batch").sweep(SPEC, out=direct_path, collect_records=False)
+        Session().sweep(SPEC, out=direct_path, collect_records=False)
         direct = direct_path.read_bytes()
         assert served == direct, (
             f"served rows differ from in-process sweep "
@@ -149,7 +149,6 @@ def main() -> int:
             "sweep",
             "--spec", str(spec_path),
             "--jobs", "2",
-            "--backend", "batch",
             "--retries", "1",
             "--scenario-timeout", "120",
             "--out", str(resilient_path),

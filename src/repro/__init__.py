@@ -8,7 +8,7 @@ exploration behind one object::
 
     from repro import Session
 
-    session = Session(jobs=4, backend="batch")
+    session = Session(jobs=4)
     report = session.estimate("ga102-3chiplet")
     result = session.sweep({"testcases": ["ga102-3chiplet"],
                             "wafer_diameter_mm": [300, 450]})

@@ -1,14 +1,13 @@
 """The documented public entry point: one :class:`Session` for everything.
 
 A :class:`Session` binds an estimator configuration and an execution policy
-(jobs, backend, multiprocessing context) once, and exposes the three things
-users do with the library behind typed results:
+(jobs, multiprocessing context) once, and exposes the three things users do
+with the library behind typed results:
 
 * :meth:`Session.estimate` — one system, full
   :class:`~repro.core.results.SystemCarbonReport`;
 * :meth:`Session.sweep` — a declarative scenario grid, evaluated on the
-  scalar or compiled batch backend (bit-identical records either way),
-  returning a :class:`SweepResult`;
+  compiled batch engine, returning a :class:`SweepResult`;
 * :meth:`Session.explore` — exhaustive design-space search with a Pareto
   front, returning an :class:`ExploreResult`.
 
@@ -18,7 +17,7 @@ conditions, or an out-of-tree axis — is one mapping away::
 
     from repro import Session
 
-    session = Session(jobs=4, backend="batch")
+    session = Session(jobs=4)
     report = session.estimate("ga102-3chiplet",
                               overrides={"wafer_diameter_mm": 300.0})
     result = session.sweep({
@@ -55,6 +54,7 @@ from repro.sweep.engine import (
     Record,
     SweepEngine,
     SweepSummary,
+    check_backend,
     derive_scenario_config,
 )
 from repro.sweep.spec import Scenario, SweepSpec, packaging_signature
@@ -90,9 +90,9 @@ def sweep_cache_key(
     Two submissions share a key exactly when every scenario's
     value-determining fields match (base, nodes, canonical packaging and
     axis-override signatures, fab source, lifetime, volume — the same
-    signatures the engines key their own caches on) *and* the estimator
+    signatures the engine keys its own caches on) *and* the estimator
     context (config, cost flag, technology table) matches, which is
-    precisely the condition under which both backends produce bit-identical
+    precisely the condition under which the engine produces bit-identical
     records.  Used by :class:`Session` when a ``result_cache`` is attached
     (:class:`repro.serve.cache.ResultCache`) so identical re-submissions
     are served without re-evaluating anything.
@@ -133,7 +133,7 @@ class SweepResult:
 
     Attributes:
         spec: The (expanded-from) sweep spec.
-        summary: Engine summary — counts, timing, backend, best record.
+        summary: Engine summary — counts, timing, best record.
         records: Every flattened record, in scenario order (empty when the
             sweep ran with ``collect_records=False``).
     """
@@ -183,7 +183,7 @@ class ExploreResult:
         """Single best point under the first objective.
 
         Ties resolve by point label (not enumeration order), so equal-valued
-        candidates name the same winner on every backend and jobs count.
+        candidates name the same winner for every jobs count.
         """
         objective = self.objectives[0]
         return min(self.points, key=lambda p: (p.objective(objective), p.label))
@@ -197,11 +197,10 @@ class Session:
             ``overrides`` derive per-call configs from it).
         table: Technology table override.
         jobs: Worker processes for sweeps and exploration (``1`` = serial).
-        backend: Sweep backend, ``"scalar"`` or ``"batch"`` (bit-identical
-            records, batch is much faster on repetitive grids).
+        backend: Deprecated and ignored; ``"scalar"`` warns
+            (:func:`repro.sweep.engine.check_backend`).
         include_cost: Add ``cost_usd`` to sweep records and cost reports to
             explore points.
-        memoize: Memoise the scalar backend's hot kernels.
         mp_context: Multiprocessing start method for worker pools.
         result_cache: Optional sweep result cache (an object with
             ``get(key) -> records | None`` and ``put(key, records)``, e.g.
@@ -210,11 +209,11 @@ class Session:
             serves identical re-submissions from memory — replaying the
             cached records into ``out`` — instead of re-evaluating.
         batch_estimator: Optional shared
-            :class:`repro.fastpath.BatchEstimator` (``backend="batch"``,
-            ``jobs=1`` only) so a long-lived process keeps one compiled-
-            template cache across sessions and requests.
-        compile_cache: Persistent on-disk compile cache for the batch
-            backend — a directory path or a
+            :class:`repro.fastpath.BatchEstimator` (``jobs=1`` only) so a
+            long-lived process keeps one compiled-template cache across
+            sessions and requests.
+        compile_cache: Persistent on-disk compile cache — a directory path
+            or a
             :class:`repro.fastpath.DiskCompileCache` — mounted on the
             sweep engine (and its worker processes when ``jobs>1``), so
             compiled templates survive across processes and runs.
@@ -237,9 +236,8 @@ class Session:
         *,
         table: Optional[TechnologyTable] = None,
         jobs: int = 1,
-        backend: str = "scalar",
+        backend: Optional[str] = None,
         include_cost: bool = True,
-        memoize: bool = True,
         mp_context: Optional[str] = None,
         result_cache: Optional[Any] = None,
         batch_estimator: Optional[Any] = None,
@@ -254,12 +252,11 @@ class Session:
         self.config = config if config is not None else EstimatorConfig()
         self.table = table
         self.include_cost = include_cost
-        # The engine constructor validates jobs/backend/mp_context eagerly.
+        check_backend(backend)
+        # The engine constructor validates jobs/mp_context eagerly.
         self.engine = SweepEngine(
             jobs=jobs,
-            memoize=memoize,
             config=self.config,
-            backend=backend,
             include_cost=include_cost,
             mp_context=mp_context,
             table=table,
@@ -276,11 +273,6 @@ class Session:
     def jobs(self) -> int:
         """Worker processes sweeps and exploration fan out over."""
         return self.engine.jobs
-
-    @property
-    def backend(self) -> str:
-        """Sweep evaluation backend."""
-        return self.engine.backend
 
     def axes(self) -> List[str]:
         """Names of every registered sweep axis (built-in and plugins)."""
@@ -311,8 +303,8 @@ class Session:
         key = (fab_source, config_overrides_signature(overrides))
         estimator = self._estimators.get(key)
         if estimator is None:
-            # Same scenario→config semantics as the sweep engine's scalar
-            # evaluator, so estimate() matches sweep records bit for bit.
+            # Same scenario→config semantics as the sweep engine's
+            # reference oracle, so estimate() matches sweep records bit for bit.
             config = derive_scenario_config(self.config, fab_source, overrides)
             estimator = EcoChip(config=config, table=self.table)
             self._estimators[key] = estimator
@@ -352,7 +344,7 @@ class Session:
         progress: Optional[Any] = None,
         collect_records: bool = True,
     ) -> SweepResult:
-        """Evaluate a scenario grid on this session's backend.
+        """Evaluate a scenario grid on this session's engine.
 
         Args:
             spec: A :class:`SweepSpec` or a spec dictionary (any registered
@@ -486,7 +478,6 @@ class Session:
             jobs=self.jobs,
             best=dict(best) if best is not None else None,
             store_path=str(Path(out)) if out is not None else None,
-            backend=self.backend,
             cached=True,
         )
         return SweepResult(
@@ -510,10 +501,9 @@ class Session:
         Instead of enumerating a grid like :meth:`sweep`, a registered
         strategy (``random``, ``successive_halving``, ``pareto_refine``)
         spends an evaluation budget on the most promising candidates.  All
-        evaluation routes through this session's engine — backend, jobs,
-        compile cache and resilience apply unchanged — and a fixed spec
-        seed yields bit-identical candidate sequences and results on every
-        backend and jobs count.
+        evaluation routes through this session's engine — jobs, compile
+        cache and resilience apply unchanged — and a fixed spec seed yields
+        bit-identical candidate sequences and results for every jobs count.
 
         Args:
             spec: A :class:`repro.search.SearchSpec` or a spec dictionary

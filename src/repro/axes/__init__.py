@@ -7,8 +7,8 @@ template hook) with :func:`register_axis` — mirroring how packaging
 architectures plug in through
 :func:`repro.packaging.registry.register_packaging`.  Registered axes work
 everywhere at once: sweep-spec files, ``eco-chip sweep --set``, the
-:class:`repro.api.Session` facade, and both the scalar and compiled batch
-backends with bit-identical records.
+:class:`repro.api.Session` facade, and the compiled batch engine, with
+records bit-identical to the scalar reference oracle.
 
 Built-in axes (registered on import): ``wafer_diameter_mm``,
 ``defect_density_scale``, ``router_spec``, ``operating_power_w``,

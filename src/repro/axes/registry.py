@@ -7,9 +7,9 @@ router microarchitecture, operating conditions, and anything an out-of-tree
 plugin can reach through :class:`repro.core.estimator.EstimatorConfig` or
 :class:`repro.core.system.ChipletSystem` — is swept through this registry
 instead: declare an :class:`Axis` once with :func:`register_axis` and it is
-immediately sweepable from spec files, ``eco-chip sweep --set``, the
-:class:`repro.api.Session` facade, and both the scalar and compiled batch
-backends, with scalar-vs-batch bit parity enforced by the same contract the
+immediately sweepable from spec files, ``eco-chip sweep --set`` and the
+:class:`repro.api.Session` facade, with the compiled batch engine held to
+bit parity with the scalar reference oracle by the same contract the
 packaging plugins meet.
 
 An axis targets exactly one of two objects:
@@ -18,12 +18,11 @@ An axis targets exactly one of two objects:
   new system (operating-spec fields, design iterations, ...).  Applied by
   :meth:`repro.sweep.spec.Scenario.build_system` *before* the legacy knobs,
   and by the batch template compiler to the base system before template
-  compilation — the same order, so the two backends stay bit-identical.
+  compilation — the same order, so engine and oracle stay bit-identical.
 * ``target="config"`` — the applier maps ``(EstimatorConfig, value)`` to a
   new config (wafer diameter, defect-density scale, router spec, ...).
-  The scalar engine builds one estimator per distinct config signature; the
-  batch estimator builds one template compiler per distinct config
-  signature.
+  The batch estimator builds one template compiler per distinct config
+  signature; the reference oracle derives the config per scenario.
 
 Axis values flow into batch template keys through the axis's optional
 ``compile_terms`` hook (default: a canonical value signature), mirroring
@@ -213,7 +212,7 @@ def register_axis(
     Mirrors :func:`repro.packaging.registry.register_packaging`: axes may
     register from anywhere (see ``examples/custom_axis.py``); once
     registered they work in sweep specs, ``--set``, ``Session`` calls and
-    both sweep backends alike.  Re-registering an identical axis (repeated
+    the sweep engine alike.  Re-registering an identical axis (repeated
     plugin import, including worker re-import) is a no-op; conflicting
     registrations raise.
 
@@ -366,8 +365,8 @@ def validate_overrides(overrides: Optional[Mapping[str, Any]]) -> None:
 
 
 def _sorted_items(overrides: Mapping[str, Any]) -> List[Tuple[str, Any]]:
-    # Appliers run in sorted-name order on BOTH backends, so axes whose
-    # appliers interact still produce bit-identical systems/configs.
+    # Appliers run in sorted-name order on every evaluation path, so axes
+    # whose appliers interact still produce bit-identical systems/configs.
     return sorted(overrides.items(), key=lambda item: str(item[0]))
 
 
@@ -443,7 +442,7 @@ def template_overrides_signature(
 
     Runs each axis's ``compile_terms`` hook (default: canonical value
     signature); scenarios whose overrides produce equal terms share one
-    compiled template in the batch backend.
+    compiled template in the batch engine.
     """
     if not overrides:
         return None
@@ -457,8 +456,8 @@ def overrides_json(overrides: Optional[Mapping[str, Any]]) -> Optional[str]:
     """Canonical JSON of an override mapping — the ``overrides`` record column.
 
     Keys are sorted so the string is deterministic; ``None`` when the
-    scenario has no overrides.  Both record paths (the scalar engine's
-    ``make_record`` via ``Scenario.to_record`` and the batch backend's
+    scenario has no overrides.  Both record paths (the reference oracle's
+    ``make_record`` via ``Scenario.to_record`` and the batch engine's
     ``_record``) use this helper so their bits cannot diverge.
     """
     if not overrides:

@@ -13,10 +13,10 @@ Additional conveniences:
 * ``eco-chip sweep --spec <file> --jobs N --out results.jsonl`` evaluates a
   declarative scenario grid in parallel, streaming results to disk (see
   :mod:`repro.sweep`).
-* ``eco-chip sweep --preset ga102-grid --backend batch`` evaluates the grid
-  through the compiled batch fast path (:mod:`repro.fastpath`), and
-  ``--resume results.jsonl`` continues an interrupted sweep by skipping the
-  scenario ids already in the file.
+* ``eco-chip sweep --preset ga102-grid`` evaluates the grid through the
+  compiled batch engine (:mod:`repro.fastpath`), and ``--resume
+  results.jsonl`` continues an interrupted sweep by skipping the scenario
+  ids already in the file.
 * ``eco-chip serve`` runs the sweep-as-a-service HTTP job server
   (:mod:`repro.serve`) with shared compile/result caches, quotas and a
   metrics endpoint.
@@ -172,25 +172,36 @@ def _print_sweep(system: ChipletSystem, nodes: List[float], estimator: EcoChip) 
 COMPILE_CACHE_ENV = "ECO_CHIP_COMPILE_CACHE"
 
 
-def resolve_compile_cache(explicit: Optional[str], backend: str) -> Optional[str]:
-    """Resolve the persistent compile-cache directory for one run.
-
-    An explicit ``--compile-cache`` combined with the scalar backend is an
-    error — the scalar pipeline compiles no templates, so the flag would
-    silently do nothing.  The ``ECO_CHIP_COMPILE_CACHE`` environment
-    default, by contrast, is meant to be set once per machine, so it is
-    simply ignored where it cannot help.
-    """
+def resolve_compile_cache(explicit: Optional[str]) -> Optional[str]:
+    """The persistent compile-cache directory for one run: the explicit
+    ``--compile-cache``, else the ``ECO_CHIP_COMPILE_CACHE`` environment
+    default (set once per machine), else none."""
     if explicit is not None:
-        if backend != "batch":
-            raise ValueError(
-                "--compile-cache requires --backend batch (the scalar "
-                "backend compiles no templates, so nothing would be cached)"
-            )
         return explicit
-    if backend != "batch":
-        return None
     return os.environ.get(COMPILE_CACHE_ENV) or None
+
+
+def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
+    """The deprecated ``--backend`` flag: still validated, no effect."""
+    parser.add_argument(
+        "--backend",
+        choices=["scalar", "batch"],
+        default=None,
+        help=(
+            "Deprecated and ignored: every run uses the compiled batch "
+            "engine, whose records match the scalar pipeline bit for bit"
+        ),
+    )
+
+
+def _note_deprecated_backend(backend: Optional[str]) -> None:
+    """Print one stderr note when the deprecated ``--backend scalar`` is given."""
+    if backend == "scalar":
+        print(
+            "note: --backend scalar is deprecated and ignored; the compiled "
+            "batch engine produces identical records",
+            file=sys.stderr,
+        )
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -227,28 +238,15 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
     )
-    parser.add_argument(
-        "--backend",
-        choices=["scalar", "batch"],
-        default="scalar",
-        help=(
-            "Evaluation backend: 'scalar' runs the full estimator pipeline "
-            "per scenario, 'batch' compiles scenario templates once and "
-            "evaluates grids as flat arithmetic (bit-identical results, "
-            "much faster on repetitive grids; default: scalar)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, help="Scenarios per worker shard (default: auto)"
-    )
+    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
         default=None,
         help=(
-            "Persistent on-disk compile cache for --backend batch: compiled "
-            "templates and floorplan signatures are stored content-addressed "
-            "under DIR and shared across runs, processes, and restarts "
+            "Persistent on-disk compile cache: compiled templates and "
+            "floorplan signatures are stored content-addressed under DIR "
+            "and shared across runs, processes, and restarts "
             "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
         ),
     )
@@ -294,11 +292,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "(default: record, when any resilience flag is given; without "
             "them failures abort as before)"
         ),
-    )
-    parser.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="Disable the manufacturing/design kernel caches",
     )
     parser.add_argument(
         "--no-cost",
@@ -413,6 +406,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
+    _note_deprecated_backend(args.backend)
     resilience = None
     if (
         args.retries is not None
@@ -426,11 +420,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
             on_error=args.on_error or "record",
             scenario_timeout_s=args.scenario_timeout,
         )
-    try:
-        compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    compile_cache = resolve_compile_cache(args.compile_cache)
 
     try:
         axis_sets = _parse_axis_sets(args.axis_sets)
@@ -509,9 +499,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
 
     engine = SweepEngine(
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        memoize=not args.no_memoize,
-        backend=args.backend,
         include_cost=not args.no_cost,
         compile_cache=compile_cache,
         resilience=resilience,
@@ -572,12 +559,12 @@ def _sweep_main(argv: Sequence[str]) -> int:
     if best is None:
         print(
             f"sweep {spec.name!r}: {count} scenarios{skip_note}{error_note}, "
-            f"jobs={args.jobs}, backend={args.backend}, no successful scenarios"
+            f"jobs={args.jobs}, no successful scenarios"
         )
     else:
         print(
             f"sweep {spec.name!r}: {count} scenarios{skip_note}{error_note}, "
-            f"jobs={args.jobs}, backend={args.backend}, "
+            f"jobs={args.jobs}, "
             f"best Ctot = {best['total_carbon_g'] / 1000.0:.2f} kg "
             f"({best['base']} nodes={best['nodes']} {best['packaging']}/{best['fab_source']})"
         )
@@ -627,7 +614,7 @@ def build_search_parser() -> argparse.ArgumentParser:
             "enumerating the grid.  The spec file holds a 'space' key (an "
             "ordinary sweep spec), weighted 'objectives', optional hard "
             "'constraints', a 'budget' and a 'seed'; a fixed seed gives "
-            "bit-identical results on every backend and jobs count."
+            "bit-identical results for every jobs count."
         ),
     )
     source = parser.add_mutually_exclusive_group()
@@ -676,18 +663,13 @@ def build_search_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
     )
-    parser.add_argument(
-        "--backend",
-        choices=["scalar", "batch"],
-        default="scalar",
-        help="Evaluation backend (bit-identical results; default: scalar)",
-    )
+    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
         default=None,
         help=(
-            "Persistent on-disk compile cache for --backend batch "
+            "Persistent on-disk compile cache "
             "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
         ),
     )
@@ -740,11 +722,8 @@ def _search_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
-    try:
-        compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    _note_deprecated_backend(args.backend)
+    compile_cache = resolve_compile_cache(args.compile_cache)
 
     try:
         axis_sets = _parse_axis_sets(args.axis_sets)
@@ -797,7 +776,6 @@ def _search_main(argv: Sequence[str]) -> int:
 
     engine = SweepEngine(
         jobs=args.jobs,
-        backend=args.backend,
         include_cost=not args.no_cost,
         compile_cache=compile_cache,
     )
@@ -815,7 +793,7 @@ def _search_main(argv: Sequence[str]) -> int:
         f"search {spec.name!r}: strategy={spec.strategy} seed={spec.seed}, "
         f"{result.evaluations} of {result.grid_size} grid points evaluated "
         f"({fraction:.1f}%, budget {result.budget}), "
-        f"{len(result.rounds)} rounds, backend={args.backend}, jobs={args.jobs}"
+        f"{len(result.rounds)} rounds, jobs={args.jobs}"
     )
     if result.best is None:
         print("no feasible point found within the budget")
@@ -897,10 +875,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="Worker processes per sweep; 1 keeps evaluation in-process "
              "and shares the compile cache (default: 1)",
     )
-    parser.add_argument(
-        "--backend", choices=["scalar", "batch"], default="batch",
-        help="Sweep backend jobs run on (default: batch)",
-    )
+    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
@@ -909,7 +884,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Persistent on-disk compile cache: the shared compiled-template "
             "cache is mirrored content-addressed under DIR, so a restarted "
             "server starts warm (defaults to $ECO_CHIP_COMPILE_CACHE when "
-            "set; requires --backend batch)"
+            "set)"
         ),
     )
     parser.add_argument(
@@ -990,11 +965,8 @@ def _serve_main(argv: Sequence[str]) -> int:
     from repro.serve.app import create_server
     from repro.serve.quota import QuotaTracker
 
-    try:
-        compile_cache_dir = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    _note_deprecated_backend(args.backend)
+    compile_cache_dir = resolve_compile_cache(args.compile_cache)
 
     quota = QuotaTracker(args.quota) if args.quota is not None else None
     try:
@@ -1004,7 +976,6 @@ def _serve_main(argv: Sequence[str]) -> int:
             store_dir=args.store_dir,
             workers=args.workers,
             queue_size=args.queue_size,
-            backend=args.backend,
             jobs=args.jobs,
             include_cost=not args.no_cost,
             quota=quota,
@@ -1023,7 +994,7 @@ def _serve_main(argv: Sequence[str]) -> int:
     host, port = server.server_address[:2]
     print(
         f"serving sweeps on http://{host}:{port} "
-        f"(backend={args.backend}, workers={args.workers}, "
+        f"(workers={args.workers}, "
         f"jobs stored in {Path(args.store_dir).resolve()})",
         flush=True,
     )

@@ -392,8 +392,7 @@ class DesignSpaceExplorer:
 
         Delegates to the sweep engine
         (:func:`repro.sweep.engine.evaluate_systems`): ``jobs=1`` runs
-        serially with memoised manufacturing/design kernels, ``jobs>1``
-        shards the candidates over worker processes.  Results are returned
+        serially, ``jobs>1`` shards the candidates over worker processes.  Results are returned
         in input order and are identical for any ``jobs`` value.
         """
         from repro.sweep.engine import evaluate_systems  # deferred: avoids an import cycle

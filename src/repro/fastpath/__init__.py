@@ -4,8 +4,10 @@ Analyses a :class:`~repro.core.system.ChipletSystem` template once (area
 scaling, packaging overheads, floorplan geometry, per-chiplet manufacturing/
 design/operational coefficients) and then evaluates whole scenario batches
 as plain arithmetic — bit-identical to the scalar
-:class:`~repro.core.estimator.EcoChip` pipeline.  Used by
-``SweepEngine(backend="batch")`` and ``eco-chip sweep --backend batch``.
+:class:`~repro.core.estimator.EcoChip` pipeline
+(:func:`repro.sweep.engine.reference_records`).  It is the evaluation
+engine behind :class:`repro.sweep.engine.SweepEngine` and every front-end
+built on it.
 """
 
 from repro.fastpath.batch import (

@@ -150,7 +150,7 @@ class BatchEstimator:
         config: Estimator configuration shared by all scenarios (scenario
             ``fab_source`` overrides the three energy sources, and
             config-target axis overrides derive per-scenario configs,
-            exactly like the scalar sweep path).
+            exactly like :func:`repro.sweep.engine.reference_records`).
         table: Technology table override.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
@@ -460,20 +460,18 @@ class BatchEstimator:
         ]
         base_volume = template.base_volume
         base_lifetime = template.base_lifetime
-        system_volume = _np.array(
-            [
-                s.system_volume if s.system_volume is not None else base_volume
-                for s in scenarios
-            ],
-            dtype=_np.float64,
-        )
-        lifetime = _np.array(
-            [
-                s.lifetime_years if s.lifetime_years is not None else base_lifetime
-                for s in scenarios
-            ],
-            dtype=_np.float64,
-        )
+        # The records carry these values as given (an int volume stays an
+        # int, exactly as on the scalar path); the arrays are for arithmetic.
+        volumes = [
+            s.system_volume if s.system_volume is not None else base_volume
+            for s in scenarios
+        ]
+        lifetimes = [
+            s.lifetime_years if s.lifetime_years is not None else base_lifetime
+            for s in scenarios
+        ]
+        system_volume = _np.array(volumes, dtype=_np.float64)
+        lifetime = _np.array(lifetimes, dtype=_np.float64)
         manufacturing = _np.array(
             [t.manufacturing_total_g for t in terms_list], dtype=_np.float64
         )
@@ -521,8 +519,8 @@ class BatchEstimator:
                     scenario,
                     template,
                     terms_list[index],
-                    float(lifetime[index]),
-                    float(system_volume[index]),
+                    lifetimes[index],
+                    volumes[index],
                     float(total[index]),
                     float(embodied[index]),
                     float(design_used[index]),

@@ -16,8 +16,9 @@ Every packaging architecture implements the same protocol used by
    and the floorplan.
 3. :meth:`PackagingModel.compile_terms` — the same CFP flattened into
    scenario-independent closed-form :class:`PackagingTerms`, so the batch
-   backend can re-evaluate the architecture at any packaging carbon
-   intensity as plain arithmetic.  ``compile_terms`` lives next to the
+   engine can re-evaluate the architecture at any packaging carbon
+   intensity as plain arithmetic.  It is required: registration rejects a
+   model without it.  ``compile_terms`` lives next to the
    ``evaluate`` formula it mirrors, and the two must stay bit-identical
    (exact float equality) — the parity tests in
    ``tests/integration/test_batch_parity.py`` enforce the contract.
@@ -231,13 +232,13 @@ class PackagingModel(abc.ABC):
                 injection rate (cached by the compiler; only call it when
                 the spec has ``router_injection_rate``).
 
-        Architectures that cannot be expressed in closed form may raise
-        :class:`NotImplementedError`; such models only work on the scalar
-        backend.
+        Every registered architecture must override this method:
+        :func:`repro.packaging.registry.register_packaging` rejects a model
+        that inherits this default, because every sweep evaluates through
+        the compiled batch engine.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement compile_terms(); "
-            "use the scalar backend for this packaging model"
+            f"{type(self).__name__} does not implement compile_terms()"
         )
 
     # -- shared helpers -------------------------------------------------------------

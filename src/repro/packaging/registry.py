@@ -161,7 +161,8 @@ def register_packaging(
         spec_cls: Configuration dataclass; ``spec_from_dict`` passes the
             remaining config keys to its constructor.
         model_cls: :class:`PackagingModel` subclass; must implement
-            ``evaluate`` and (for batch-backend support) ``compile_terms``.
+            ``evaluate`` and ``compile_terms`` (checked here, so a model
+            the batch engine cannot compile fails at registration).
         aliases: Additional accepted spelling(s) of the name.
         api_version: Plugin-API version the registering code was built
             against (:data:`repro.plugins.PLUGIN_API_VERSION`); a mismatch
@@ -198,6 +199,12 @@ def _register_packaging_locked(
     if not (isinstance(model_cls, type) and issubclass(model_cls, PackagingModel)):
         raise TypeError(
             f"model_cls must be a PackagingModel subclass, got {model_cls!r}"
+        )
+    if model_cls.compile_terms is PackagingModel.compile_terms:
+        raise TypeError(
+            f"packaging model {model_cls.__name__} must implement "
+            f"compile_terms(): every sweep evaluates through the compiled "
+            f"batch engine"
         )
     canonical = _normalise_name(name)
     if not canonical:

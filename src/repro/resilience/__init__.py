@@ -10,7 +10,7 @@ Three pieces, layered under :class:`repro.sweep.engine.SweepEngine` and
 * **Error records** (:mod:`repro.resilience.records`): a raising
   scenario becomes one structured row in the result store — scenario
   columns plus a canonical-JSON ``error`` payload — bit-identical across
-  the scalar and batch backends.
+  ``jobs`` counts, contained in-process or in a worker.
 * **Chaos** (:mod:`repro.resilience.chaos`): seeded deterministic fault
   injection (exceptions, delays, simulated worker death at configured
   scenario indices) so every failure path above is testable.

@@ -12,9 +12,9 @@ The ``error`` payload is rendered exactly the same way the existing
 ``overrides``/``packaging_params`` columns are (one canonical
 ``json.dumps(..., sort_keys=True)`` string), and the digest hashes only
 :func:`traceback.format_exception_only` — the exception type and
-message, *not* the stack — so the scalar and batch backends produce
-bit-identical error records for the same failure, preserving the
-repo-wide cross-backend parity invariant.
+message, *not* the stack — so the same failure yields a bit-identical
+error record whichever call path raised it (in-process or in a worker
+process, group compile or per-scenario evaluation).
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def error_code_of(exc: BaseException) -> str:
 def error_digest(exc: BaseException) -> str:
     """Stable digest of the failure identity (type + message only).
 
-    Deliberately excludes the traceback *stack*: the scalar and batch
-    backends reach the same failure through different call paths, and
-    error records must stay bit-identical across backends.
+    Deliberately excludes the traceback *stack*: the same failure can be
+    reached through different call paths (in-process or in a worker), and
+    error records must stay bit-identical across them.
     """
     summary = "".join(traceback.format_exception_only(type(exc), exc))
     return hashlib.sha256(summary.encode("utf-8")).hexdigest()[:_DIGEST_LENGTH]
@@ -117,8 +117,8 @@ def evaluate_contained(
     are exhausted.  ``on_error="raise"`` re-raises the final failure.
 
     Args:
-        evaluate: Backend evaluation callable (scalar evaluator or the
-            batch estimator's single-scenario path).
+        evaluate: Single-scenario evaluation callable (the batch
+            estimator's ``evaluate_scenario``).
         scenario: The scenario to evaluate.
         policy: Retry/containment configuration.
         chaos: Optional :class:`repro.resilience.chaos.ChaosPlan`.

@@ -5,7 +5,7 @@ a :class:`SearchSpec` names the candidate space (an ordinary sweep grid —
 any registered axis is searchable), weighted objectives, hard constraints
 and an evaluation budget, and a pluggable :data:`Strategy` decides which
 grid points to spend that budget on.  All evaluation routes through the
-sweep engine (both backends, jobs>1, compile cache and resilience apply
+sweep engine (jobs>1, compile cache and resilience apply
 unchanged), every evaluated point streams to the crash-safe result store
 with a ``search_round`` column, and a killed search resumes from its store
 without re-spending budget.

@@ -2,9 +2,8 @@
 
 The runner owns the loop between a strategy's proposal generator and the
 evaluation machinery: every batch routes through
-:meth:`repro.sweep.engine.SweepEngine.run` — so jobs>1, the scalar/batch
-backends, the compile cache and resilience policies all apply to searches
-unchanged — and every record streams to the ordinary result store stamped
+:meth:`repro.sweep.engine.SweepEngine.run` — so jobs>1, the compile cache
+and resilience policies all apply to searches unchanged — and every record streams to the ordinary result store stamped
 with a ``search_round`` column.
 
 Resume is replay: because strategies are deterministic functions of
@@ -80,7 +79,6 @@ class SearchResult:
             grid size).
         elapsed_s: Wall-clock runtime of this run.
         store_path: Result store the evaluations streamed to, if any.
-        backend: Engine backend the search ran on.
         jobs: Engine worker-process count.
     """
 
@@ -95,7 +93,6 @@ class SearchResult:
     budget: int
     elapsed_s: float
     store_path: Optional[str] = None
-    backend: str = "scalar"
     jobs: int = 1
 
     @property
@@ -151,15 +148,11 @@ def run_search(
         stored = records_by_scenario(out)
     store = open_store(out, append=resume) if out is not None else None
 
-    # On the single-process batch backend, mount one shared BatchEstimator
-    # for the whole search so compiled templates stay warm across rounds
-    # (a fresh engine.run per batch would otherwise recompile every round).
+    # In-process, mount one shared BatchEstimator for the whole search so
+    # compiled templates stay warm across rounds (a fresh engine.run per
+    # batch would otherwise recompile every round).
     restore_estimator = False
-    if (
-        engine.backend == "batch"
-        and engine.jobs == 1
-        and engine.batch_estimator is None
-    ):
+    if engine.jobs == 1 and engine.batch_estimator is None:
         from repro.fastpath import BatchEstimator
 
         engine.batch_estimator = BatchEstimator(
@@ -244,6 +237,5 @@ def run_search(
         budget=budget,
         elapsed_s=time.perf_counter() - start,
         store_path=str(Path(out)) if out is not None else None,
-        backend=engine.backend,
         jobs=engine.jobs,
     )

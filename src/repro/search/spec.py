@@ -252,7 +252,7 @@ class SearchSpec:
         strategy: Registered strategy name
             (:func:`repro.search.strategies.strategy_names`).
         seed: Random seed; fixed seed means bit-identical candidate
-            sequences and results on every backend and jobs count.
+            sequences and results for every jobs count.
         batch_size: Candidates per evaluation batch (one engine run each).
         stall_rounds: Churn-free rounds after which ``pareto_refine``
             stops early.

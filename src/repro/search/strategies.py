@@ -13,7 +13,7 @@ killed run's store.
 
 Strategies must draw randomness only from ``random.Random(context.spec.seed)``
 instances they create themselves, and must yield index batches in sorted
-order; both are required for the bit-identical-across-backends guarantee.
+order; both are required for the bit-identical-across-jobs guarantee.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class SearchContext:
         """The ``count`` lowest-cost feasible members of ``pool``.
 
         Ordered (and tie-broken) by ``(weighted cost, grid index)``, so the
-        ranking is identical on every backend and jobs count.  Infeasible
+        ranking is identical for every jobs count.  Infeasible
         members never rank.
         """
         ranked = sorted(

@@ -26,8 +26,8 @@ __all__ = ["ResultCache", "SharedCompileCache"]
 class ResultCache:
     """Thread-safe LRU cache of finished sweep record tuples.
 
-    The values are the exact record dicts a live run would produce (both
-    backends emit bit-identical records, so a cached replay is
+    The values are the exact record dicts a live run would produce (the
+    engine's records are deterministic, so a cached replay is
     indistinguishable from a re-evaluation).  ``get``/``put`` match the
     duck type :class:`repro.api.Session` expects from ``result_cache``.
 
@@ -90,7 +90,7 @@ class ResultCache:
 class SharedCompileCache:
     """One batch estimator — and its compiled-template caches — per process.
 
-    Jobs running with ``backend="batch"`` and ``jobs=1`` evaluate through
+    Jobs running with ``jobs=1`` evaluate through
     this single :class:`repro.fastpath.BatchEstimator` instead of building
     a fresh one per run (``SweepEngine(batch_estimator=...)``), so
     compiled templates survive across requests.  Sharing across worker

@@ -129,8 +129,6 @@ class JobManager:
         workers: Worker threads evaluating jobs concurrently.
         queue_size: Bound of the pending-job queue; a full queue rejects
             submissions with 503 (:class:`QueueFullError`).
-        backend: Sweep backend jobs run on (default ``"batch"``: the
-            steady-state fast path the server exists to share).
         jobs: Worker *processes* per sweep (``1`` keeps evaluation
             in-process, which is what lets the compile cache be shared).
         config: Estimator configuration all jobs evaluate under.
@@ -139,14 +137,14 @@ class JobManager:
         quota: Optional per-client scenario budget.
         metrics: Metrics sink (created when omitted).
         result_cache: Session-level result cache (created when omitted).
-        compile_cache: Shared compiled-template cache (created when the
-            backend/jobs combination supports it, i.e. batch + in-process).
+        compile_cache: Shared compiled-template cache (created when jobs
+            evaluate in-process, i.e. ``jobs=1``).
         compile_cache_dir: Directory for the persistent on-disk compile
             cache (``--compile-cache`` /``ECO_CHIP_COMPILE_CACHE``).
             Mounted under the auto-created :class:`SharedCompileCache`
             so warm templates survive server restarts; ignored when an
-            explicit ``compile_cache`` instance is passed or the
-            backend/jobs combination compiles no shared templates.
+            explicit ``compile_cache`` instance is passed or ``jobs > 1``
+            (worker processes share no in-process templates).
         resilience: :class:`~repro.resilience.ResiliencePolicy` jobs run
             under.  Defaults to containment (``on_error="record"``, no
             retries): a scenario that raises becomes one error record and
@@ -165,7 +163,6 @@ class JobManager:
         *,
         workers: int = 2,
         queue_size: int = 32,
-        backend: str = "batch",
         jobs: int = 1,
         config: Optional[EstimatorConfig] = None,
         table: Optional[TechnologyTable] = None,
@@ -186,7 +183,6 @@ class JobManager:
         self.store_dir = Path(store_dir)
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
-        self.backend = backend
         self.jobs = jobs
         self.config = config
         self.table = table
@@ -207,7 +203,7 @@ class JobManager:
         else:
             self.breaker = breaker
         self.result_cache = result_cache if result_cache is not None else ResultCache()
-        if compile_cache is None and backend == "batch" and jobs == 1:
+        if compile_cache is None and jobs == 1:
             compile_cache = SharedCompileCache(
                 config=config,
                 table=table,
@@ -474,13 +470,15 @@ class JobManager:
     def _meta_path(self, job: Job) -> Path:
         return self.store_dir / f"{job.id}.json"
 
-    def _persist(self, job: Job) -> None:
-        """Atomically write the job's metadata (tmp + rename)."""
+    def _persist(self, job: Job, state: Optional[str] = None) -> None:
+        """Atomically write the job's metadata (tmp + rename), optionally
+        with the ``state`` the job is about to enter."""
+        meta = job.to_dict()
+        if state is not None:
+            meta["state"] = state
         meta_path = self._meta_path(job)
         tmp_path = meta_path.with_name(meta_path.name + ".tmp")
-        tmp_path.write_text(
-            json.dumps(job.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+        tmp_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp_path, meta_path)
 
     def _release_quota(self, job: Job) -> None:
@@ -489,11 +487,13 @@ class JobManager:
             job._quota_released = True
 
     def _finish(self, job: Job, state: str) -> None:
+        # The metadata on disk turns terminal before the in-memory state
+        # does, so whoever observes the outcome can also read it back.
+        job.finished_at = time.time()
+        self._persist(job, state)
         with self._lock:
             job.state = state
-            job.finished_at = time.time()
             self._release_quota(job)
-        self._persist(job)
         self.metrics.increment(f"jobs_{state}")
 
     def _session(self) -> Session:
@@ -501,7 +501,6 @@ class JobManager:
             self.config,
             table=self.table,
             jobs=self.jobs,
-            backend=self.backend,
             include_cost=self.include_cost,
             result_cache=self.result_cache,
             batch_estimator=(
@@ -568,8 +567,8 @@ class JobManager:
                 "code": "runtime",
                 "message": f"{type(exc).__name__}: {exc}",
             }
-            self._finish(job, "failed")
             self._charge_breaker(job, success=False)
+            self._finish(job, "failed")
         else:
             job.done = total_count
             job.cached = result.summary.cached
@@ -594,11 +593,13 @@ class JobManager:
                     "codes": dict(summary.error_codes),
                 }
                 self.metrics.increment("scenarios_failed", summary.error_count)
-                self._finish(job, "partial")
+                # Charge the breaker before the state turns terminal, so a
+                # client that sees the outcome also sees its breaker effect.
                 self._charge_breaker(job, success=False)
+                self._finish(job, "partial")
             else:
-                self._finish(job, "done")
                 self._charge_breaker(job, success=True)
+                self._finish(job, "done")
 
     def _charge_breaker(self, job: Job, success: bool) -> None:
         if self.breaker is None:

@@ -11,22 +11,20 @@ provides the scale-out machinery for that:
     cartesian-product expansion and named presets.
 :mod:`repro.sweep.engine`
     :class:`~repro.sweep.engine.SweepEngine` — sharded, process-parallel
-    scenario evaluation with memoised manufacturing/design kernels, a
-    deterministic serial fallback, resume-from-store, and a compiled batch
-    backend (``backend="batch"``, see :mod:`repro.fastpath`) whose records
-    are bit-identical to the scalar path.
+    scenario evaluation on the compiled batch fast path
+    (:mod:`repro.fastpath`) with resume-from-store, and
+    :func:`~repro.sweep.engine.reference_records`, the serial scalar
+    oracle whose records the engine reproduces bit for bit.
 :mod:`repro.sweep.store`
     Streaming JSONL/CSV result stores (crash-safe, constant memory) and
     row adapters feeding :func:`repro.core.explorer.pareto_front`.
 """
 
 from repro.sweep.engine import (
-    BACKENDS,
-    KernelCacheStats,
     SweepEngine,
     SweepSummary,
-    install_kernel_cache,
     prepare_resume,
+    reference_records,
 )
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec, load_spec
 from repro.sweep.store import (
@@ -43,7 +41,6 @@ from repro.sweep.store import (
 )
 
 __all__ = [
-    "BACKENDS",
     "completed_scenario_ids",
     "prepare_resume",
     "repair_torn_tail",
@@ -53,8 +50,7 @@ __all__ = [
     "load_spec",
     "SweepEngine",
     "SweepSummary",
-    "KernelCacheStats",
-    "install_kernel_cache",
+    "reference_records",
     "JsonlResultStore",
     "CsvResultStore",
     "SweepRow",

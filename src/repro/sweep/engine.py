@@ -1,21 +1,20 @@
 """Sharded, process-parallel evaluation of sweep scenarios.
 
-The engine turns an expanded scenario list into flattened result records:
+The engine turns an expanded scenario list into flattened result records
+through the compiled batch fast path (:mod:`repro.fastpath`): scenarios are
+grouped by template, each template compiles once, and every group
+evaluates as flat arithmetic.
 
-* ``jobs=1`` evaluates serially in-process (deterministic, no pickling);
-* ``jobs>1`` shards the scenarios into chunks and fans them out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  ``executor.map``
-  preserves chunk order, so the record stream — and therefore every total —
-  is bit-identical to the serial path.
+* ``jobs=1`` evaluates in-process (deterministic, no pickling);
+* ``jobs>1`` shards whole template groups over a
+  :class:`concurrent.futures.ProcessPoolExecutor`, so each template
+  compiles in exactly one worker.  Records are re-emitted in input order,
+  so the record stream — and therefore every total — is bit-identical to
+  the in-process path.
 
-Each evaluator process memoises the two hot kernels of the estimation
-pipeline: the per-die manufacturing CFP (keyed on area, node and design
-type) and the per-chiplet design CFP (keyed on transistors, node,
-iterations, volume and reuse).  Across a scenario grid most sub-evaluations
-repeat — e.g. the analog chiplet's manufacturing CFP is identical in every
-scenario that keeps it at 14 nm — so the cache collapses the grid's cost
-from ``scenarios x chiplets`` kernel runs to the number of *distinct*
-kernel inputs.
+:func:`reference_records` is the engine's oracle: a serial loop through the
+full :class:`~repro.core.estimator.EcoChip` pipeline with no caches and no
+pool.  The parity tests require the engine to reproduce it bit for bit.
 
 Out-of-tree packaging architectures *and* sweep axes work at any ``jobs``
 value: every pool initializer receives the shared plugin-module snapshot
@@ -25,10 +24,6 @@ value: every pool initializer receives the shared plugin-module snapshot
 packaging dicts and axis overrides referencing plugins resolve in worker
 processes under any multiprocessing start method — including ``spawn``,
 where workers do not inherit the parent's registry state.
-
-Scenario axis overrides (:mod:`repro.axes`) are applied per scenario:
-system-target axes inside :meth:`Scenario.build_system`, config-target
-axes by keying one estimator per (fab source, config-override signature).
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -54,15 +50,10 @@ from typing import (
     Union,
 )
 
-from repro.axes import (
-    apply_config_overrides,
-    config_overrides_signature,
-    system_overrides_signature,
-)
+from repro.axes import apply_config_overrides
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
-from repro.design.eda import DEFAULT_DESIGN_ITERATIONS
 from repro.packaging.registry import import_plugin_modules, plugin_modules
 from repro.resilience.policy import ResiliencePolicy, WorkerLostError
 from repro.resilience.records import (
@@ -71,14 +62,13 @@ from repro.resilience.records import (
     evaluate_contained,
     is_error_record,
 )
-from repro.sweep.spec import Scenario, SweepSpec, resolve_base
+from repro.sweep.spec import Scenario, SweepSpec
 from repro.sweep.store import (
     ResultStore,
     iter_records as _iter_store_records,
     repair_torn_tail,
 )
 from repro.technology.nodes import TechnologyTable
-from repro.technology.scaling import DesignType
 
 Record = Dict[str, Any]
 
@@ -87,106 +77,7 @@ PluginModules = Tuple[Tuple[str, Optional[str]], ...]
 
 
 # ---------------------------------------------------------------------------
-# Kernel memoisation
-# ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class KernelCacheStats:
-    """Hit/miss counters of the memoised estimator kernels."""
-
-    manufacturing_hits: int = 0
-    manufacturing_misses: int = 0
-    design_hits: int = 0
-    design_misses: int = 0
-
-    @property
-    def hits(self) -> int:
-        """Total cache hits across both kernels."""
-        return self.manufacturing_hits + self.design_hits
-
-    @property
-    def misses(self) -> int:
-        """Total cache misses across both kernels."""
-        return self.manufacturing_misses + self.design_misses
-
-
-def install_kernel_cache(
-    estimator: EcoChip, stats: Optional[KernelCacheStats] = None
-) -> KernelCacheStats:
-    """Memoise ``estimator``'s manufacturing and design CFP kernels in place.
-
-    Results are cached on the value-determining inputs only; the cosmetic
-    ``name`` argument is re-attached on the way out, so cached results are
-    bit-identical to uncached ones.  Installing twice is a no-op.
-
-    Returns:
-        The stats object tracking hits and misses for this estimator.
-    """
-    existing = getattr(estimator, "_kernel_cache_stats", None)
-    if existing is not None:
-        return existing
-    stats = stats if stats is not None else KernelCacheStats()
-
-    manufacturing = estimator.manufacturing
-    raw_cfp_for_area = manufacturing.cfp_for_area
-    manufacturing_cache: Dict[Tuple[float, float, DesignType], Any] = {}
-
-    def cfp_for_area(area_mm2, node, design_type=DesignType.LOGIC, name=""):
-        dtype = DesignType.parse(design_type)
-        key = (float(area_mm2), manufacturing.table.get(node).feature_nm, dtype)
-        hit = manufacturing_cache.get(key)
-        if hit is None:
-            stats.manufacturing_misses += 1
-            hit = raw_cfp_for_area(area_mm2, node, dtype, name="")
-            manufacturing_cache[key] = hit
-        else:
-            stats.manufacturing_hits += 1
-        return dataclasses.replace(hit, name=name) if name else hit
-
-    manufacturing.cfp_for_area = cfp_for_area  # type: ignore[method-assign]
-
-    design = estimator.design_model
-    raw_chiplet_design_cfp = design.chiplet_design_cfp
-    design_cache: Dict[Tuple[float, float, int, float, bool], Any] = {}
-
-    def chiplet_design_cfp(
-        transistors,
-        node,
-        iterations=DEFAULT_DESIGN_ITERATIONS,
-        manufactured_volume=1.0,
-        name="",
-        reused=False,
-    ):
-        key = (
-            float(transistors),
-            design.table.get(node).feature_nm,
-            int(iterations),
-            float(manufactured_volume),
-            bool(reused),
-        )
-        hit = design_cache.get(key)
-        if hit is None:
-            stats.design_misses += 1
-            hit = raw_chiplet_design_cfp(
-                transistors,
-                node,
-                iterations=iterations,
-                manufactured_volume=manufactured_volume,
-                name="",
-                reused=reused,
-            )
-            design_cache[key] = hit
-        else:
-            stats.design_hits += 1
-        return dataclasses.replace(hit, name=name) if name else hit
-
-    design.chiplet_design_cfp = chiplet_design_cfp  # type: ignore[method-assign]
-
-    estimator._kernel_cache_stats = stats  # type: ignore[attr-defined]
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Scenario evaluation (shared by the serial path and worker processes)
+# Scenario semantics and the reference oracle
 # ---------------------------------------------------------------------------
 def _source_name(source: Any) -> str:
     return str(getattr(source, "value", source))
@@ -199,10 +90,10 @@ def derive_scenario_config(
 ) -> EstimatorConfig:
     """The estimator configuration a scenario evaluates under.
 
-    One definition of the scenario→config semantics, shared by the scalar
-    evaluator and :class:`repro.api.Session`: a scenario ``fab_source``
-    replaces all three energy sources, then config-target axis overrides
-    (:mod:`repro.axes`) are applied on top.
+    One definition of the scenario→config semantics, shared by
+    :func:`reference_records` and :class:`repro.api.Session`: a scenario
+    ``fab_source`` replaces all three energy sources, then config-target
+    axis overrides (:mod:`repro.axes`) are applied on top.
     """
     config = base_config
     if fab_source is not None:
@@ -226,7 +117,7 @@ def make_record(
 
     Metric keys deliberately match :data:`repro.core.explorer.OBJECTIVES`
     so reloaded records plug into the Pareto tooling unchanged.  The batch
-    backend (:meth:`repro.fastpath.batch.BatchEstimator._record`) emits the
+    engine (:meth:`repro.fastpath.batch.BatchEstimator._record`) emits the
     same keys in the same order — keep the two in sync.
     """
     record = scenario.to_record()
@@ -254,96 +145,70 @@ def make_record(
     return record
 
 
-class _ScenarioEvaluator:
-    """Per-process evaluation context: base-system, estimator and kernel caches."""
+def reference_records(
+    scenarios: Union[SweepSpec, Iterable[Scenario]],
+    config: Optional[EstimatorConfig] = None,
+    table: Optional[TechnologyTable] = None,
+    include_cost: bool = True,
+) -> List[Record]:
+    """Evaluate scenarios one by one through the full scalar pipeline.
 
-    def __init__(
-        self,
-        default_config: Optional[EstimatorConfig],
-        memoize: bool,
-        include_cost: bool = False,
-        table: Optional[TechnologyTable] = None,
-    ):
-        self.default_config = default_config if default_config is not None else EstimatorConfig()
-        self.memoize = memoize
-        self.include_cost = include_cost
-        self.table = table
-        self.stats = KernelCacheStats()
-        self._bases: Dict[Tuple[str, str], ChipletSystem] = {}
-        # One estimator per (fab source, config-axis override signature):
-        # config-target axes (repro.axes) produce distinct EstimatorConfigs.
-        self._estimators: Dict[Tuple[Optional[str], Optional[Tuple]], EcoChip] = {}
-        self._cost_model: Optional[Any] = None
-        # Cost depends only on (base, nodes, NS) and any axis overrides —
-        # not packaging, fab source or lifetime — so one evaluation serves
-        # every scenario sharing them.
-        self._cost_cache: Dict[
-            Tuple[str, str, Optional[Tuple[float, ...]], float, Optional[Tuple]], float
-        ] = {}
+    The reference oracle of :class:`SweepEngine`: per scenario, resolve the
+    base system, build the scenario's system, run
+    :meth:`EcoChip.estimate` under :func:`derive_scenario_config` and (with
+    ``include_cost``) the dollar-cost model, then flatten with
+    :func:`make_record`.  No caches, no compiled templates, no pool — the
+    engine must reproduce these records exactly (``==``, bit for bit).
+    """
+    from repro.cost.model import ChipletCostModel
 
-    def _base(self, scenario: Scenario) -> ChipletSystem:
-        key = (scenario.base_kind, scenario.base_ref)
-        system = self._bases.get(key)
-        if system is None:
-            system = resolve_base(scenario.base_kind, scenario.base_ref)
-            self._bases[key] = system
-        return system
-
-    def _estimator(
-        self, fab_source: Optional[str], overrides: Optional[Mapping[str, Any]] = None
-    ) -> EcoChip:
-        key = (fab_source, config_overrides_signature(overrides))
-        estimator = self._estimators.get(key)
-        if estimator is None:
-            config = derive_scenario_config(self.default_config, fab_source, overrides)
-            estimator = EcoChip(config=config, table=self.table)
-            if self.memoize:
-                install_kernel_cache(estimator, self.stats)
-            self._estimators[key] = estimator
-        return estimator
-
-    def _cost_usd(self, scenario: Scenario, system: ChipletSystem) -> float:
-        """Dollar cost of the scenario's system (memoised when enabled)."""
-        if self._cost_model is None:
-            from repro.cost.model import ChipletCostModel
-
-            # Same table as the batch backend's cost terms, so cost_usd
-            # stays bit-identical across backends under custom tables.
-            self._cost_model = ChipletCostModel(table=self.table)
-        if not self.memoize:
-            return self._cost_model.estimate(system).total_cost_usd
-        # Config-target axes never reach the cost model, so only the
-        # system-target subset keys the cache (matches the batch compiler's
-        # system-override-aware cost base key).
-        key = (
-            scenario.base_kind,
-            scenario.base_ref,
-            scenario.nodes,
-            system.system_volume,
-            system_overrides_signature(scenario.overrides),
+    if isinstance(scenarios, SweepSpec):
+        scenarios = scenarios.expand()
+    base_config = config if config is not None else EstimatorConfig()
+    records: List[Record] = []
+    for scenario in scenarios:
+        system = scenario.build_system()  # resolves the base afresh
+        scenario_config = derive_scenario_config(
+            base_config, scenario.fab_source, scenario.overrides
         )
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = self._cost_model.estimate(system).total_cost_usd
-            self._cost_cache[key] = cost
-        return cost
-
-    def evaluate(self, scenario: Scenario) -> Record:
-        """Evaluate one scenario into a flattened record."""
-        system = scenario.build_system(base=self._base(scenario))
-        estimator = self._estimator(scenario.fab_source, scenario.overrides)
-        report = estimator.estimate(system)
+        report = EcoChip(config=scenario_config, table=table).estimate(system)
+        cost_usd = (
+            ChipletCostModel(table=table).estimate(system).total_cost_usd
+            if include_cost
+            else None
+        )
         fab_source = (
             scenario.fab_source
             if scenario.fab_source is not None
-            else _source_name(self.default_config.fab_carbon_source)
+            else _source_name(base_config.fab_carbon_source)
         )
-        cost_usd = self._cost_usd(scenario, system) if self.include_cost else None
-        return make_record(scenario, system, report, fab_source, cost_usd=cost_usd)
+        records.append(make_record(scenario, system, report, fab_source, cost_usd))
+    return records
 
 
-#: Worker-process evaluator, created once per worker by the pool initializer.
-_EVALUATOR: Optional[_ScenarioEvaluator] = None
+def check_backend(backend: Optional[str]) -> None:
+    """Validate the deprecated ``backend`` option, which selects nothing.
+
+    Every sweep runs on the compiled batch engine.  ``"batch"`` is accepted
+    silently, ``"scalar"`` with a :class:`DeprecationWarning`, and anything
+    else raises :class:`ValueError`.
+    """
+    if backend is None or backend == "batch":
+        return
+    if backend != "scalar":
+        raise ValueError(
+            f"unknown backend {backend!r}; known backends: ['scalar', 'batch']"
+        )
+    warnings.warn(
+        "backend='scalar' is deprecated and ignored: every sweep runs on the "
+        "compiled batch engine, whose records are identical",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
+#: Worker-process batch estimator, one per worker.
+_EVALUATOR: Optional[Any] = None
 
 #: Worker-process resilience policy / chaos plan (supervised pools only).
 _POLICY: Optional[ResiliencePolicy] = None
@@ -352,48 +217,6 @@ _CHAOS: Optional[Any] = None
 
 def _init_worker(
     default_config: Optional[EstimatorConfig],
-    memoize: bool,
-    include_cost: bool = False,
-    plugins: PluginModules = (),
-    table: Optional[TechnologyTable] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    chaos: Optional[Any] = None,
-) -> None:
-    global _EVALUATOR, _POLICY, _CHAOS
-    import_plugin_modules(plugins)
-    _EVALUATOR = _ScenarioEvaluator(default_config, memoize, include_cost, table)
-    _POLICY = policy
-    _CHAOS = chaos
-
-
-def _evaluate_chunk(scenarios: Sequence[Scenario]) -> List[Record]:
-    assert _EVALUATOR is not None, "worker initializer did not run"
-    return [_EVALUATOR.evaluate(scenario) for scenario in scenarios]
-
-
-def _evaluate_chunk_contained(
-    scenarios: Sequence[Scenario],
-) -> Tuple[List[Record], int]:
-    """Contained chunk evaluation: ``(records, retries)`` per chunk."""
-    assert _EVALUATOR is not None, "worker initializer did not run"
-    assert _POLICY is not None, "supervised pool without a resilience policy"
-    records: List[Record] = []
-    retries = 0
-    for scenario in scenarios:
-        record, attempts_over = evaluate_contained(
-            _EVALUATOR.evaluate, scenario, _POLICY, chaos=_CHAOS, in_worker=True
-        )
-        retries += attempts_over
-        records.append(record)
-    return records, retries
-
-
-#: Worker-process batch estimator (backend="batch"), one per worker.
-_BATCH_EVALUATOR: Optional[Any] = None
-
-
-def _init_batch_worker(
-    default_config: Optional[EstimatorConfig],
     include_cost: bool,
     plugins: PluginModules = (),
     table: Optional[TechnologyTable] = None,
@@ -401,14 +224,14 @@ def _init_batch_worker(
     chaos: Optional[Any] = None,
     compile_cache: Optional[Any] = None,
 ) -> None:
-    global _BATCH_EVALUATOR, _POLICY, _CHAOS
+    global _EVALUATOR, _POLICY, _CHAOS
     from repro.fastpath import BatchEstimator
 
     import_plugin_modules(plugins)
     # ``compile_cache`` mounts the persistent on-disk template cache in
     # every worker: the first worker to compile a template persists it for
     # its siblings (and for every later run against the same directory).
-    _BATCH_EVALUATOR = BatchEstimator(
+    _EVALUATOR = BatchEstimator(
         config=default_config,
         table=table,
         include_cost=include_cost,
@@ -418,7 +241,7 @@ def _init_batch_worker(
     _CHAOS = chaos
 
 
-def _evaluate_batch_chunk(
+def _evaluate_chunk(
     groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
 ) -> List[Tuple[int, Record]]:
     """Evaluate template groups, returning (position, record) pairs.
@@ -427,28 +250,28 @@ def _evaluate_batch_chunk(
     compiled-template caches) alive across chunks, so templates shared by
     chunks mapped to the same worker compile once.
     """
-    assert _BATCH_EVALUATOR is not None, "worker initializer did not run"
+    assert _EVALUATOR is not None, "worker initializer did not run"
     results: List[Tuple[int, Record]] = []
     for positions, scenarios in groups:
-        template = _BATCH_EVALUATOR.compile_for(scenarios[0])
-        records = _BATCH_EVALUATOR.evaluate_group(template, scenarios)
+        template = _EVALUATOR.compile_for(scenarios[0])
+        records = _EVALUATOR.evaluate_group(template, scenarios)
         results.extend(zip(positions, records))
     return results
 
 
-def _evaluate_batch_chunk_contained(
+def _evaluate_chunk_contained(
     groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
 ) -> Tuple[List[Tuple[int, Record]], int]:
-    """Contained batch chunk: per-scenario evaluation through the compiled
+    """Contained chunk: per-scenario evaluation through the compiled
     template cache, so one raising scenario costs its group nothing."""
-    assert _BATCH_EVALUATOR is not None, "worker initializer did not run"
+    assert _EVALUATOR is not None, "worker initializer did not run"
     assert _POLICY is not None, "supervised pool without a resilience policy"
     results: List[Tuple[int, Record]] = []
     retries = 0
     for positions, scenarios in groups:
         for position, scenario in zip(positions, scenarios):
             record, attempts_over = evaluate_contained(
-                _BATCH_EVALUATOR.evaluate_scenario,
+                _EVALUATOR.evaluate_scenario,
                 scenario,
                 _POLICY,
                 chaos=_CHAOS,
@@ -512,11 +335,8 @@ class SweepSummary:
         best: Record with the lowest ``total_carbon_g`` (``None`` when the
             spec was empty).
         store_path: Where records were streamed (``None`` without a store).
-        cache_stats: Kernel-cache counters (serial scalar runs only; workers
-            keep their own counters and the batch backend has no kernels).
         skipped_count: Scenarios skipped because a resume store already
             contained their ids.
-        backend: Evaluation backend the run used.
         cached: True when the whole run was served from a Session-level
             result cache without evaluating any scenario
             (:class:`repro.api.Session` with a shared ``result_cache``).
@@ -532,9 +352,7 @@ class SweepSummary:
     jobs: int
     best: Optional[Record]
     store_path: Optional[str] = None
-    cache_stats: Optional[KernelCacheStats] = None
     skipped_count: int = 0
-    backend: str = "scalar"
     cached: bool = False
     error_count: int = 0
     retry_count: int = 0
@@ -548,28 +366,15 @@ class SweepSummary:
         return self.scenario_count / self.elapsed_s
 
 
-#: Evaluation backends of :class:`SweepEngine`.
-BACKENDS = ("scalar", "batch")
-
-
 class SweepEngine:
     """Evaluates sweep scenarios, serially or across worker processes.
 
     Args:
         jobs: Worker processes; ``1`` runs serially in-process.
-        chunk_size: Scenarios per shard (scalar backend); defaults to an
-            even split across ``8 x jobs`` chunks (capped at 256) so workers
-            stay busy without excessive pickling round-trips.
-        memoize: Memoise the manufacturing/design kernels (and the dollar
-            cost) in each process.  Scalar backend only; the batch backend
-            always reuses its compiled templates.
         config: Estimator configuration shared by all scenarios (scenario
             ``fab_source`` overrides the energy sources per scenario).
-        backend: ``"scalar"`` (default) evaluates every scenario through the
-            full :class:`EcoChip` pipeline; ``"batch"`` groups scenarios by
-            compiled template (:mod:`repro.fastpath`) and evaluates each
-            group as flat arithmetic — bit-identical records, an order of
-            magnitude faster on repetitive grids.
+        backend: Deprecated and ignored (:func:`check_backend`); kept for
+            one release so existing callers keep working.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
         mp_context: Multiprocessing start method for worker pools
@@ -577,17 +382,16 @@ class SweepEngine:
             platform default.  Workers re-import out-of-tree packaging
             plugins in their initializer, so plugin sweeps work under every
             start method.
-        table: Technology table override, honoured by both backends and
-            shipped to worker processes (``None`` uses the built-in table).
+        table: Technology table override, shipped to worker processes (``None`` uses the built-in table).
         batch_estimator: A pre-built :class:`repro.fastpath.BatchEstimator`
             to evaluate with instead of creating a fresh one per run.  Lets
             a long-lived process (:mod:`repro.serve`) share one compiled-
-            template cache across many runs.  Only meaningful with
-            ``backend="batch"`` and ``jobs=1`` (worker processes cannot
-            share an in-process cache); it must have been built with the
+            template cache across many runs.  Requires ``jobs=1`` (worker
+            processes cannot share an in-process cache); it must have been
+            built with the
             same ``config``/``table``/``include_cost`` as this engine.
-        compile_cache: Persistent on-disk compile cache for the batch
-            backend — a directory path or a
+        compile_cache: Persistent on-disk compile cache — a directory
+            path or a
             :class:`repro.fastpath.DiskCompileCache`.  ``jobs=1`` mounts it
             on the run's estimator; ``jobs>1`` mounts it in every worker
             process, so templates compile once *across* workers, runs and
@@ -600,8 +404,8 @@ class SweepEngine:
             record instead of aborting the sweep, and parallel runs are
             supervised: hung/dead worker pools are detected, their
             in-flight chunks requeued and the pool respawned (bounded by
-            the policy's respawn budget).  ``None`` keeps the legacy
-            fail-fast behaviour (and the legacy fast paths) exactly.
+            the policy's respawn budget).  ``None`` keeps the fail-fast
+            behaviour and evaluates whole template groups at once.
         chaos: Optional :class:`repro.resilience.ChaosPlan` injecting
             deterministic faults before scenario evaluations (test
             harness).  Parallel runs require the plan to carry a
@@ -611,10 +415,8 @@ class SweepEngine:
     def __init__(
         self,
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        memoize: bool = True,
         config: Optional[EstimatorConfig] = None,
-        backend: str = "scalar",
+        backend: Optional[str] = None,
         include_cost: bool = True,
         mp_context: Optional[str] = None,
         table: Optional[TechnologyTable] = None,
@@ -625,12 +427,7 @@ class SweepEngine:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; known backends: {list(BACKENDS)}"
-            )
+        check_backend(backend)
         if mp_context is not None:
             known = multiprocessing.get_all_start_methods()
             if mp_context not in known:
@@ -638,17 +435,9 @@ class SweepEngine:
                     f"unknown multiprocessing start method {mp_context!r}; "
                     f"available on this platform: {known}"
                 )
-        if batch_estimator is not None and (backend != "batch" or jobs != 1):
-            raise ValueError(
-                "batch_estimator requires backend='batch' and jobs=1 "
-                f"(got backend={backend!r}, jobs={jobs})"
-            )
+        if batch_estimator is not None and jobs != 1:
+            raise ValueError(f"batch_estimator requires jobs=1, got jobs={jobs}")
         if compile_cache is not None:
-            if backend != "batch":
-                raise ValueError(
-                    "compile_cache requires backend='batch' (the scalar "
-                    f"backend compiles no templates; got backend={backend!r})"
-                )
             if batch_estimator is not None:
                 raise ValueError(
                     "compile_cache and batch_estimator are mutually "
@@ -671,10 +460,7 @@ class SweepEngine:
                     "(jobs > 1): fault accounting must survive worker death"
                 )
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        self.memoize = memoize
         self.config = config
-        self.backend = backend
         self.include_cost = include_cost
         self.mp_context = mp_context
         self.table = table
@@ -682,8 +468,6 @@ class SweepEngine:
         self.compile_cache = compile_cache
         self.resilience = resilience
         self.chaos = chaos
-        #: Kernel-cache stats of the last serial run (None after parallel runs).
-        self.last_cache_stats: Optional[KernelCacheStats] = None
         #: Per-scenario retry attempts observed by the last iter_records.
         self.last_retry_count: int = 0
 
@@ -810,12 +594,6 @@ class SweepEngine:
             return sweep.expand()
         return list(sweep)
 
-    def _chunk_size_for(self, scenario_count: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        target_chunks = self.jobs * 8
-        return max(1, min(256, -(-scenario_count // max(1, target_chunks))))
-
     def _containment_policy(self) -> Optional[ResiliencePolicy]:
         """The effective policy when containment/chaos machinery engages.
 
@@ -829,91 +607,47 @@ class SweepEngine:
             return ResiliencePolicy(on_error="raise")
         return None
 
+    def _iter_contained(
+        self,
+        estimator: Any,
+        members: Sequence[Tuple[int, Scenario]],
+        policy: ResiliencePolicy,
+    ) -> Iterator[Tuple[int, Record]]:
+        """Evaluate one group scenario by scenario under ``policy``, lazily,
+        so each record streams out (and a serve shutdown can interrupt at
+        its boundary) as soon as it is evaluated."""
+        for position, scenario in members:
+            record, retries = evaluate_contained(
+                estimator.evaluate_scenario, scenario, policy, chaos=self.chaos
+            )
+            self.last_retry_count += retries
+            yield position, record
+
     def iter_records(self, sweep: Union[SweepSpec, Iterable[Scenario]]) -> Iterator[Record]:
         """Yield one flattened record per scenario, in scenario order.
 
-        Every combination of backend and ``jobs`` runs the same per-scenario
-        arithmetic, so the records (and any totals derived from them) are
-        bit-identical across all of them — including structured error
-        records under a resilience policy.
+        Scenarios are grouped by compiled template and each group evaluates
+        at once; records are buffered only while a group completes out of
+        input order.  For spec-expanded grids (template axes outermost)
+        groups are contiguous, so memory stays bounded by the largest group.
+
+        Under a containment policy each scenario evaluates individually
+        through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
+        template cache, bit-identical records), so one raising scenario
+        costs its group nothing.  Records — structured error records
+        included — are bit-identical for every ``jobs`` value.
         """
-        self.last_cache_stats = None
+        from repro.fastpath import BatchEstimator, group_scenarios
+
         self.last_retry_count = 0
         scenarios = self._resolve_scenarios(sweep)
         if not scenarios:
             return
         policy = self._containment_policy()
-        if self.backend == "batch":
-            yield from self._iter_records_batch(scenarios, policy)
-            return
-        if self.jobs == 1:
-            evaluator = _ScenarioEvaluator(
-                self.config, self.memoize, self.include_cost, self.table
-            )
-            self.last_cache_stats = evaluator.stats
-            if policy is None:
-                for scenario in scenarios:
-                    yield evaluator.evaluate(scenario)
-                return
-            for scenario in scenarios:
-                record, retries = evaluate_contained(
-                    evaluator.evaluate, scenario, policy, chaos=self.chaos
-                )
-                self.last_retry_count += retries
-                yield record
-            return
-        chunks = shard(scenarios, self._chunk_size_for(len(scenarios)))
-        if self.resilience is not None:
-            for chunk_records in self._run_chunks_supervised(
-                chunks,
-                worker_fn=_evaluate_chunk_contained,
-                initializer=_init_worker,
-                initargs=(
-                    self.config, self.memoize, self.include_cost,
-                    plugin_modules(), self.table, self.resilience, self.chaos,
-                ),
-                chunk_weight=len,
-                lost_payload=lambda chunk, exc: [
-                    error_record(scenario, exc) for scenario in chunk
-                ],
-            ):
-                for record in chunk_records:
-                    yield record
-            return
-        with self._pool(
-            max_workers=min(self.jobs, len(chunks)),
-            initializer=_init_worker,
-            initargs=(
-                self.config, self.memoize, self.include_cost,
-                plugin_modules(), self.table,
-            ),
-        ) as pool:
-            for chunk_records in pool.map(_evaluate_chunk, chunks):
-                for record in chunk_records:
-                    yield record
-
-    def _iter_records_batch(
-        self, scenarios: List[Scenario], policy: Optional[ResiliencePolicy] = None
-    ) -> Iterator[Record]:
-        """Batch backend: group by template, evaluate groups, emit in order.
-
-        Records are buffered only while a group completes out of input
-        order; for spec-expanded grids (template axes outermost) groups are
-        contiguous, so memory stays bounded by the largest group.
-
-        Under a containment policy each scenario evaluates individually
-        through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
-        template cache, bit-identical records), so one raising scenario
-        costs its group nothing.
-        """
-        from repro.fastpath import group_scenarios
-
         groups = group_scenarios(scenarios)
         pending: Dict[int, Record] = {}
         next_position = 0
         if self.jobs == 1:
-            from repro.fastpath import BatchEstimator
-
             # A shared estimator (repro.serve) keeps its compiled templates
             # across runs; otherwise each run builds a fresh one.
             estimator = self.batch_estimator
@@ -925,26 +659,21 @@ class SweepEngine:
                     persistent_cache=self.compile_cache,
                 )
             for _, members in groups:
-                if policy is not None:
-                    for position, scenario in members:
-                        record, retries = evaluate_contained(
-                            estimator.evaluate_scenario,
-                            scenario,
-                            policy,
-                            chaos=self.chaos,
-                        )
-                        self.last_retry_count += retries
-                        pending[position] = record
-                else:
+                if policy is None:
                     template = estimator.compile_for(members[0][1])
-                    records = estimator.evaluate_group(
-                        template, [scenario for _, scenario in members]
+                    results: Iterable[Tuple[int, Record]] = zip(
+                        [position for position, _ in members],
+                        estimator.evaluate_group(
+                            template, [scenario for _, scenario in members]
+                        ),
                     )
-                    for (position, _), record in zip(members, records):
-                        pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
+                else:
+                    results = self._iter_contained(estimator, members, policy)
+                for position, record in results:
+                    pending[position] = record
+                    while next_position in pending:
+                        yield pending.pop(next_position)
+                        next_position += 1
             return
         payload = [
             (
@@ -959,8 +688,8 @@ class SweepEngine:
         if self.resilience is not None:
             for chunk_results in self._run_chunks_supervised(
                 chunks,
-                worker_fn=_evaluate_batch_chunk_contained,
-                initializer=_init_batch_worker,
+                worker_fn=_evaluate_chunk_contained,
+                initializer=_init_worker,
                 initargs=(
                     self.config, self.include_cost, plugin_modules(), self.table,
                     self.resilience, self.chaos, self.compile_cache,
@@ -982,13 +711,13 @@ class SweepEngine:
             return
         with self._pool(
             max_workers=min(self.jobs, len(chunks)),
-            initializer=_init_batch_worker,
+            initializer=_init_worker,
             initargs=(
                 self.config, self.include_cost, plugin_modules(), self.table,
                 None, None, self.compile_cache,
             ),
         ) as pool:
-            for chunk_results in pool.map(_evaluate_batch_chunk, chunks):
+            for chunk_results in pool.map(_evaluate_chunk, chunks):
                 for position, record in chunk_results:
                     pending[position] = record
                 while next_position in pending:
@@ -1079,9 +808,7 @@ class SweepEngine:
             jobs=self.jobs,
             best=best,
             store_path=str(store.path) if store is not None else None,
-            cache_stats=self.last_cache_stats,
             skipped_count=skipped,
-            backend=self.backend,
             error_count=error_count,
             retry_count=self.last_retry_count,
             error_codes=tuple(sorted(error_codes.items())),
@@ -1099,15 +826,12 @@ class _SystemEvaluator:
         config: Optional[EstimatorConfig],
         table: Optional[TechnologyTable],
         include_cost: bool,
-        memoize: bool,
     ):
         from repro.core.explorer import DesignPoint  # deferred: explorer imports us lazily
         from repro.cost.model import ChipletCostModel
 
         self._point_cls = DesignPoint
         self.estimator = EcoChip(config=config, table=table)
-        if memoize:
-            install_kernel_cache(self.estimator)
         self.cost_model = (
             ChipletCostModel(table=self.estimator.table) if include_cost else None
         )
@@ -1125,12 +849,11 @@ def _init_system_worker(
     config: Optional[EstimatorConfig],
     table: Optional[TechnologyTable],
     include_cost: bool,
-    memoize: bool,
     plugins: PluginModules = (),
 ) -> None:
     global _SYSTEM_EVALUATOR
     import_plugin_modules(plugins)
-    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost, memoize)
+    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost)
 
 
 def _evaluate_system_chunk(systems: Sequence[ChipletSystem]) -> List[Any]:
@@ -1145,11 +868,10 @@ def evaluate_systems(
     include_cost: bool = False,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
-    memoize: bool = True,
 ) -> List[Any]:
     """Evaluate many systems into ``DesignPoint``s, optionally in parallel.
 
-    This is the backend of
+    This is the implementation of
     :meth:`repro.core.explorer.DesignSpaceExplorer.evaluate_many`; results
     are returned in input order for any ``jobs`` value.
     """
@@ -1159,7 +881,7 @@ def evaluate_systems(
     if not systems:
         return []
     if jobs == 1:
-        evaluator = _SystemEvaluator(config, table, include_cost, memoize)
+        evaluator = _SystemEvaluator(config, table, include_cost)
         return [evaluator.evaluate(system) for system in systems]
     if chunk_size is None:
         chunk_size = max(1, min(256, -(-len(systems) // (jobs * 8))))
@@ -1168,7 +890,7 @@ def evaluate_systems(
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(chunks)),
         initializer=_init_system_worker,
-        initargs=(config, table, include_cost, memoize, plugin_modules()),
+        initargs=(config, table, include_cost, plugin_modules()),
     ) as pool:
         for chunk_points in pool.map(_evaluate_system_chunk, chunks):
             points.extend(chunk_points)

@@ -76,7 +76,7 @@ def packaging_params_json(packaging: Optional[Mapping[str, Any]]) -> Optional[st
     a per-architecture parameter-axis sweep that share an architecture name.
     Keys are sorted so the string is deterministic; ``None`` when the
     scenario has no packaging override or only a ``type`` key.  Both record
-    paths (:func:`repro.sweep.engine.make_record` and the batch backend's
+    paths (:func:`repro.sweep.engine.make_record` and the batch engine's
     ``_record``) call this helper so their bits cannot diverge.
     """
     if packaging is None:
@@ -111,7 +111,7 @@ class Scenario:
         overrides: Registered-axis overrides (``{axis name: value}``, see
             :mod:`repro.axes`); ``None`` keeps every axis at its default.
             System-target axes are applied by :meth:`build_system`,
-            config-target axes by the evaluation backends.
+            config-target axes by the estimator configuration.
     """
 
     index: int
@@ -153,8 +153,8 @@ class Scenario:
 
         System-target axis overrides are applied to the base *first* —
         the same order the batch template compiler uses — and the legacy
-        knobs (nodes, packaging, volume, lifetime) after, so both backends
-        build bit-identical systems.
+        knobs (nodes, packaging, volume, lifetime) after, so the batch
+        engine and the reference oracle build bit-identical systems.
 
         Args:
             base: Pre-resolved base system (callers that evaluate many
@@ -462,7 +462,7 @@ class SweepSpec:
         lifetime_axis: Sequence[Optional[float]] = self.lifetimes or (None,)
         volume_axis: Sequence[Optional[float]] = self.system_volumes or (None,)
         # One shared dict per override combination: scenarios of a combo
-        # reference the same object, so the batch backend's identity-keyed
+        # reference the same object, so the batch engine's identity-keyed
         # signature caches avoid re-hashing it thousands of times.
         override_axis: Sequence[Optional[Mapping[str, Any]]]
         if self.overrides:
@@ -494,7 +494,7 @@ class SweepSpec:
             else:
                 node_axis = (None,)
             # Template-defining axes (nodes, packaging, overrides) are the
-            # outer loops so batch-backend template groups stay contiguous.
+            # outer loops so batch-engine template groups stay contiguous.
             for nodes, packaging, overrides, source, lifetime, volume in itertools.product(
                 node_axis, packaging_axis, override_axis, source_axis,
                 lifetime_axis, volume_axis,

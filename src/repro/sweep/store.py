@@ -567,7 +567,7 @@ class SweepRow:
         """Readable identifier reconstructed from the record.
 
         Axis overrides (the ``overrides`` record column, canonical JSON
-        written by both backends) are appended verbatim so rows of a
+        written by every record path) are appended verbatim so rows of a
         multi-knob sweep stay distinguishable in Pareto/top-N listings.
         """
         nodes = self.record.get("nodes")

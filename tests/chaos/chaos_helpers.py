@@ -35,19 +35,21 @@ def read_rows(path: Path) -> List[Dict]:
 
 @functools.lru_cache(maxsize=1)
 def baseline_records() -> Tuple[Dict, ...]:
-    """Fault-free records of the chaos grid (serial scalar reference)."""
-    from repro.api import Session
+    """Fault-free records of the chaos grid, from the serial scalar oracle."""
+    from repro.sweep.engine import reference_records
+    from repro.sweep.spec import SweepSpec
 
-    result = Session().sweep(CHAOS_SPEC)
-    return tuple(dict(record) for record in result.records)
+    return tuple(reference_records(SweepSpec.from_dict(CHAOS_SPEC)))
 
 
 @functools.lru_cache(maxsize=1)
 def baseline_bytes() -> bytes:
-    """Fault-free JSONL store bytes of the chaos grid."""
-    from repro.api import Session
+    """Fault-free JSONL store bytes of the chaos grid (oracle records)."""
+    from repro.sweep.store import JsonlResultStore
 
     with tempfile.TemporaryDirectory(prefix="chaos-baseline-") as tmp:
         path = Path(tmp) / "baseline.jsonl"
-        Session().sweep(CHAOS_SPEC, out=path, collect_records=False)
+        with JsonlResultStore(path) as store:
+            for record in baseline_records():
+                store.append(dict(record))
         return path.read_bytes()

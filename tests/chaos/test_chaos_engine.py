@@ -1,9 +1,10 @@
-"""Injected-exception chaos: error-record parity across backends.
+"""Injected-exception chaos: error-record parity across evaluation paths.
 
 The acceptance bar: a sweep with injected per-scenario exceptions finishes
-with structured error records that are *bit-identical* between the scalar
-and batch backends, and every non-error row matches the fault-free run
-exactly.
+with structured error records that are *bit-identical* whether scenarios
+are contained in-process or in pool workers, that equal error records built
+independently by :func:`repro.resilience.error_record`, and every non-error
+row matches the fault-free scalar oracle exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
     error_info,
+    error_record,
     is_error_record,
 )
+from repro.sweep.spec import SweepSpec
 
 from chaos_helpers import CHAOS_COUNT, CHAOS_SPEC, baseline_records, read_rows
 
@@ -29,17 +32,30 @@ FAULTS = (Fault(scenario=1, times=99), Fault(scenario=6, times=99))
 CONTAIN = ResiliencePolicy(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0))
 
 
-def _chaos() -> ChaosPlan:
-    # A fresh plan per run: firing claims are per-plan state.
-    return ChaosPlan(faults=FAULTS)
+def _chaos(faults=FAULTS, state_dir=None) -> ChaosPlan:
+    # A fresh plan per run: firing claims are per-plan state.  Parallel
+    # runs need a state_dir so claims survive across worker processes.
+    return ChaosPlan(
+        faults=faults, state_dir=str(state_dir) if state_dir is not None else None
+    )
+
+
+def _session(jobs, tmp_path, policy=CONTAIN, faults=FAULTS) -> Session:
+    """In-process (jobs=1) or pool (jobs=2, fork) session with fresh chaos."""
+    if jobs == 1:
+        return Session(resilience=policy, chaos=_chaos(faults))
+    return Session(
+        jobs=jobs,
+        mp_context="fork",
+        resilience=policy,
+        chaos=_chaos(faults, tmp_path / "chaos-state"),
+    )
 
 
 class TestErrorRecordParity:
-    @pytest.mark.parametrize("backend", ["scalar", "batch"])
-    def test_contained_sweep_completes_with_error_records(self, backend):
-        result = Session(backend=backend, resilience=CONTAIN, chaos=_chaos()).sweep(
-            CHAOS_SPEC
-        )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_contained_sweep_completes_with_error_records(self, jobs, tmp_path):
+        result = _session(jobs, tmp_path).sweep(CHAOS_SPEC)
         records = [dict(record) for record in result.records]
         assert len(records) == CHAOS_COUNT
         errors = [record for record in records if is_error_record(record)]
@@ -59,16 +75,21 @@ class TestErrorRecordParity:
         )
 
     def test_scalar_and_batch_error_records_bit_identical(self):
-        runs = {}
-        for backend in ("scalar", "batch"):
-            result = Session(
-                backend=backend, resilience=CONTAIN, chaos=_chaos()
-            ).sweep(CHAOS_SPEC)
-            runs[backend] = [
-                json.dumps(dict(record), sort_keys=True)
-                for record in result.records
-            ]
-        assert runs["scalar"] == runs["batch"]
+        # The engine's rows against independently built ones: the scalar
+        # oracle's records, with error_record() at the faulted scenarios.
+        result = Session(resilience=CONTAIN, chaos=_chaos()).sweep(CHAOS_SPEC)
+        faulted = {fault.scenario for fault in FAULTS}
+        expected = [
+            error_record(scenario, InjectedFault("injected fault"))
+            if scenario.index in faulted
+            else reference
+            for scenario, reference in zip(
+                SweepSpec.from_dict(CHAOS_SPEC).expand(), baseline_records()
+            )
+        ]
+        assert [json.dumps(dict(r), sort_keys=True) for r in result.records] == [
+            json.dumps(r, sort_keys=True) for r in expected
+        ]
 
     def test_error_payload_shape(self):
         result = Session(resilience=CONTAIN, chaos=_chaos()).sweep(CHAOS_SPEC)
@@ -81,16 +102,17 @@ class TestErrorRecordParity:
         assert len(info["digest"]) == 12
 
     def test_store_bytes_identical_across_backends(self, tmp_path):
+        # In-process containment vs contained evaluation in pool workers.
         paths = {}
-        for backend in ("scalar", "batch"):
-            path = tmp_path / f"{backend}.jsonl"
-            Session(backend=backend, resilience=CONTAIN, chaos=_chaos()).sweep(
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            _session(jobs, tmp_path / f"state{jobs}").sweep(
                 CHAOS_SPEC, out=path, collect_records=False
             )
-            paths[backend] = path
-        scalar_bytes = paths["scalar"].read_bytes()
-        assert scalar_bytes == paths["batch"].read_bytes()
-        rows = read_rows(paths["scalar"])
+            paths[jobs] = path
+        serial_bytes = paths[1].read_bytes()
+        assert serial_bytes == paths[2].read_bytes()
+        rows = read_rows(paths[1])
         assert len(rows) == CHAOS_COUNT
         assert len({row["scenario"] for row in rows}) == CHAOS_COUNT
 
@@ -112,15 +134,14 @@ class TestErrorRecordParity:
 
 
 class TestRetrySucceeds:
-    @pytest.mark.parametrize("backend", ["scalar", "batch"])
-    def test_transient_fault_retried_to_byte_identical_run(self, backend):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_transient_fault_retried_to_byte_identical_run(self, jobs, tmp_path):
         policy = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0)
         )
-        chaos = ChaosPlan(faults=(Fault(scenario=3, times=1),))
-        result = Session(backend=backend, resilience=policy, chaos=chaos).sweep(
-            CHAOS_SPEC
-        )
+        result = _session(
+            jobs, tmp_path, policy=policy, faults=(Fault(scenario=3, times=1),)
+        ).sweep(CHAOS_SPEC)
         assert [dict(record) for record in result.records] == list(
             baseline_records()
         )

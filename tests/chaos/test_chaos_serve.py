@@ -2,7 +2,7 @@
 
 The job server must degrade, not break: injected scenario failures leave
 a terminal ``partial`` job whose store is bit-identical to a plain
-resilient sweep (scalar or batch, serve or not), and a graceful shutdown
+resilient sweep (serve or not), and a graceful shutdown
 whose grace period expires escalates to interrupt-and-persist so a
 restarted manager resumes to a byte-identical store.
 """
@@ -13,30 +13,22 @@ import json
 import time
 
 import pytest
-from chaos_helpers import CHAOS_SPEC, read_rows
+from chaos_helpers import CHAOS_COUNT, CHAOS_SPEC, baseline_bytes, read_rows
 
 from repro.api import Session
-from repro.axes.registry import register_axis
 from repro.resilience import ChaosPlan, Fault, ResiliencePolicy, RetryPolicy
 from repro.serve.jobs import TERMINAL_STATES, JobManager
 
 CONTAIN = ResiliencePolicy(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0))
 FAULTS = (Fault(scenario=1, times=999), Fault(scenario=6, times=999))
 
-
-def _delay_system(system, value):
-    time.sleep(float(value))
-    return system
-
-
-register_axis(
-    "chaos_shutdown_delay",
-    "system",
-    apply=_delay_system,
-    description="chaos-test axis: sleep per scenario to make jobs interruptible",
+#: A 0.15 s delay before every scenario makes a job interruptible mid-run.
+SLOW = ChaosPlan(
+    faults=tuple(
+        Fault(scenario=index, kind="delay", seconds=0.15)
+        for index in range(CHAOS_COUNT)
+    )
 )
-
-SLOW_SPEC = {**CHAOS_SPEC, "name": "chaos-slow", "chaos_shutdown_delay": [0.15]}
 
 
 def wait_for(predicate, timeout=60.0):
@@ -52,14 +44,14 @@ class TestServePartialParity:
     def test_partial_job_store_bit_identical_to_plain_resilient_sweep(
         self, tmp_path
     ):
-        # Reference: a plain serial *scalar* resilient sweep with the same
-        # injected faults.
+        # Reference: a plain serial resilient sweep with the same injected
+        # faults.
         reference = tmp_path / "reference.jsonl"
         Session(resilience=CONTAIN, chaos=ChaosPlan(faults=FAULTS)).sweep(
             CHAOS_SPEC, out=reference, collect_records=False
         )
 
-        # Serve run: default batch backend, default containment policy.
+        # Serve run: default containment policy.
         manager = JobManager(
             tmp_path / "jobs", workers=1, chaos=ChaosPlan(faults=FAULTS)
         )
@@ -100,13 +92,9 @@ class TestServePartialParity:
 
 class TestShutdownEscalation:
     def test_expired_grace_interrupts_and_resumes_byte_identical(self, tmp_path):
-        # Uninterrupted reference of the slow spec.
-        reference = tmp_path / "reference.jsonl"
-        Session().sweep(SLOW_SPEC, out=reference, collect_records=False)
-
-        manager = JobManager(tmp_path / "jobs", workers=1, backend="scalar")
+        manager = JobManager(tmp_path / "jobs", workers=1, chaos=SLOW)
         manager.start()
-        job = manager.submit(SLOW_SPEC)
+        job = manager.submit(CHAOS_SPEC)
         assert wait_for(lambda: job.done >= 2, timeout=30.0)
 
         # The job needs ~0.15s x 32 more; a 0.3s grace cannot drain it.
@@ -119,12 +107,12 @@ class TestShutdownEscalation:
         assert 0 < len(rows) < job.scenario_count
 
         # A restarted manager resumes and completes byte-identically.
-        adopted = JobManager(tmp_path / "jobs", workers=1, backend="scalar")
+        adopted = JobManager(tmp_path / "jobs", workers=1)
         adopted.start()
         try:
             resumed = adopted.get(job.id)
             assert wait_for(lambda: resumed.state == "done", timeout=60.0)
-            assert resumed.store_path.read_bytes() == reference.read_bytes()
+            assert resumed.store_path.read_bytes() == baseline_bytes()
         finally:
             adopted.shutdown()
 

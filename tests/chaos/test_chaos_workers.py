@@ -35,13 +35,12 @@ from repro.resilience import (
 RETRY_ONCE = RetryPolicy(max_attempts=1, backoff_base_s=0.0)
 
 
-def _run(tmp_path, *, mp_context, faults, policy, backend="scalar"):
+def _run(tmp_path, *, mp_context, faults, policy):
     """One resilient jobs=2 sweep with the given chaos, streamed to disk."""
-    state_dir = tmp_path / f"chaos-state-{mp_context}-{backend}"
-    out = tmp_path / f"out-{mp_context}-{backend}.jsonl"
+    state_dir = tmp_path / f"chaos-state-{mp_context}"
+    out = tmp_path / f"out-{mp_context}.jsonl"
     session = Session(
         jobs=2,
-        backend=backend,
         mp_context=mp_context,
         resilience=policy,
         chaos=ChaosPlan(faults=faults, state_dir=str(state_dir)),
@@ -69,13 +68,13 @@ class TestWorkerDeath:
         assert out.read_bytes() == baseline_bytes()
 
     def test_death_on_batch_backend(self, tmp_path):
+        # A death in the last template group: the final chunk is requeued.
         policy = ResiliencePolicy(retry=RETRY_ONCE)
         result, out = _run(
             tmp_path,
             mp_context="fork",
-            faults=(Fault(scenario=5, kind="die"),),
+            faults=(Fault(scenario=CHAOS_COUNT - 1, kind="die"),),
             policy=policy,
-            backend="batch",
         )
         assert result.summary.error_count == 0
         assert out.read_bytes() == baseline_bytes()

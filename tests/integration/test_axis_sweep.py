@@ -1,8 +1,8 @@
 """Acceptance tests of the universal axis API.
 
 The tentpole contract: a wafer-diameter x defect-density x lifetime sweep
-runs end-to-end through :meth:`repro.api.Session.sweep` on both backends
-with bit-identical records (scalar vs batch, jobs=1 vs jobs=4), and an
+runs end-to-end through :meth:`repro.api.Session.sweep` with records
+bit-identical to the scalar reference oracle (jobs=1 and jobs=4), and an
 out-of-tree axis registered in ``examples/custom_axis.py`` sweeps without
 modifying any :mod:`repro.sweep` internals — including across worker
 processes, which auto-import the axis plugin module.
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import Session
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 
 #: The acceptance grid: three knobs the legacy spec could not express
@@ -31,7 +31,7 @@ ACCEPTANCE_SPEC = {
 
 @pytest.fixture(scope="module")
 def serial_records():
-    return Session(jobs=1, backend="scalar").sweep(ACCEPTANCE_SPEC).records
+    return reference_records(SweepSpec.from_dict(ACCEPTANCE_SPEC))
 
 
 class TestAcceptanceGrid:
@@ -44,15 +44,18 @@ class TestAcceptanceGrid:
         assert len(combos) == 8
 
     def test_batch_jobs1_bit_identical(self, serial_records):
-        records = Session(jobs=1, backend="batch").sweep(ACCEPTANCE_SPEC).records
+        records = Session(jobs=1).sweep(ACCEPTANCE_SPEC).records
         assert list(records) == list(serial_records)
 
     def test_scalar_jobs4_bit_identical(self, serial_records):
-        records = Session(jobs=4, backend="scalar").sweep(ACCEPTANCE_SPEC).records
+        # The deprecated backend="scalar" still runs the one engine.
+        with pytest.warns(DeprecationWarning):
+            session = Session(jobs=4, backend="scalar")
+        records = session.sweep(ACCEPTANCE_SPEC).records
         assert list(records) == list(serial_records)
 
     def test_batch_jobs4_bit_identical(self, serial_records):
-        records = Session(jobs=4, backend="batch").sweep(ACCEPTANCE_SPEC).records
+        records = Session(jobs=4).sweep(ACCEPTANCE_SPEC).records
         assert list(records) == list(serial_records)
 
     def test_every_axis_changes_the_result(self, serial_records):
@@ -79,7 +82,7 @@ class TestAcceptanceGrid:
 
     def test_resume_is_idempotent_per_backend(self, tmp_path, serial_records):
         out = tmp_path / "resume.jsonl"
-        session = Session(jobs=1, backend="batch")
+        session = Session(jobs=1)
         session.sweep(ACCEPTANCE_SPEC, out=out)
         resumed = session.sweep(ACCEPTANCE_SPEC, out=out, resume=True)
         assert resumed.summary.scenario_count == 0
@@ -132,12 +135,10 @@ class TestOutOfTreeAxis:
 
     def test_scalar_batch_and_parallel_bit_identical(self, custom_axis):
         scenarios = self._spec().expand()
-        serial = list(SweepEngine(jobs=1).iter_records(scenarios))
-        batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
+        serial = reference_records(scenarios)
+        batch = list(SweepEngine(jobs=1).iter_records(scenarios))
         assert batch == serial
-        parallel = list(
-            SweepEngine(jobs=2, backend="batch").iter_records(scenarios)
-        )
+        parallel = list(SweepEngine(jobs=2).iter_records(scenarios))
         assert parallel == serial
 
     def test_spawn_workers_reimport_the_axis_plugin(self, custom_axis):

@@ -1,11 +1,13 @@
-"""Bit-level parity of the batch backend against the scalar pipeline.
+"""Bit-level parity of the sweep engine against the scalar reference oracle.
 
-The acceptance bar of the fast path: for every shipped preset grid (and the
-awkward corners — monolithic bases, disabled wafer waste, packaging
-parameter overrides, explicit NumPy / pure-Python backends, process
-parallelism, resume), ``SweepEngine(backend="batch")`` must produce records
-that equal the scalar backend's records under ``==`` — which for floats
-means exact bit-for-bit equality, not tolerance-based closeness.
+The acceptance bar of the compiled batch engine: for every shipped preset
+grid (and the awkward corners — monolithic bases, disabled wafer waste,
+packaging parameter overrides, explicit NumPy / pure-Python group
+evaluators, process parallelism, resume), ``SweepEngine`` must produce
+records that equal :func:`repro.sweep.engine.reference_records` — a serial
+loop through the full ``EcoChip.estimate`` pipeline — under ``==`` (exact
+bit-for-bit float equality, not tolerance-based closeness) *and* serialise
+to the same JSON text, so an int-vs-float drift cannot hide behind ``==``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from repro.cli import main
 from repro.core.estimator import EstimatorConfig
 from repro.fastpath import BatchEstimator
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec
 from repro.sweep.store import (
     CsvResultStore,
@@ -27,34 +29,40 @@ from repro.sweep.store import (
 )
 
 
-def _scalar_records(scenarios, **engine_kwargs):
-    return list(SweepEngine(jobs=1, **engine_kwargs).iter_records(scenarios))
+def _scalar_records(scenarios, config=None):
+    return reference_records(scenarios, config=config)
 
 
-def _batch_records(scenarios, **engine_kwargs):
-    return list(
-        SweepEngine(jobs=1, backend="batch", **engine_kwargs).iter_records(scenarios)
-    )
+def _batch_records(scenarios, config=None):
+    return list(SweepEngine(jobs=1, config=config).iter_records(scenarios))
+
+
+def _assert_identical(reference, records):
+    """``==`` per record *and* identical store bytes (int vs float shows)."""
+    assert reference == records
+    assert [json.dumps(r, sort_keys=True) for r in reference] == [
+        json.dumps(r, sort_keys=True) for r in records
+    ]
 
 
 class TestPresetParity:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_all_presets_bit_identical(self, preset):
         scenarios = SweepSpec.preset(preset).expand()
-        assert _scalar_records(scenarios) == _batch_records(scenarios)
+        _assert_identical(_scalar_records(scenarios), _batch_records(scenarios))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_all_presets_bit_identical_without_numpy(self, preset):
         scenarios = SweepSpec.preset(preset).expand()
         scalar = _scalar_records(scenarios)
         pure = BatchEstimator(use_numpy=False).evaluate(scenarios)
-        assert scalar == pure
+        _assert_identical(scalar, pure)
 
     def test_numpy_backend_bit_identical_on_big_grid(self):
         scenarios = SweepSpec.preset("ga102-grid").expand()
         scalar = _scalar_records(scenarios)
         forced = BatchEstimator(use_numpy=True).evaluate(scenarios)
-        assert scalar == forced
+        _assert_identical(scalar, forced)
 
 
 class TestConfigurationParity:
@@ -82,7 +90,7 @@ class TestConfigurationParity:
             }
         )
         scenarios = spec.expand()
-        assert _scalar_records(scenarios) == _batch_records(scenarios)
+        _assert_identical(_scalar_records(scenarios), _batch_records(scenarios))
 
     def test_all_architectures_with_parameter_overrides(self):
         spec = SweepSpec.from_dict(
@@ -102,7 +110,7 @@ class TestConfigurationParity:
             }
         )
         scenarios = spec.expand()
-        assert _scalar_records(scenarios) == _batch_records(scenarios)
+        _assert_identical(_scalar_records(scenarios), _batch_records(scenarios))
 
     def test_custom_default_sources(self):
         config = EstimatorConfig(
@@ -148,9 +156,9 @@ class TestOutOfTreeArchitecture:
         scenarios = spec.expand()
         scalar = _scalar_records(scenarios)
         batch = _batch_records(scenarios)
-        assert scalar == batch
+        _assert_identical(scalar, batch)
         pure = BatchEstimator(use_numpy=False).evaluate(scenarios)
-        assert scalar == pure
+        _assert_identical(scalar, pure)
         assert any(r["packaging"] == example.OrganicBridgeModel.architecture for r in scalar)
 
     def test_plugin_spec_subclass_still_resolves(self, custom_packaging):
@@ -173,7 +181,7 @@ class TestScenarioOrdering:
         interleaved = quick[::2] + quick[1::2]
         scalar = _scalar_records(interleaved)
         batch = _batch_records(interleaved)
-        assert scalar == batch
+        _assert_identical(scalar, batch)
         assert [r["scenario"] for r in batch] == [s.index for s in interleaved]
 
     def test_duplicate_scenarios_each_get_a_record(self):
@@ -187,15 +195,14 @@ class TestParallelBatch:
     def test_parallel_batch_matches_serial(self):
         scenarios = SweepSpec.preset("ga102-grid").expand()
         serial = _batch_records(scenarios)
-        parallel = list(
-            SweepEngine(jobs=2, backend="batch").iter_records(scenarios)
-        )
-        assert serial == parallel
+        parallel = list(SweepEngine(jobs=2).iter_records(scenarios))
+        _assert_identical(serial, parallel)
 
     def test_parallel_batch_matches_scalar(self):
         scenarios = SweepSpec.preset("green-fab").expand()
-        assert _scalar_records(scenarios) == list(
-            SweepEngine(jobs=3, backend="batch").iter_records(scenarios)
+        _assert_identical(
+            _scalar_records(scenarios),
+            list(SweepEngine(jobs=3).iter_records(scenarios)),
         )
 
 
@@ -203,7 +210,7 @@ class TestResume:
     def test_engine_resume_skips_done_scenarios(self, tmp_path):
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "out.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(path) as store:
             engine.run(scenarios[:5], store=store)
         with JsonlResultStore(path, append=True) as store:
@@ -217,9 +224,10 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         full = tmp_path / "full.jsonl"
         with JsonlResultStore(full) as store:
-            SweepEngine(jobs=1).run(scenarios, store=store)
+            for record in reference_records(scenarios):
+                store.append(record)
         part = tmp_path / "part.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(part) as store:
             engine.run(scenarios[:7], store=store)
         with JsonlResultStore(part, append=True) as store:
@@ -230,7 +238,7 @@ class TestResume:
 
     def test_resume_against_missing_file_is_noop(self, tmp_path):
         scenarios = SweepSpec.preset("ga102-quick").expand()
-        summary = SweepEngine(jobs=1, backend="batch").run(
+        summary = SweepEngine(jobs=1).run(
             scenarios, resume=tmp_path / "absent.jsonl"
         )
         assert summary.skipped_count == 0
@@ -242,8 +250,7 @@ class TestResume:
         with JsonlResultStore(path) as store:
             SweepEngine(jobs=1).run(scenarios[:6], store=store)
         code = main(
-            ["sweep", "--preset", "ga102-quick", "--backend", "batch",
-             "--resume", str(path), "--quiet"]
+            ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--quiet"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -268,8 +275,7 @@ class TestResume:
         alias = tmp_path / "sub" / ".." / "same.jsonl"
         (tmp_path / "sub").mkdir()
         code = main(
-            ["sweep", "--preset", "ga102-quick", "--backend", "batch",
-             "--resume", str(path), "--out", str(alias), "--quiet"]
+            ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--out", str(alias), "--quiet"]
         )
         assert code == 0
         assert len(load_records(path)) == SweepSpec.preset("ga102-quick").count()
@@ -279,7 +285,7 @@ class TestResume:
         # it as not-yet-evaluated instead of refusing the whole file.
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         full_line = path.read_text(encoding="utf-8")
@@ -293,7 +299,7 @@ class TestResume:
         # fragment first so the resumed file is fully valid JSONL.
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         with open(path, "a", encoding="utf-8") as handle:
@@ -314,8 +320,7 @@ class TestResume:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"scenario": 3, "tot')
         code = main(
-            ["sweep", "--preset", "ga102-quick", "--backend", "batch",
-             "--resume", str(path), "--quiet"]
+            ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--quiet"]
         )
         assert code == 0
         assert "repaired torn tail" in capsys.readouterr().out
@@ -330,7 +335,7 @@ class TestResume:
 
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         content = path.read_text(encoding="utf-8")
@@ -355,7 +360,7 @@ class TestResume:
         # store exactly the scenarios containing the global best
         stored = [s for s in scenarios if s.index == best_id]
         path = tmp_path / "partial.jsonl"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with JsonlResultStore(path) as store:
             engine.run(stored, store=store)
         with JsonlResultStore(path, append=True) as store:
@@ -368,8 +373,7 @@ class TestResume:
         with JsonlResultStore(path_cli) as store:
             SweepEngine(jobs=1).run(stored, store=store)
         code = main(
-            ["sweep", "--preset", "ga102-quick", "--backend", "batch",
-             "--resume", str(path_cli)]
+            ["sweep", "--preset", "ga102-quick", "--resume", str(path_cli)]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -394,7 +398,7 @@ class TestCsvResume:
     def _seed_store(tmp_path, count):
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.csv"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with CsvResultStore(path) as store:
             engine.run(scenarios[:count], store=store)
         return scenarios, path, engine
@@ -446,9 +450,10 @@ class TestCsvResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         full = tmp_path / "full.csv"
         with CsvResultStore(full) as store:
-            SweepEngine(jobs=1).run(scenarios, store=store)
+            for record in reference_records(scenarios):
+                store.append(record)
         part = tmp_path / "part.csv"
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         with CsvResultStore(part) as store:
             engine.run(scenarios[:7], store=store)
         with open(part, "ab") as handle:
@@ -464,8 +469,7 @@ class TestCsvResume:
         with open(path, "ab") as handle:
             handle.write(b"3,ga102-3chiplet,7.0")
         code = main(
-            ["sweep", "--preset", "ga102-quick", "--backend", "batch",
-             "--resume", str(path), "--quiet"]
+            ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--quiet"]
         )
         assert code == 0
         assert "repaired torn tail" in capsys.readouterr().out
@@ -562,13 +566,12 @@ class TestCostRoundTrip:
 
 
 class TestSummaryMetadata:
-    def test_summary_reports_backend(self):
-        scenarios = SweepSpec.preset("ga102-quick").expand()
-        assert SweepEngine(jobs=1).run(scenarios).backend == "scalar"
-        assert (
-            SweepEngine(jobs=1, backend="batch").run(scenarios).backend == "batch"
-        )
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             SweepEngine(backend="gpu")
+
+    def test_scalar_backend_is_deprecated_and_ignored(self):
+        scenarios = SweepSpec.preset("ga102-quick").expand()
+        with pytest.warns(DeprecationWarning, match="backend='scalar'"):
+            engine = SweepEngine(backend="scalar")
+        assert list(engine.iter_records(scenarios)) == _batch_records(scenarios)

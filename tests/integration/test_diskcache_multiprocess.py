@@ -77,11 +77,9 @@ class TestConcurrentWriters:
 
 class TestEngineParity:
     def test_multiprocess_sweep_with_cache_is_bit_identical(self, tmp_path):
-        baseline = list(SweepEngine(jobs=1, backend="batch").iter_records(SCENARIOS))
+        baseline = list(SweepEngine(jobs=1).iter_records(SCENARIOS))
         cached = list(
-            SweepEngine(
-                jobs=2, backend="batch", compile_cache=tmp_path / "cc"
-            ).iter_records(SCENARIOS)
+            SweepEngine(jobs=2, compile_cache=tmp_path / "cc").iter_records(SCENARIOS)
         )
         assert cached == baseline
 
@@ -92,14 +90,9 @@ class TestEngineParity:
         assert records == baseline
         assert warm.cache_stats()["compiles"] == 0
 
-    def test_compile_cache_requires_batch_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            SweepEngine(backend="scalar", compile_cache=tmp_path / "cc")
-
     def test_compile_cache_excludes_shared_estimator(self, tmp_path):
         with pytest.raises(ValueError, match="batch_estimator"):
             SweepEngine(
-                backend="batch",
                 batch_estimator=BatchEstimator(),
                 compile_cache=tmp_path / "cc",
             )

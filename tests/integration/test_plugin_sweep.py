@@ -6,8 +6,9 @@ inherited the parent's registry state); under ``spawn`` the workers raised
 ``unknown packaging type``.  These tests pin the supported behaviour: the
 engine ships the registry's plugin-module snapshot through every pool
 initializer, so a parameterised out-of-tree architecture sweeps correctly
-with ``jobs=4`` on both backends under *any* start method, with records
-bit-identical to the serial scalar pipeline.
+with ``jobs=4`` under *any* start method, with records bit-identical to the
+serial engine and to the scalar reference oracle
+(:func:`repro.sweep.engine.reference_records`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import multiprocessing
 import pytest
 
 from repro.packaging.registry import plugin_modules
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 
 
@@ -48,7 +49,7 @@ def plugin_scenarios(custom_packaging):
 
 
 class TestPluginParallelSweep:
-    """jobs=4 sweeps over an out-of-tree architecture, both backends."""
+    """jobs=4 sweeps over an out-of-tree architecture."""
 
     def test_plugin_module_is_recorded_for_workers(self, custom_packaging):
         recorded = dict(plugin_modules())
@@ -56,18 +57,14 @@ class TestPluginParallelSweep:
         assert recorded["custom_packaging_example"] == custom_packaging.__file__
 
     def test_scalar_backend_jobs4_bit_identical(self, plugin_scenarios):
-        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
-        parallel = list(
-            SweepEngine(jobs=4, chunk_size=2).iter_records(plugin_scenarios)
-        )
-        assert parallel == serial
-        assert any(r["packaging"] == "organic_bridge" for r in serial)
+        oracle = reference_records(plugin_scenarios)
+        parallel = list(SweepEngine(jobs=4).iter_records(plugin_scenarios))
+        assert parallel == oracle
+        assert any(r["packaging"] == "organic_bridge" for r in oracle)
 
     def test_batch_backend_jobs4_bit_identical(self, plugin_scenarios):
         serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
-        parallel = list(
-            SweepEngine(jobs=4, backend="batch").iter_records(plugin_scenarios)
-        )
+        parallel = list(SweepEngine(jobs=4).iter_records(plugin_scenarios))
         assert parallel == serial
 
     def test_param_axis_values_distinguish_records(self, plugin_scenarios):
@@ -96,22 +93,16 @@ class TestPluginSpawnWorkers:
     """
 
     def test_scalar_backend_spawn_jobs4(self, plugin_scenarios):
-        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
+        oracle = reference_records(plugin_scenarios)
         parallel = list(
-            SweepEngine(jobs=4, chunk_size=2, mp_context="spawn").iter_records(
-                plugin_scenarios
-            )
+            SweepEngine(jobs=4, mp_context="spawn").iter_records(plugin_scenarios)
         )
-        assert parallel == serial
+        assert parallel == oracle
 
     def test_batch_backend_spawn_jobs4(self, plugin_scenarios):
-        serial = list(
-            SweepEngine(jobs=1, backend="batch").iter_records(plugin_scenarios)
-        )
+        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
         parallel = list(
-            SweepEngine(jobs=4, backend="batch", mp_context="spawn").iter_records(
-                plugin_scenarios
-            )
+            SweepEngine(jobs=4, mp_context="spawn").iter_records(plugin_scenarios)
         )
         assert parallel == serial
 

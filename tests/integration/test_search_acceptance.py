@@ -28,7 +28,7 @@ OBJECTIVES = {"carbon": 1.0, "cost": {"weight": 2.0, "exponent": 1.0}}
 @pytest.fixture(scope="module")
 def exhaustive_optimum():
     spec = SearchSpec.from_dict({"space": SPACE, "objectives": OBJECTIVES})
-    engine = SweepEngine(backend="batch")
+    engine = SweepEngine()
     best = min(
         spec.weighted_cost(record)
         for record in engine.iter_records(SweepSpec.from_dict(SPACE).expand())
@@ -50,7 +50,7 @@ class TestAcceptance:
                 "strategy": strategy,
             }
         )
-        result = run_search(spec, SweepEngine(backend="batch"))
+        result = run_search(spec, SweepEngine())
         assert result.grid_size == 10240
         assert result.evaluations <= 0.20 * result.grid_size, strategy
         gap = (result.best_score - exhaustive_optimum) / exhaustive_optimum

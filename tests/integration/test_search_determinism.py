@@ -1,8 +1,9 @@
 """Integration: the search determinism and crash-resume guarantees.
 
 The contract under test (ISSUE 10): a fixed ``SearchSpec`` seed yields
-bit-identical candidate sequences and result stores on every backend,
-jobs count and multiprocessing start method, and a search killed mid-round
+bit-identical candidate sequences and result stores for every jobs count
+and multiprocessing start method, every stored row equals the scalar
+reference oracle's record, and a search killed mid-round
 resumes from its store without re-evaluating completed rounds — to a store
 byte-identical to an uninterrupted run's.
 """
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.search import SearchSpec, run_search
-from repro.sweep.engine import SweepEngine
+from repro.search.space import GridSpace
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.store import load_records
 
 SPEC = SearchSpec(
@@ -43,13 +45,15 @@ def run_to_store(tmp_path: Path, tag: str, **engine_kwargs) -> bytes:
 
 class TestBitIdenticalStores:
     def test_backends_and_jobs_counts_agree(self, tmp_path):
-        reference = run_to_store(tmp_path, "scalar-1")
-        assert load_records(tmp_path / "scalar-1.jsonl")
-        assert run_to_store(tmp_path, "batch-1", backend="batch") == reference
-        assert run_to_store(tmp_path, "scalar-4", jobs=4) == reference
-        assert (
-            run_to_store(tmp_path, "batch-4", backend="batch", jobs=4) == reference
-        )
+        reference = run_to_store(tmp_path, "jobs-1")
+        assert run_to_store(tmp_path, "jobs-4", jobs=4) == reference
+        # Every stored row is the scalar oracle's record plus its round stamp.
+        space = GridSpace(SPEC.space)
+        rows = load_records(tmp_path / "jobs-1.jsonl")
+        assert len(rows) == SPEC.budget
+        for row in rows:
+            assert isinstance(row.pop("search_round"), int)
+            assert [row] == reference_records([space.scenario(row["scenario"])])
 
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -68,7 +72,7 @@ class TestBitIdenticalStores:
             first = tmp_path / f"{strategy}-a.jsonl"
             second = tmp_path / f"{strategy}-b.jsonl"
             run_search(spec, SweepEngine(), out=first)
-            run_search(spec, SweepEngine(backend="batch"), out=second)
+            run_search(spec, SweepEngine(), out=second)
             assert first.read_bytes() == second.read_bytes(), strategy
 
 

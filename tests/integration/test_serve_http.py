@@ -1,7 +1,8 @@
 """Integration tests for the HTTP job server (in-process, ephemeral ports).
 
 Covers the serve acceptance criteria: streamed results bit-identical to an
-in-process :class:`repro.api.Session` sweep on both backends, result-cache
+in-process :class:`repro.api.Session` sweep and to the scalar reference
+oracle, result-cache
 hits visible in ``/v1/metrics`` on identical resubmission, quota 429s,
 structured errors, concurrent submission and mid-run cancellation.
 """
@@ -17,9 +18,12 @@ import urllib.request
 import pytest
 
 from repro.api import Session
-from repro.axes.registry import register_axis
+from repro.resilience import ChaosPlan, Fault
 from repro.serve.app import create_server
 from repro.serve.quota import QuotaTracker
+from repro.sweep.engine import reference_records
+from repro.sweep.spec import SweepSpec
+from repro.sweep.store import JsonlResultStore
 
 SPEC = {
     "name": "serve-it",
@@ -29,18 +33,12 @@ SPEC = {
 }
 SPEC_COUNT = 16  # 2 nodes ^ 3 chiplets x 2 packagings
 
-#: Registered once per process; ``register_axis`` is idempotent for the
-#: same function, so repeated imports/parametrisations are harmless.
-def _delay_system(system, value):
-    time.sleep(float(value))
-    return system
-
-
-register_axis(
-    "serve_test_delay",
-    "system",
-    apply=_delay_system,
-    description="test-only axis: sleep per scenario to make runs interruptible",
+#: A 0.15 s delay before every scenario makes a run slow enough to cancel.
+SLOW = ChaosPlan(
+    faults=tuple(
+        Fault(scenario=index, kind="delay", seconds=0.15)
+        for index in range(SPEC_COUNT)
+    )
 )
 
 
@@ -123,7 +121,7 @@ class TestServeFlow:
         assert headers["Content-Type"] == "application/x-ndjson"
         assert headers["X-Job-State"] == "done"
         direct = tmp_path / "direct.jsonl"
-        Session(backend="batch").sweep(SPEC, out=direct, collect_records=False)
+        Session().sweep(SPEC, out=direct, collect_records=False)
         assert body == direct.read_bytes()
 
         status, pareto, _ = request(
@@ -141,9 +139,8 @@ class TestServeFlow:
         assert [j["id"] for j in listing["jobs"]] == [job["id"]]
 
     def test_scalar_backend_parity(self, tmp_path):
-        srv = create_server(
-            port=0, store_dir=tmp_path / "jobs", workers=1, backend="scalar"
-        )
+        # Served results against the scalar reference oracle's store bytes.
+        srv = create_server(port=0, store_dir=tmp_path / "jobs", workers=1)
         base = "http://{}:{}".format(*srv.server_address[:2])
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -152,7 +149,9 @@ class TestServeFlow:
             wait_for_state(base, job["id"])
             _, body, _ = request("GET", f"{base}/v1/sweeps/{job['id']}/results")
             direct = tmp_path / "direct.jsonl"
-            Session(backend="scalar").sweep(SPEC, out=direct, collect_records=False)
+            with JsonlResultStore(direct) as store:
+                for record in reference_records(SweepSpec.from_dict(SPEC)):
+                    store.append(record)
             assert body == direct.read_bytes()
         finally:
             srv.close(drain=False, timeout=10)
@@ -274,17 +273,16 @@ class TestServeErrors:
             thread.join(10)
 
     def test_cancel_mid_run_leaves_valid_prefix(self, tmp_path):
-        # Scalar backend + a sleep-per-scenario axis makes the run slow
-        # enough to cancel deterministically mid-flight.
+        # A delay before every scenario makes the run slow enough to
+        # cancel deterministically mid-flight.
         srv = create_server(
-            port=0, store_dir=tmp_path / "jobs", workers=1, backend="scalar"
+            port=0, store_dir=tmp_path / "jobs", workers=1, chaos=SLOW
         )
         base = "http://{}:{}".format(*srv.server_address[:2])
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
-            slow = {**SPEC, "serve_test_delay": [0.15]}
-            _, job, _ = request("POST", f"{base}/v1/sweeps", slow)
+            _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)
             # Wait for the first record, then cancel mid-run.
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:

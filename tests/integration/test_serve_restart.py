@@ -4,7 +4,7 @@ Two levels: an in-process ``JobManager`` torn down with ``drain=False``
 and re-created over the same store directory, and a real ``eco-chip
 serve`` subprocess SIGKILLed mid-sweep and restarted.  Both must finish
 the interrupted job with no duplicate and no torn rows, byte-identical
-to an uninterrupted in-process sweep.
+to the scalar reference oracle's store.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import time
 import urllib.request
 
 
-from repro.api import Session
 from repro.axes.registry import register_axis
 from repro.serve.jobs import JobManager
+from repro.sweep.engine import reference_records
+from repro.sweep.spec import SweepSpec
+from repro.sweep.store import JsonlResultStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -31,7 +33,7 @@ SLOW_SPEC = {
     "packaging": ["rdl_fanout", "silicon_bridge"],
     "serve_restart_delay": [0.1],
 }
-SLOW_COUNT = 16
+SLOW_COUNT = 16  # one template per scenario: the delay axis applies to each
 
 
 def _delay_system(system, value):
@@ -56,6 +58,14 @@ def wait_for(predicate, timeout=60.0):
     return False
 
 
+def write_oracle_store(path):
+    """The uninterrupted store the scalar reference oracle writes."""
+    with JsonlResultStore(path) as store:
+        for record in reference_records(SweepSpec.from_dict(SLOW_SPEC)):
+            store.append(record)
+    return path.read_bytes()
+
+
 def read_store_ids(path):
     if not path.exists():
         return []
@@ -69,7 +79,7 @@ def read_store_ids(path):
 class TestManagerRestart:
     def test_drain_false_shutdown_then_recover_completes(self, tmp_path):
         store_dir = tmp_path / "jobs"
-        manager = JobManager(store_dir, workers=1, backend="scalar")
+        manager = JobManager(store_dir, workers=1)
         manager.start()
         job = manager.submit(SLOW_SPEC)
         # Let it get genuinely mid-run before interrupting.
@@ -82,7 +92,7 @@ class TestManagerRestart:
         assert meta["state"] == "queued"
 
         # A fresh manager over the same directory adopts and finishes it.
-        revived = JobManager(store_dir, workers=1, backend="scalar")
+        revived = JobManager(store_dir, workers=1)
         revived.start()
         try:
             adopted = revived.get(job.id)
@@ -94,9 +104,9 @@ class TestManagerRestart:
         ids = read_store_ids(job.store_path)
         assert len(ids) == len(set(ids)) == SLOW_COUNT  # no duplicates
         # Byte-identical to an uninterrupted sweep of the same spec.
-        direct = tmp_path / "direct.jsonl"
-        Session(backend="scalar").sweep(SLOW_SPEC, out=direct, collect_records=False)
-        assert job.store_path.read_bytes() == direct.read_bytes()
+        assert job.store_path.read_bytes() == write_oracle_store(
+            tmp_path / "direct.jsonl"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +140,6 @@ def _spawn_server(store_dir):
             "serve",
             "--port",
             "0",
-            "--backend",
-            "scalar",
             "--workers",
             "1",
             "--store-dir",
@@ -200,6 +208,4 @@ class TestServerKillRestart:
 
         ids = [json.loads(line)["scenario"] for line in body.decode().splitlines() if line]
         assert len(ids) == len(set(ids)) == SLOW_COUNT  # no duplicate, no torn rows
-        direct = tmp_path / "direct.jsonl"
-        Session(backend="scalar").sweep(SLOW_SPEC, out=direct, collect_records=False)
-        assert body == direct.read_bytes()
+        assert body == write_oracle_store(tmp_path / "direct.jsonl")

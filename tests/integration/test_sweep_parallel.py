@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from repro.cli import main
 from repro.core.explorer import DesignSpaceExplorer
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import load_records
 from repro.testcases import ga102
@@ -31,7 +32,7 @@ class TestParallelEngine:
         scenarios = GRID.expand()[:96]  # enough to span several chunks
         serial = list(SweepEngine(jobs=1).iter_records(scenarios))
         parallel = list(SweepEngine(jobs=4).iter_records(scenarios))
-        assert parallel == serial
+        assert parallel == serial == reference_records(scenarios)
         assert sum(r["total_carbon_g"] for r in parallel) == sum(
             r["total_carbon_g"] for r in serial
         )
@@ -41,7 +42,7 @@ class TestParallelEngine:
 
         scenarios = GRID.expand()[:40]
         with JsonlResultStore(tmp_path / "out.jsonl") as store:
-            summary = SweepEngine(jobs=2, chunk_size=10).run(scenarios, store=store)
+            summary = SweepEngine(jobs=2).run(scenarios, store=store)
         assert summary.scenario_count == 40
         assert len(load_records(tmp_path / "out.jsonl")) == 40
 
@@ -76,9 +77,8 @@ class TestSweepCli:
         stdout = capsys.readouterr().out
         assert "640 scenarios" in stdout
         assert "results written to" in stdout
-        # CLI totals match an in-process serial engine run bit-for-bit.
-        serial_total = sum(r["total_carbon_g"] for r in SweepEngine(jobs=1).iter_records(GRID))
-        assert sum(r["total_carbon_g"] for r in records) == serial_total
+        # CLI records match the serial reference oracle bit-for-bit.
+        assert records == reference_records(GRID)
 
     def test_spec_file_csv_output(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -124,6 +124,27 @@ class TestSweepCli:
         code = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r.parquet")])
         assert code == 2
         assert "unknown result-store format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    def test_deprecated_backend_flag_is_ignored(self, backend, tmp_path, capsys):
+        plain = tmp_path / "plain.jsonl"
+        flagged = tmp_path / "flagged.jsonl"
+        argv = ["sweep", "--preset", "ga102-quick", "--quiet"]
+        assert main(argv + ["--out", str(plain)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--backend", backend, "--out", str(flagged)]) == 0
+        notes = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("note:")
+        ]
+        assert len(notes) == (1 if backend == "scalar" else 0)
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_unknown_backend_fails(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--preset", "ga102-quick", "--backend", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_invalid_jobs_fails(self, capsys):
         assert main(["sweep", "--preset", "ga102-quick", "--jobs", "0"]) == 2

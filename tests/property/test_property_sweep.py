@@ -5,8 +5,10 @@ subsets, per-architecture packaging params, monolithic bases — must satisfy
 the engine's two core contracts for *every* spec, not just the shipped
 presets:
 
-* **backend parity** — ``backend="batch"`` records equal ``backend="scalar"``
-  records under ``==`` (exact float equality, same keys, same order);
+* **oracle parity** — the engine's records equal
+  :func:`~repro.sweep.engine.reference_records` (the serial scalar
+  ``EcoChip.estimate`` pipeline) under ``==`` (exact float equality, same
+  keys, same order) and serialise to the same JSON text;
 * **resume idempotence** — re-running a sweep against a store that already
   holds a prefix of its records computes exactly the missing tail, and
   resuming a *complete* store computes nothing and changes nothing.
@@ -18,13 +20,14 @@ drawn grids reproducible run to run.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import JsonlResultStore, load_records
 
@@ -111,9 +114,12 @@ class TestBackendParity:
     def test_scalar_and_batch_records_are_bit_identical(self, spec):
         scenarios = spec.expand()
         assert len(scenarios) == spec.count()
-        scalar = list(SweepEngine(jobs=1).iter_records(scenarios))
-        batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
+        scalar = reference_records(scenarios)
+        batch = list(SweepEngine(jobs=1).iter_records(scenarios))
         assert scalar == batch
+        assert [json.dumps(r, sort_keys=True) for r in scalar] == [
+            json.dumps(r, sort_keys=True) for r in batch
+        ]
 
     @given(spec=sweep_specs())
     @settings(max_examples=4)
@@ -127,7 +133,7 @@ class TestResumeIdempotence:
     @settings(max_examples=8)
     def test_resuming_a_prefix_reproduces_the_full_run(self, spec, cut_fraction):
         scenarios = spec.expand()
-        engine = SweepEngine(jobs=1, backend="batch")
+        engine = SweepEngine(jobs=1)
         full = list(engine.iter_records(scenarios))
         cut = int(len(full) * cut_fraction)
         with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro import EcoChip, EstimatorConfig, Session
@@ -25,6 +27,18 @@ class TestArgumentValidation:
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):
             Session(backend="warp")
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    def test_backend_is_deprecated_and_ignored(self, backend):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            session = Session(backend=backend)
+        deprecations = [w for w in caught if w.category is DeprecationWarning]
+        # Only the retired "scalar" value warns; "batch" names the one engine.
+        assert len(deprecations) == (1 if backend == "scalar" else 0)
+        assert list(session.sweep(SMALL_SPEC).records) == list(
+            Session().sweep(SMALL_SPEC).records
+        )
 
     def test_mp_context_must_be_known(self):
         with pytest.raises(ValueError, match="start method"):
@@ -162,6 +176,8 @@ class TestCustomTable:
     def test_sweep_honours_the_session_table_on_both_backends(self):
         import dataclasses as dc
 
+        from repro.sweep.engine import reference_records
+        from repro.sweep.spec import SweepSpec
         from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
 
         custom = TechnologyTable(
@@ -172,10 +188,9 @@ class TestCustomTable:
         )
         spec = {"testcases": ["emr-2chiplet"]}
         expected = Session(table=custom).estimate("emr-2chiplet").total_cfp_g
-        scalar = Session(table=custom).sweep(spec).best["total_carbon_g"]
-        batch = Session(table=custom, backend="batch").sweep(spec).best[
-            "total_carbon_g"
-        ]
+        [oracle] = reference_records(SweepSpec.from_dict(spec), table=custom)
+        scalar = oracle["total_carbon_g"]
+        batch = Session(table=custom).sweep(spec).best["total_carbon_g"]
         assert scalar == expected == batch
         assert scalar != Session().sweep(spec).best["total_carbon_g"]
 

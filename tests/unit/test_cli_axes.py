@@ -92,7 +92,7 @@ class TestSetHappyPath:
     def test_set_expands_the_grid_and_records_overrides(self, capsys, tmp_path):
         out = tmp_path / "axis.jsonl"
         code = main([
-            "sweep", "--preset", "ga102-quick", "--backend", "batch",
+            "sweep", "--preset", "ga102-quick",
             "--set", "wafer_diameter_mm=300,450", "--out", str(out), "--quiet",
         ])
         assert code == 0

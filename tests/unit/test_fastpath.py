@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.estimator import EcoChip, EstimatorConfig
@@ -138,6 +140,21 @@ class TestBatchEstimator:
         pure = BatchEstimator(use_numpy=False).evaluate(scenarios)
         forced = BatchEstimator(use_numpy=True).evaluate(scenarios)
         assert pure == forced
+
+    def test_numpy_records_keep_the_given_volume_and_lifetime_types(self):
+        # The base systems carry an int volume; the NumPy evaluator computes
+        # in float64 but must emit the value as given, like the pure loop
+        # and the scalar pipeline do, or the JSON store bytes differ
+        # ("100000" vs "100000.0") while records still compare ==.
+        scenarios = QUICK.expand()
+        pure = BatchEstimator(use_numpy=False).evaluate(scenarios)
+        forced = BatchEstimator(use_numpy=True).evaluate(scenarios)
+        for record_pure, record_numpy in zip(pure, forced):
+            for key in ("system_volume", "lifetime_years"):
+                assert type(record_numpy[key]) is type(record_pure[key]), key
+        assert [json.dumps(r, sort_keys=True) for r in forced] == [
+            json.dumps(r, sort_keys=True) for r in pure
+        ]
 
     def test_numpy_flag_requires_numpy(self, monkeypatch):
         import repro.fastpath.batch as batch_module

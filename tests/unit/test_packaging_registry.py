@@ -212,6 +212,25 @@ class TestRegisterPackaging:
         with pytest.raises(TypeError):
             register_packaging("bogus_arch", RDLFanoutSpec(), RDLFanoutModel)
 
+    def test_model_without_compile_terms_rejected_at_registration(self):
+        import dataclasses
+
+        from repro.packaging.base import PackagingModel
+
+        @dataclasses.dataclass(frozen=True)
+        class OpaqueSpec:
+            layers: int = 1
+
+        class OpaqueModel(PackagingModel):
+            architecture = "opaque_arch"
+
+            def evaluate(self, *args, **kwargs):
+                raise AssertionError("never evaluated")
+
+        with pytest.raises(TypeError, match="OpaqueModel.*compile_terms"):
+            register_packaging("opaque_arch", OpaqueSpec, OpaqueModel)
+        assert "opaque_arch" not in packaging_names()
+
     def test_unknown_spec_error_names_registered_architectures(self):
         with pytest.raises(TypeError, match="rdl_fanout"):
             build_packaging_model(object())

@@ -142,7 +142,8 @@ class TestErrorRecords:
 
     def test_digest_ignores_stack_position(self):
         # The digest must be identical no matter where the exception was
-        # raised (scalar vs batch backends raise from different frames).
+        # raised (in-process and worker evaluations raise from different
+        # frames).
         def deep(n):
             if n:
                 return deep(n - 1)

@@ -179,7 +179,7 @@ class TestSharedCompileCache:
         from repro.api import Session
 
         cache = SharedCompileCache()
-        session = Session(backend="batch", batch_estimator=cache.estimator)
+        session = Session(batch_estimator=cache.estimator)
         session.sweep(SPEC)
         first = cache.stats()
         assert first["template_misses"] > 0

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sweep.engine (serial path, memoisation, sharding)."""
+"""Unit tests for repro.sweep.engine (serial path, reference oracle, sharding)."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import pytest
 
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.sweep.engine import (
-    KernelCacheStats,
     SweepEngine,
-    install_kernel_cache,
     make_record,
+    reference_records,
     shard,
 )
 from repro.sweep.spec import Scenario, SweepSpec
@@ -17,112 +16,6 @@ from repro.sweep.store import JsonlResultStore
 from repro.testcases import ga102
 
 QUICK = SweepSpec.preset("ga102-quick")
-
-
-class TestKernelCache:
-    def test_cached_results_are_bit_identical(self, ga102_3chiplet):
-        plain = EcoChip().estimate(ga102_3chiplet)
-        cached_estimator = EcoChip()
-        install_kernel_cache(cached_estimator)
-        first = cached_estimator.estimate(ga102_3chiplet)
-        second = cached_estimator.estimate(ga102_3chiplet)
-        assert first == plain
-        assert second == plain
-
-    def test_repeated_estimates_hit_the_cache(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        misses = stats.misses
-        assert misses > 0 and stats.hits == 0
-        estimator.estimate(ga102_3chiplet)
-        assert stats.misses == misses  # nothing new to compute
-        assert stats.hits > 0
-
-    def test_shared_kernels_across_node_configs(self):
-        # Two configs that share the analog chiplet's node: its kernels are
-        # computed once.
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102.three_chiplet((7, 14, 10)))
-        estimator.estimate(ga102.three_chiplet((7, 14, 14)))
-        assert stats.hits > 0
-
-    def test_install_is_idempotent(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        assert install_kernel_cache(estimator) is stats
-
-    def test_cache_respects_name_argument(self):
-        estimator = EcoChip()
-        install_kernel_cache(estimator)
-        a = estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="alpha")
-        b = estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="beta")
-        assert a.name == "alpha" and b.name == "beta"
-        assert a.total_g == b.total_g
-
-
-class TestKernelCacheStatsAccounting:
-    """Exact hit/miss bookkeeping of the memoised kernels."""
-
-    def test_first_estimate_counts_one_miss_per_distinct_kernel_input(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        # Three chiplets with distinct (area, node, type) and distinct
-        # (transistors, node) keys: one manufacturing and one design miss
-        # each, and no hits yet.
-        assert stats.manufacturing_misses == 3
-        assert stats.design_misses == 3
-        assert stats.manufacturing_hits == 0
-        assert stats.design_hits == 0
-
-    def test_repeat_estimate_counts_one_hit_per_kernel_call(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        estimator.estimate(ga102_3chiplet)
-        assert stats.manufacturing_hits == 3
-        assert stats.design_hits == 3
-        assert stats.manufacturing_misses == 3
-        assert stats.design_misses == 3
-
-    def test_totals_sum_both_kernels(self):
-        stats = KernelCacheStats(
-            manufacturing_hits=2,
-            manufacturing_misses=3,
-            design_hits=5,
-            design_misses=7,
-        )
-        assert stats.hits == 7
-        assert stats.misses == 10
-
-    def test_manufacturing_cache_keyed_on_value_inputs_only(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="a")
-        estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="b")
-        assert (stats.manufacturing_misses, stats.manufacturing_hits) == (1, 1)
-        # a different area is a genuinely new kernel input
-        estimator.manufacturing.cfp_for_area(101.0, 7, "logic")
-        assert (stats.manufacturing_misses, stats.manufacturing_hits) == (2, 1)
-
-    def test_design_cache_distinguishes_volume_and_reuse(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0)
-        assert (stats.design_misses, stats.design_hits) == (1, 1)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=20.0)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0, reused=True)
-        assert (stats.design_misses, stats.design_hits) == (3, 1)
-
-    def test_engine_without_memoize_reports_zero_counters(self):
-        engine = SweepEngine(jobs=1, memoize=False)
-        summary = engine.run(QUICK)
-        assert summary.cache_stats is not None
-        assert summary.cache_stats.hits == 0
-        assert summary.cache_stats.misses == 0
 
 
 class TestSerialEngine:
@@ -137,16 +30,20 @@ class TestSerialEngine:
         assert summary.best["total_carbon_g"] > 0
         assert store.count == summary.scenario_count
 
-    def test_memoisation_does_not_change_results(self):
-        memoized = list(SweepEngine(jobs=1, memoize=True).iter_records(QUICK))
-        plain = list(SweepEngine(jobs=1, memoize=False).iter_records(QUICK))
-        assert memoized == plain
+    def test_reference_oracle_omits_cost_on_request(self):
+        [record] = reference_records(QUICK.expand()[:1], include_cost=False)
+        assert "cost_usd" not in record
 
-    def test_serial_cache_stats_are_reported(self):
-        engine = SweepEngine(jobs=1)
-        summary = engine.run(QUICK)
-        assert isinstance(summary.cache_stats, KernelCacheStats)
-        assert summary.cache_stats.hits > 0  # the grid repeats many kernels
+    def test_memoisation_does_not_change_results(self):
+        # The engine memoises compiled templates; a warm shared estimator
+        # must reproduce a cold run exactly.
+        from repro.fastpath import BatchEstimator
+
+        warm = SweepEngine(jobs=1, batch_estimator=BatchEstimator())
+        first = list(warm.iter_records(QUICK))
+        second = list(warm.iter_records(QUICK))
+        assert warm.batch_estimator.cache_stats()["template_hits"] > 0
+        assert first == second == list(SweepEngine(jobs=1).iter_records(QUICK))
 
     def test_records_match_direct_estimation(self):
         scenario = Scenario(
@@ -183,12 +80,6 @@ class TestSerialEngine:
         assert summary.scenario_count == 0
         assert summary.best is None
 
-    def test_empty_run_does_not_report_stale_cache_stats(self):
-        engine = SweepEngine(jobs=1)
-        engine.run(QUICK)  # populates last_cache_stats
-        summary = engine.run([])
-        assert summary.cache_stats is None
-
     def test_record_metric_keys_match_objectives(self):
         from repro.core.explorer import OBJECTIVES
 
@@ -205,8 +96,6 @@ class TestValidation:
     def test_invalid_jobs_and_chunk_size(self):
         with pytest.raises(ValueError):
             SweepEngine(jobs=0)
-        with pytest.raises(ValueError):
-            SweepEngine(jobs=1, chunk_size=0)
         with pytest.raises(ValueError):
             shard([1, 2, 3], 0)
 
