@@ -16,17 +16,25 @@ the regime pytest-benchmark measures by design (it runs warm-up rounds).
 The one-time compile cost is reported separately as the cold-start speedup
 with a much smaller bar: even a single cold end-to-end evaluation of the
 grid must beat the scalar oracle.
+
+``test_sweep_to_jsonl_end_to_end`` gates a sweep streamed to a JSONL store
+without collecting records (``Session.sweep(out=..., collect_records=False)``)
+— expand, group, compile, evaluate, render and write — on the grid crossed
+with lifetimes and volumes, and checks the store's bytes against the
+oracle's records.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 from conftest import print_series
 
+from repro import Session
 from repro.fastpath import BatchEstimator
 from repro.sweep.engine import reference_records
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, preset_dict
 
 #: Steady-state (warm-template) speedup floor over the scalar oracle.
 STEADY_STATE_SPEEDUP_FLOOR = 17.0
@@ -39,6 +47,16 @@ COLD_START_SPEEDUP_FLOOR = 2.6
 WARM_DISK_SPEEDUP_FLOOR = 2.0
 
 GRID = SweepSpec.preset("ga102-grid")
+
+#: ga102-grid x lifetimes x volumes: 5,760 rows in 320 groups of 18.
+STORE_GRID = SweepSpec.from_dict(
+    {
+        **preset_dict("ga102-grid"),
+        "name": "ga102-grid-store",
+        "lifetimes": [2, 4.5, 10],
+        "system_volumes": [1000, 100000, 10000000.0],
+    }
+)
 
 
 def _scalar_seconds(scenarios, repeats: int = 3) -> float:
@@ -168,6 +186,31 @@ def test_batch_cold_start_warm_disk_cache(benchmark, tmp_path):
     assert speedup >= WARM_DISK_SPEEDUP_FLOOR, (
         f"warm-disk-cache cold start speedup {speedup:.1f}x is below the "
         f"{WARM_DISK_SPEEDUP_FLOOR}x acceptance floor"
+    )
+
+
+def test_sweep_to_jsonl_end_to_end(benchmark, tmp_path):
+    """Sweep-to-JSONL at ``jobs=1`` through ``Session.sweep``, records not collected.
+
+    Every round streams the whole grid into a fresh store; the store must
+    hold exactly the oracle's records, serialised one JSON line each.
+    """
+    session = Session()
+    out = tmp_path / "sweep.jsonl"
+
+    def sweep_to_store():
+        return session.sweep(STORE_GRID, out=out, collect_records=False)
+
+    result = benchmark(sweep_to_store)
+    expected = b"".join(
+        (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        for record in reference_records(STORE_GRID)
+    )
+    assert out.read_bytes() == expected
+    count = result.summary.scenario_count
+    print_series(
+        f"Sweep to JSONL, {STORE_GRID.name} ({count} scenarios)",
+        [f"  end to end: {count / benchmark.stats.stats.min:10.0f} scenarios/s (best round)"],
     )
 
 

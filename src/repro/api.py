@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -57,6 +58,7 @@ from repro.sweep.engine import (
     check_backend,
     derive_scenario_config,
 )
+from repro.sweep.block import record_blocks
 from repro.sweep.spec import Scenario, SweepSpec, packaging_signature
 from repro.sweep.store import (
     SweepRow,
@@ -460,10 +462,14 @@ class Session:
                 repair_torn_tail(out)
                 done_ids = completed_scenario_ids(out)
             with open_store(out, append=resume) as store:
-                for record in cached:
-                    if record.get("scenario") in done_ids:
-                        continue
-                    store.append(record)
+                # Consecutive not-yet-stored records go out as blocks, so a
+                # fresh replay is one write.
+                for is_new, run in itertools.groupby(
+                    cached, key=lambda record: record.get("scenario") not in done_ids
+                ):
+                    if is_new:
+                        for block in record_blocks(run):
+                            store.append_block(block)
         total = len(cached)
         if progress is not None:
             progress(total, total)

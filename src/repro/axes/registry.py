@@ -458,7 +458,7 @@ def overrides_json(overrides: Optional[Mapping[str, Any]]) -> Optional[str]:
     Keys are sorted so the string is deterministic; ``None`` when the
     scenario has no overrides.  Both record paths (the reference oracle's
     ``make_record`` via ``Scenario.to_record`` and the batch engine's
-    ``_record``) use this helper so their bits cannot diverge.
+    ``evaluate_block``) use this helper so their bits cannot diverge.
     """
     if not overrides:
         return None

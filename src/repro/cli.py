@@ -503,13 +503,13 @@ def _sweep_main(argv: Sequence[str]) -> int:
         compile_cache=compile_cache,
         resilience=resilience,
     )
-    # Stream with bounded memory: track a running best and a top-N heap;
-    # records are only accumulated when --pareto needs the full set.
+    # Stream with bounded memory: the engine tracks the best new record and
+    # a callback keeps a top-N heap; records are only accumulated when
+    # --pareto needs the full set.
     top_n = args.top if not args.quiet else 0
     top_heap: List = []  # (-total_carbon_g, sequence, record)
     pareto_records: Optional[List] = [] if args.pareto else None
     best = None
-    count = 0
     sequence = 0
     # Records already in a resumed store compete in best/top/Pareto so a
     # resumed run summarises the whole sweep, not just the new tail.
@@ -526,33 +526,39 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 heapq.heappop(top_heap)
         if pareto_records is not None:
             pareto_records.append(record)
-    error_count = 0
+
+    def track(record):
+        nonlocal sequence
+        total_g = record.get("total_carbon_g")
+        if total_g is None:
+            # A contained failure (--retries/--on-error record): the
+            # row holds a structured error payload, not metrics.
+            return
+        sequence += 1
+        if top_n > 0:
+            heapq.heappush(top_heap, (-total_g, sequence, record))
+            if len(top_heap) > top_n:
+                heapq.heappop(top_heap)
+        if pareto_records is not None:
+            pareto_records.append(record)
+
+    # Row dicts are only built when the top-N table or the front needs them.
+    on_record = track if top_n > 0 or pareto_records is not None else None
     try:
-        for record in engine.iter_records(scenarios):
-            if store is not None:
-                store.append(record)
-            count += 1
-            sequence += 1
-            total_g = record.get("total_carbon_g")
-            if total_g is None:
-                # A contained failure (--retries/--on-error record): the
-                # row holds a structured error payload, not metrics.
-                error_count += 1
-                continue
-            if best is None or total_g < best["total_carbon_g"]:
-                best = record
-            if top_n > 0:
-                heapq.heappush(top_heap, (-total_g, sequence, record))
-                if len(top_heap) > top_n:
-                    heapq.heappop(top_heap)
-            if pareto_records is not None:
-                pareto_records.append(record)
+        summary = engine.run(scenarios, store=store, on_record=on_record)
     except OSError as exc:
         print(format_error_text("runtime", str(exc)), file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     finally:
         if store is not None:
             store.close()
+    count = summary.scenario_count
+    error_count = summary.error_count
+    new_best = summary.best
+    if new_best is not None and (
+        best is None or new_best["total_carbon_g"] < best["total_carbon_g"]
+    ):
+        best = new_best
 
     skip_note = f" ({skipped} resumed)" if skipped else ""
     error_note = f", {error_count} failed" if error_count else ""

@@ -3,10 +3,10 @@
 :class:`BatchEstimator` groups scenarios by their template key (base system,
 node assignment, packaging architecture), compiles each template once via
 :class:`repro.fastpath.compiled.TemplateCompiler`, and evaluates every
-scenario of a group as flat arithmetic over the compiled coefficients.  The
-records it produces are bit-identical (exact float equality, same keys in
-the same order) to the scalar path's
-:func:`repro.sweep.engine.make_record` output.
+scenario of a group as flat arithmetic over the compiled coefficients into
+one record block (:class:`repro.sweep.block.RecordBlock`).  The block's
+records are bit-identical (exact float equality, same keys in the same
+order) to the scalar path's :func:`repro.sweep.engine.make_record` output.
 
 Two evaluation backends produce the same bits:
 
@@ -37,6 +37,7 @@ from repro.fastpath.compiled import (
     packaging_signature,
 )
 from repro.packaging.base import _TO_MM2
+from repro.sweep.block import RecordBlock
 from repro.sweep.engine import _source_name
 from repro.sweep.spec import Scenario, packaging_params_json
 from repro.technology.carbon_sources import carbon_intensity
@@ -48,6 +49,26 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 Record = Dict[str, Any]
+
+#: The per-row values of a group, in the kernel's row-tuple order; a
+#: template with cost terms appends ``cost_usd``.
+_ROW_KEYS = (
+    "scenario",
+    "fab_source",
+    "lifetime_years",
+    "system_volume",
+    "total_carbon_g",
+    "embodied_carbon_g",
+    "manufacturing_carbon_g",
+    "design_carbon_g",
+    "hi_carbon_g",
+    "operational_carbon_g",
+)
+_ROW_KEYS_WITH_COST = _ROW_KEYS + ("cost_usd",)
+
+#: The per-row canonical-JSON scenario columns, for a group whose scenarios
+#: do not share one packaging and one override dict.
+_JSON_KEYS = ("packaging_params", "overrides")
 
 #: Minimum group size for which the NumPy backend beats array-construction
 #: overhead (smaller groups always use the pure-Python loop).
@@ -269,7 +290,7 @@ class BatchEstimator:
         bit-identical to the NumPy group path, so records match
         :meth:`evaluate_group` exactly.
         """
-        return self.evaluate_group(self.compile_for(scenario), [scenario])[0]
+        return self.evaluate_block(self.compile_for(scenario), [scenario]).record(0)
 
     def compile_for(self, scenario: Scenario) -> CompiledSystem:
         """The compiled template behind ``scenario``."""
@@ -285,13 +306,70 @@ class BatchEstimator:
         self, template: CompiledSystem, scenarios: Sequence[Scenario]
     ) -> List[Record]:
         """Records for scenarios that all share ``template``."""
-        context = self._context_for(scenarios[0])
+        return self.evaluate_block(template, scenarios).records()
+
+    def evaluate_block(
+        self, template: CompiledSystem, scenarios: Sequence[Scenario]
+    ) -> RecordBlock:
+        """The records of scenarios that all share ``template``, as one block.
+
+        Template-level values (base, nodes, packaging, system, areas,
+        power) are held once in the block's shared record; the rest are
+        per-row tuples.  The block's records equal
+        :func:`repro.sweep.engine.make_record` output key for key, in the
+        same key order.
+        """
+        first = scenarios[0]
+        context = self._context_for(first)
         use_numpy = self.use_numpy
         if use_numpy is None:
             use_numpy = _np is not None and len(scenarios) >= NUMPY_MIN_GROUP
         if use_numpy:
-            return self._evaluate_group_numpy(template, scenarios, context)
-        return self._evaluate_group_pure(template, scenarios, context)
+            rows = self._rows_numpy(template, scenarios, context)
+        else:
+            rows = self._rows_pure(template, scenarios, context)
+        packaging = first.packaging
+        overrides = first.overrides
+        # Key order matches scenario.to_record() + make_record()'s update();
+        # the None values are per-row and come from ``rows``.
+        shared: Record = {
+            "scenario": None,
+            "base": first.base_ref,
+            "nodes": list(template.node_values),
+            "packaging": template.architecture,
+            "packaging_params": packaging_params_json(packaging),
+            "fab_source": None,
+            "lifetime_years": None,
+            "system_volume": None,
+            "overrides": overrides_json(overrides),
+            "system": template.system_name,
+            "total_carbon_g": None,
+            "embodied_carbon_g": None,
+            "manufacturing_carbon_g": None,
+            "design_carbon_g": None,
+            "hi_carbon_g": None,
+            "operational_carbon_g": None,
+            "silicon_area_mm2": template.silicon_area_mm2,
+            "package_area_mm2": template.package_area_mm2,
+            "power_w": template.power_w,
+        }
+        if template.cost is None:
+            varying = _ROW_KEYS
+        else:
+            shared["cost_usd"] = None
+            varying = _ROW_KEYS_WITH_COST
+        # A spec expansion shares one packaging and one override dict
+        # between the scenarios of a group, so they render once; a template
+        # that serves several dicts (equal signatures) renders them per row.
+        for scenario in scenarios:
+            if scenario.packaging is not packaging or scenario.overrides is not overrides:
+                varying += _JSON_KEYS
+                rows = [
+                    row + (packaging_params_json(s.packaging), overrides_json(s.overrides))
+                    for row, s in zip(rows, scenarios)
+                ]
+                break
+        return RecordBlock(shared, varying, rows, ("nodes",))
 
     # -- per-(template, fab source) terms ----------------------------------------------
     def source_terms(
@@ -357,63 +435,23 @@ class BatchEstimator:
         template.source_terms_cache[fab_source] = terms
         return terms
 
-    # -- record assembly ---------------------------------------------------------------
-    def _record(
-        self,
-        scenario: Scenario,
-        template: CompiledSystem,
-        terms: SourceTerms,
-        lifetime: float,
-        system_volume: float,
-        total: float,
-        embodied: float,
-        design_used: float,
-        lifetime_cfp: float,
-        cost_usd: Optional[float],
-    ) -> Record:
-        # Key order matches scenario.to_record() + make_record()'s update().
-        record: Record = {
-            "scenario": scenario.index,
-            "base": scenario.base_ref,
-            "nodes": list(template.node_values),
-            "packaging": template.architecture,
-            "packaging_params": packaging_params_json(scenario.packaging),
-            "fab_source": terms.fab_label,
-            "lifetime_years": lifetime,
-            "system_volume": system_volume,
-            "overrides": overrides_json(scenario.overrides) if scenario.overrides else None,
-            "system": template.system_name,
-            "total_carbon_g": total,
-            "embodied_carbon_g": embodied,
-            "manufacturing_carbon_g": terms.manufacturing_total_g,
-            "design_carbon_g": design_used,
-            "hi_carbon_g": terms.hi_total_g,
-            "operational_carbon_g": lifetime_cfp,
-            "silicon_area_mm2": template.silicon_area_mm2,
-            "package_area_mm2": template.package_area_mm2,
-            "power_w": template.power_w,
-        }
-        if cost_usd is not None:
-            record["cost_usd"] = cost_usd
-        return record
-
     # -- pure-Python backend -------------------------------------------------------------
-    def _evaluate_group_pure(
+    def _rows_pure(
         self,
         template: CompiledSystem,
         scenarios: Sequence[Scenario],
-        context: Optional[_ConfigContext] = None,
-    ) -> List[Record]:
-        if context is None:
-            context = self._base_context
+        context: _ConfigContext,
+    ) -> List[Tuple[Any, ...]]:
+        """The per-row values of a group, one scenario at a time."""
         include_design = context.include_design
         annual = template.annual_cfp_g
         base_volume = template.base_volume
         base_lifetime = template.base_lifetime
         cost = template.cost
-        records: List[Record] = []
+        source_terms = self.source_terms
+        rows = []
         for scenario in scenarios:
-            terms = self.source_terms(template, scenario.fab_source, context)
+            terms = source_terms(template, scenario.fab_source, context)
             system_volume = (
                 scenario.system_volume
                 if scenario.system_volume is not None
@@ -433,26 +471,32 @@ class BatchEstimator:
             # Eqs. 1–2 totals, in the estimator's operation order.
             lifetime_cfp = annual * lifetime
             embodied = terms.manufacturing_total_g + design_used + terms.hi_total_g
-            total = embodied + lifetime_cfp
-            cost_usd = cost.total_usd(system_volume) if cost is not None else None
-            records.append(
-                self._record(
-                    scenario, template, terms, lifetime, system_volume,
-                    total, embodied, design_used, lifetime_cfp, cost_usd,
-                )
+            row = (
+                scenario.index,
+                terms.fab_label,
+                lifetime,
+                system_volume,
+                embodied + lifetime_cfp,
+                embodied,
+                terms.manufacturing_total_g,
+                design_used,
+                terms.hi_total_g,
+                lifetime_cfp,
             )
-        return records
+            if cost is not None:
+                row += (cost.total_usd(system_volume),)
+            rows.append(row)
+        return rows
 
     # -- NumPy backend -----------------------------------------------------------------
-    def _evaluate_group_numpy(
+    def _rows_numpy(
         self,
         template: CompiledSystem,
         scenarios: Sequence[Scenario],
-        context: Optional[_ConfigContext] = None,
-    ) -> List[Record]:
+        context: _ConfigContext,
+    ) -> List[Tuple[Any, ...]]:
+        """The per-row values of a group as element-wise array arithmetic."""
         assert _np is not None, "numpy backend requested without numpy installed"
-        if context is None:
-            context = self._base_context
         count = len(scenarios)
         terms_list = [
             self.source_terms(template, scenario.fab_source, context)
@@ -470,12 +514,12 @@ class BatchEstimator:
             s.lifetime_years if s.lifetime_years is not None else base_lifetime
             for s in scenarios
         ]
+        manufacturings = [t.manufacturing_total_g for t in terms_list]
+        his = [t.hi_total_g for t in terms_list]
         system_volume = _np.array(volumes, dtype=_np.float64)
         lifetime = _np.array(lifetimes, dtype=_np.float64)
-        manufacturing = _np.array(
-            [t.manufacturing_total_g for t in terms_list], dtype=_np.float64
-        )
-        hi = _np.array([t.hi_total_g for t in terms_list], dtype=_np.float64)
+        manufacturing = _np.array(manufacturings, dtype=_np.float64)
+        hi = _np.array(his, dtype=_np.float64)
         comm_design = _np.array(
             [t.comm_design_total_g for t in terms_list], dtype=_np.float64
         )
@@ -499,8 +543,20 @@ class BatchEstimator:
         embodied = (manufacturing + design_used) + hi
         total = embodied + lifetime_cfp
 
+        # Columns in _ROW_KEYS order.
+        columns = [
+            [s.index for s in scenarios],
+            [t.fab_label for t in terms_list],
+            lifetimes,
+            volumes,
+            total.tolist(),
+            embodied.tolist(),
+            manufacturings,
+            design_used.tolist(),
+            his,
+            lifetime_cfp.tolist(),
+        ]
         cost = template.cost
-        cost_usd: Optional[Any] = None
         if cost is not None:
             nre_total = _np.zeros(count, dtype=_np.float64)
             for group in cost.groups:
@@ -510,22 +566,5 @@ class BatchEstimator:
                 for member in group.member_volumes:
                     volume = volume + (member if member is not None else system_volume)
                 nre_total = nre_total + group.masks_plus_design_usd / volume
-            cost_usd = cost.fixed_usd + nre_total
-
-        records: List[Record] = []
-        for index, scenario in enumerate(scenarios):
-            records.append(
-                self._record(
-                    scenario,
-                    template,
-                    terms_list[index],
-                    lifetimes[index],
-                    volumes[index],
-                    float(total[index]),
-                    float(embodied[index]),
-                    float(design_used[index]),
-                    float(lifetime_cfp[index]),
-                    float(cost_usd[index]) if cost_usd is not None else None,
-                )
-            )
-        return records
+            columns.append((cost.fixed_usd + nre_total).tolist())
+        return list(zip(*columns))

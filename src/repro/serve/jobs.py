@@ -14,10 +14,12 @@ any instant leaves a state a restarted manager can adopt: ``recover()``
 re-enqueues unfinished jobs with ``resume=True`` and they complete from
 their store with no duplicate or torn rows.
 
-Cancellation and shutdown interrupt *between* records — the engine
-appends each record to the store before invoking the progress callback
-that raises — so an interrupted store is always a valid prefix of the
-full sweep.
+Cancellation and shutdown interrupt *between* records: every row is on
+disk before its progress callback runs (the engine appends a whole
+template group in one write, then reports its rows one by one), so when a
+callback raises, the store holds complete lines only — a valid prefix of
+the full sweep, possibly up to one template group ahead of ``job.done``,
+which resume reads from the store anyway.
 """
 
 from __future__ import annotations
@@ -539,8 +541,8 @@ class JobManager:
         abort = self._abort
 
         def progress(done: int, total: int) -> None:
-            # The engine appends each record to the store *before* this
-            # callback, so raising here interrupts cleanly between records.
+            # Every row is in the store *before* this callback, so raising
+            # here interrupts cleanly between records.
             job.done = total_count - total + done
             if cancel_event.is_set():
                 raise _JobCancelled()

@@ -12,6 +12,12 @@ evaluates as flat arithmetic.
   so the record stream — and therefore every total — is bit-identical to
   the in-process path.
 
+Either way a template group travels as one record block
+(:class:`repro.sweep.block.RecordBlock`) from the kernel through the
+worker pipe and the in-order buffer to the store, which renders it and
+writes it in one append; per-record dicts are built only for callers that
+ask for them.
+
 :func:`reference_records` is the engine's oracle: a serial loop through the
 full :class:`~repro.core.estimator.EcoChip` pipeline with no caches and no
 pool.  The parity tests require the engine to reproduce it bit for bit.
@@ -57,11 +63,12 @@ from repro.core.system import ChipletSystem
 from repro.packaging.registry import import_plugin_modules, plugin_modules
 from repro.resilience.policy import ResiliencePolicy, WorkerLostError
 from repro.resilience.records import (
+    ERROR_KEY,
     error_info,
     error_record,
     evaluate_contained,
-    is_error_record,
 )
+from repro.sweep.block import RecordBlock
 from repro.sweep.spec import Scenario, SweepSpec
 from repro.sweep.store import (
     ResultStore,
@@ -117,8 +124,8 @@ def make_record(
 
     Metric keys deliberately match :data:`repro.core.explorer.OBJECTIVES`
     so reloaded records plug into the Pareto tooling unchanged.  The batch
-    engine (:meth:`repro.fastpath.batch.BatchEstimator._record`) emits the
-    same keys in the same order — keep the two in sync.
+    engine (:meth:`repro.fastpath.batch.BatchEstimator.evaluate_block`)
+    emits the same keys in the same order — keep the two in sync.
     """
     record = scenario.to_record()
     record.update(
@@ -241,32 +248,40 @@ def _init_worker(
     _CHAOS = chaos
 
 
+#: ``(positions, block)``: a block and the input positions of its rows.
+PlacedBlock = Tuple[Sequence[int], RecordBlock]
+
+
+def _one_row(position: int, record: Record) -> PlacedBlock:
+    return [position], RecordBlock.from_records([record])
+
+
 def _evaluate_chunk(
     groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> List[Tuple[int, Record]]:
-    """Evaluate template groups, returning (position, record) pairs.
+) -> List[PlacedBlock]:
+    """Evaluate template groups, returning one placed block per group.
 
     Each worker keeps its :class:`repro.fastpath.BatchEstimator` (and its
     compiled-template caches) alive across chunks, so templates shared by
     chunks mapped to the same worker compile once.
     """
     assert _EVALUATOR is not None, "worker initializer did not run"
-    results: List[Tuple[int, Record]] = []
+    results: List[PlacedBlock] = []
     for positions, scenarios in groups:
         template = _EVALUATOR.compile_for(scenarios[0])
-        records = _EVALUATOR.evaluate_group(template, scenarios)
-        results.extend(zip(positions, records))
+        results.append((positions, _EVALUATOR.evaluate_block(template, scenarios)))
     return results
 
 
 def _evaluate_chunk_contained(
     groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> Tuple[List[Tuple[int, Record]], int]:
+) -> Tuple[List[PlacedBlock], int]:
     """Contained chunk: per-scenario evaluation through the compiled
-    template cache, so one raising scenario costs its group nothing."""
+    template cache, so one raising scenario costs its group nothing.
+    Every record (an error record included) is a one-row block."""
     assert _EVALUATOR is not None, "worker initializer did not run"
     assert _POLICY is not None, "supervised pool without a resilience policy"
-    results: List[Tuple[int, Record]] = []
+    results: List[PlacedBlock] = []
     retries = 0
     for positions, scenarios in groups:
         for position, scenario in zip(positions, scenarios):
@@ -278,8 +293,44 @@ def _evaluate_chunk_contained(
                 in_worker=True,
             )
             retries += attempts_over
-            results.append((position, record))
+            results.append(_one_row(position, record))
     return results, retries
+
+
+class _InOrder:
+    """Re-emits placed blocks as runs of consecutive input positions.
+
+    A block whose positions have gaps (a template group that is not
+    contiguous in the input) is split at the gaps; a run is released once
+    every earlier position has been released, so rows leave in input
+    order.
+    """
+
+    def __init__(self) -> None:
+        self._pending: Dict[int, RecordBlock] = {}
+        self._next = 0
+
+    def add(self, positions: Sequence[int], block: RecordBlock) -> List[RecordBlock]:
+        """Buffer one placed block; return the runs now ready, in order."""
+        pending = self._pending
+        if positions[-1] - positions[0] == len(positions) - 1:
+            if positions[0] == self._next and not pending:  # the usual case
+                self._next += len(positions)
+                return [block]
+            pending[positions[0]] = block
+        else:
+            start = 0
+            for index in range(1, len(positions)):
+                if positions[index] != positions[index - 1] + 1:
+                    pending[positions[start]] = block.select(start, index)
+                    start = index
+            pending[positions[start]] = block.select(start, len(positions))
+        ready = []
+        while self._next in pending:
+            run = pending.pop(self._next)
+            ready.append(run)
+            self._next += run.size
+        return ready
 
 
 def shard(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -612,30 +663,44 @@ class SweepEngine:
         estimator: Any,
         members: Sequence[Tuple[int, Scenario]],
         policy: ResiliencePolicy,
-    ) -> Iterator[Tuple[int, Record]]:
+    ) -> Iterator[PlacedBlock]:
         """Evaluate one group scenario by scenario under ``policy``, lazily,
-        so each record streams out (and a serve shutdown can interrupt at
-        its boundary) as soon as it is evaluated."""
+        so each record streams out as a one-row block (and a serve shutdown
+        can interrupt at its boundary) as soon as it is evaluated."""
         for position, scenario in members:
             record, retries = evaluate_contained(
                 estimator.evaluate_scenario, scenario, policy, chaos=self.chaos
             )
             self.last_retry_count += retries
-            yield position, record
+            yield _one_row(position, record)
 
     def iter_records(self, sweep: Union[SweepSpec, Iterable[Scenario]]) -> Iterator[Record]:
         """Yield one flattened record per scenario, in scenario order.
 
+        The records of :meth:`iter_blocks`, row by row.
+        """
+        for block in self.iter_blocks(sweep):
+            yield from block.records()
+
+    def iter_blocks(
+        self, sweep: Union[SweepSpec, Iterable[Scenario]]
+    ) -> Iterator[RecordBlock]:
+        """Yield the records of every scenario as record blocks, in scenario order.
+
         Scenarios are grouped by compiled template and each group evaluates
-        at once; records are buffered only while a group completes out of
-        input order.  For spec-expanded grids (template axes outermost)
-        groups are contiguous, so memory stays bounded by the largest group.
+        at once into one :class:`~repro.sweep.block.RecordBlock`; a block is
+        buffered only while an earlier group is still outstanding, and a
+        group that is not contiguous in the input leaves as one block per
+        run of consecutive scenarios.  For spec-expanded grids (template
+        axes outermost) groups are contiguous, so every group leaves as one
+        block and memory stays bounded by the largest group.
 
         Under a containment policy each scenario evaluates individually
         through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
-        template cache, bit-identical records), so one raising scenario
-        costs its group nothing.  Records — structured error records
-        included — are bit-identical for every ``jobs`` value.
+        template cache, bit-identical records) into a one-row block, so one
+        raising scenario costs its group nothing.  Records — structured
+        error records included — are bit-identical for every ``jobs``
+        value.
         """
         from repro.fastpath import BatchEstimator, group_scenarios
 
@@ -645,8 +710,7 @@ class SweepEngine:
             return
         policy = self._containment_policy()
         groups = group_scenarios(scenarios)
-        pending: Dict[int, Record] = {}
-        next_position = 0
+        in_order = _InOrder()
         if self.jobs == 1:
             # A shared estimator (repro.serve) keeps its compiled templates
             # across runs; otherwise each run builds a fresh one.
@@ -661,19 +725,13 @@ class SweepEngine:
             for _, members in groups:
                 if policy is None:
                     template = estimator.compile_for(members[0][1])
-                    results: Iterable[Tuple[int, Record]] = zip(
-                        [position for position, _ in members],
-                        estimator.evaluate_group(
-                            template, [scenario for _, scenario in members]
-                        ),
+                    block = estimator.evaluate_block(
+                        template, [scenario for _, scenario in members]
                     )
+                    yield from in_order.add([position for position, _ in members], block)
                 else:
-                    results = self._iter_contained(estimator, members, policy)
-                for position, record in results:
-                    pending[position] = record
-                    while next_position in pending:
-                        yield pending.pop(next_position)
-                        next_position += 1
+                    for positions, block in self._iter_contained(estimator, members, policy):
+                        yield from in_order.add(positions, block)
             return
         payload = [
             (
@@ -698,16 +756,13 @@ class SweepEngine:
                     len(positions) for positions, _ in chunk
                 ),
                 lost_payload=lambda chunk, exc: [
-                    (position, error_record(scenario, exc))
+                    _one_row(position, error_record(scenario, exc))
                     for positions, members in chunk
                     for position, scenario in zip(positions, members)
                 ],
             ):
-                for position, record in chunk_results:
-                    pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
+                for positions, block in chunk_results:
+                    yield from in_order.add(positions, block)
             return
         with self._pool(
             max_workers=min(self.jobs, len(chunks)),
@@ -718,11 +773,8 @@ class SweepEngine:
             ),
         ) as pool:
             for chunk_results in pool.map(_evaluate_chunk, chunks):
-                for position, record in chunk_results:
-                    pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
+                for positions, block in chunk_results:
+                    yield from in_order.add(positions, block)
 
     # -- one-shot -------------------------------------------------------------------
     def run(
@@ -738,9 +790,11 @@ class SweepEngine:
 
         Args:
             sweep: A spec (expanded here) or pre-expanded scenarios.
-            store: Streaming result store; each record is appended (and
-                flushed) as soon as it is computed.
-            progress: Optional ``(done, total)`` callback per record.
+            store: Streaming result store; the records of each template
+                group are appended (one write) as soon as the group is
+                computed and every earlier scenario has been written.
+            progress: Optional ``(done, total)`` callback per record,
+                called once its record is in ``store``.
             resume: A store (or store path) from a previous run of the same
                 spec: scenarios whose ids already appear in it are skipped
                 (a torn final line from a crash is repaired first), and the
@@ -751,7 +805,8 @@ class SweepEngine:
             on_record: Optional callback invoked with every record as soon
                 as it is computed (after the ``store`` append).  Used by
                 :class:`repro.api.Session` to collect records without
-                round-tripping through a file.
+                round-tripping through a file; record dicts are only built
+                when it is given.
             annotate: Constant extra columns merged into every record of
                 this run before it reaches the store and callbacks (e.g.
                 the ``search_round`` column :mod:`repro.search` stamps on
@@ -774,33 +829,52 @@ class SweepEngine:
                     best is None or total_g < best["total_carbon_g"]
                 ):
                     best = record
+        # The best row so far: its total and, for a new row, its block and
+        # index (the dict is built once, at the end).
+        best_total = best["total_carbon_g"] if best is not None else None
+        best_row: Optional[Tuple[RecordBlock, int]] = None
         total = len(scenarios)
         done = 0
         error_count = 0
         error_codes: Dict[str, int] = {}
         start = time.perf_counter()
-        for record in self.iter_records(scenarios):
+        for block in self.iter_blocks(scenarios):
             if annotations is not None:
-                collisions = [key for key in annotations if key in record]
+                collisions = [key for key in annotations if key in block.shared]
                 if collisions:
                     raise ValueError(
                         f"annotate keys {sorted(collisions)} collide with "
                         f"record columns"
                     )
-                record = {**record, **annotations}
+                block = block.with_constants(annotations)
             if store is not None:
-                store.append(record)
-            if on_record is not None:
-                on_record(record)
-            if is_error_record(record):
-                error_count += 1
-                code = (error_info(record) or {}).get("code", "evaluation-error")
-                error_codes[code] = error_codes.get(code, 0) + 1
-            elif best is None or record["total_carbon_g"] < best["total_carbon_g"]:
-                best = record
-            done += 1
-            if progress is not None:
-                progress(done, total)
+                store.append_block(block)
+            records = block.records() if on_record is not None else None
+            errors = block.column(ERROR_KEY) if ERROR_KEY in block.shared else None
+            totals = (
+                block.column("total_carbon_g")
+                if "total_carbon_g" in block.shared
+                else None
+            )
+            for index in range(len(block.rows)):
+                if records is not None:
+                    on_record(records[index])
+                if errors is not None and errors[index]:
+                    error_count += 1
+                    code = (error_info(block.record(index)) or {}).get(
+                        "code", "evaluation-error"
+                    )
+                    error_codes[code] = error_codes.get(code, 0) + 1
+                else:
+                    total_g = totals[index]
+                    if best_total is None or total_g < best_total:
+                        best_total = total_g
+                        best_row = (block, index)
+                done += 1
+                if progress is not None:
+                    progress(done, total)
+        if best_row is not None:
+            best = best_row[0].record(best_row[1])
         elapsed = time.perf_counter() - start
         return SweepSummary(
             scenario_count=done,

@@ -77,7 +77,7 @@ def packaging_params_json(packaging: Optional[Mapping[str, Any]]) -> Optional[st
     Keys are sorted so the string is deterministic; ``None`` when the
     scenario has no packaging override or only a ``type`` key.  Both record
     paths (:func:`repro.sweep.engine.make_record` and the batch engine's
-    ``_record``) call this helper so their bits cannot diverge.
+    ``evaluate_block``) call this helper so their bits cannot diverge.
     """
     if packaging is None:
         return None

@@ -2,10 +2,11 @@
 
 Sweep runs can produce tens of thousands of result rows; holding them all in
 memory (the failure mode of the old ``node_configuration_sweep`` dict) does
-not scale and loses everything on a crash.  The stores here append one
-flattened record at a time — each ``append`` writes and flushes a complete
-line/row, so a killed run leaves a valid, resumable file behind and memory
-stays constant regardless of sweep size.
+not scale and loses everything on a crash.  The stores here append as the
+sweep goes: one record (:meth:`ResultStore.append`) or one record block —
+the rows of one template group (:meth:`ResultStore.append_block`) — is
+rendered to complete lines/rows and written in one ``os.write``, so memory
+stays bounded by the largest group regardless of sweep size.
 
 Reloading turns records back into :class:`SweepRow` objects that expose the
 same ``objective(name)`` protocol as
@@ -13,26 +14,45 @@ same ``objective(name)`` protocol as
 :func:`repro.core.explorer.pareto_front` and summary tooling work on stored
 sweep results unchanged.
 
-Two properties make the stores safe for a multi-job server
-(:mod:`repro.serve`) where several sweeps stream to sibling files at once:
+Three properties make the stores safe for a multi-job server
+(:mod:`repro.serve`) where several sweeps stream to sibling files at once,
+and for resume after a crash:
 
-* **Line-atomic appends** — every record is rendered to bytes first and
-  written with a single ``os.write`` to an ``O_APPEND`` descriptor, so a
-  row can never interleave with another writer's bytes mid-line.
+* **Whole-line appends** — every append renders all of its lines to bytes
+  first and writes them with one ``os.write`` to an ``O_APPEND``
+  descriptor, continued until every byte is written (a short write — disk
+  full, file-size limit, a signal — is finished, never silently dropped,
+  so the next append cannot weld onto a partial line).
+* **Crash leaves a valid prefix** — a killed run leaves complete lines plus
+  at most one torn tail line, whichever append (a record or a whole block)
+  it interrupted; :func:`repair_torn_tail` removes the tail before resume.
 * **Single-writer ownership** — opening a store for writing acquires a
   sidecar ``<path>.lock`` pid file; a second live writer gets
   :class:`StoreLockError` instead of silently corrupting the stream, and a
   lock left behind by a killed process is reclaimed automatically.
+
+The JSONL bytes are exactly ``json.dumps(record, sort_keys=True) + "\\n"``
+per row.  A block renders its shared values once, each distinct value of a
+column once and every row through one format string; any column the fast
+path cannot prove byte-equal (NaN or infinite floats, mixed types such as
+``100000`` next to ``100000.0``, lists, booleans) is encoded with
+:func:`json.dumps` value by value, and a one-row block or one with
+non-string keys takes the per-record path.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import math
 import os
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+
+from repro.sweep.block import RecordBlock
 
 PathLike = Union[str, Path]
 
@@ -106,10 +126,12 @@ class ResultStore:
     """Base class: append flattened records to a file incrementally.
 
     Subclasses implement :meth:`_render` (record -> complete encoded
-    line(s)).  Each append issues exactly one ``os.write`` to an
-    ``O_APPEND`` descriptor, so every record lands on disk whole — a killed
-    run leaves at most one torn *tail* line behind (repairable via
-    :func:`repair_torn_tail`), never an interleaved or mid-file torn row.
+    line(s)) and may override :meth:`_render_block` (block -> the encoded
+    lines of all its rows; the default renders row by row).  Each append
+    writes its bytes to an ``O_APPEND`` descriptor in one ``os.write``,
+    continued until every byte is on disk, so a killed run leaves at most
+    one torn *tail* line behind (repairable via :func:`repair_torn_tail`),
+    never an interleaved or mid-file torn row.
 
     Args:
         path: Store file to create or extend.
@@ -137,14 +159,41 @@ class ResultStore:
         self.count = 0
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Write one record as a single line-atomic ``os.write``."""
+        """Write one record as one whole line."""
+        self._check_open()
+        self._write(self._render(record))
+        self.count += 1
+
+    def append_block(self, block: RecordBlock) -> None:
+        """Write every row of ``block``, in row order, with one write."""
+        self._check_open()
+        if block.size:
+            self._write(self._render_block(block))
+            self.count += block.size
+
+    def _check_open(self) -> None:
         if self._fd is None:
             raise ValueError(f"store {self.path} is closed")
-        os.write(self._fd, self._render(record))
-        self.count += 1
+
+    def _write(self, data: bytes) -> None:
+        """``os.write`` all of ``data``, continuing after a short write.
+
+        A short write that went unnoticed would leave a partial line
+        mid-file for the next append to weld onto; continuing it keeps the
+        stream whole (an error still raises, leaving only a torn tail).
+        """
+        view = memoryview(data)
+        while view:
+            written = os.write(self._fd, view)
+            if written <= 0:
+                raise OSError(errno.EIO, f"write to store {self.path} made no progress")
+            view = view[written:]
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
         raise NotImplementedError
+
+    def _render_block(self, block: RecordBlock) -> bytes:
+        return b"".join(map(self._render, block.records()))
 
     def _release_lock(self) -> None:
         if self._lock_path is not None:
@@ -172,7 +221,76 @@ class JsonlResultStore(ResultStore):
     """One JSON object per line (the default sweep output format)."""
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
-        return (json.dumps(dict(record), sort_keys=True) + "\n").encode("utf-8")
+        return _jsonl_line(record).encode("utf-8")
+
+    def _render_block(self, block: RecordBlock) -> bytes:
+        return _jsonl_block(block).encode("utf-8")
+
+
+def _jsonl_line(record: Mapping[str, Any]) -> str:
+    return json.dumps(dict(record), sort_keys=True) + "\n"
+
+
+def _jsonl_block(block: RecordBlock) -> str:
+    """The JSONL lines of ``block``, byte-equal to :func:`_jsonl_line` per row.
+
+    One format string per block: each key (sorted, as ``sort_keys`` does)
+    with its shared value inlined or a ``%`` conversion for its column.
+    """
+    shared = block.shared
+    if block.size == 1 or not all(type(key) is str for key in shared):
+        return "".join(map(_jsonl_line, block.records()))
+    columns = dict(zip(block.varying, zip(*block.rows)))
+    parts: List[str] = []
+    arguments: List[Sequence[Any]] = []
+    for key in sorted(shared):
+        head = (_encode_str(key) + ": ").replace("%", "%%")
+        column = columns.get(key)
+        if column is None:
+            text, values = json.dumps(shared[key], sort_keys=True), None
+        else:
+            text, values = _column_format(column)
+        if values is None:  # the same JSON text on every row
+            parts.append(head + text.replace("%", "%%"))
+        else:
+            parts.append(head + text)
+            arguments.append(values)
+    line = "{" + ", ".join(parts) + "}\n"
+    if not arguments:
+        return (line % ()) * block.size
+    return "".join(map(line.__mod__, zip(*arguments)))
+
+
+def _column_format(column: Sequence[Any]) -> Tuple[str, Optional[Sequence[Any]]]:
+    """How one per-row column enters the row format.
+
+    Returns ``(conversion, values)``: ``"%r"`` with the raw column for ints
+    and for finite floats without repeats (their ``repr`` is their JSON
+    text), ``"%s"`` with per-row JSON text (a repeated float or string is
+    encoded once), or ``(json_text, None)`` when every row encodes to the
+    same text.
+    """
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and math.isfinite(sum(column)):
+        distinct = set(column)
+        # 0.0 and -0.0 are one set member but two JSON texts.
+        if len(distinct) == len(column) or 0.0 in distinct:
+            return "%r", column
+        encode = float.__repr__
+    elif kind is str:
+        distinct = set(column)
+        encode = _encode_str
+    elif kind is int:
+        return "%r", column
+    elif kind is type(None):
+        return "null", None
+    else:
+        return "%s", [json.dumps(value, sort_keys=True) for value in column]
+    if len(distinct) == 1:
+        return encode(distinct.pop()), None
+    encoded = {value: encode(value) for value in distinct}
+    return "%s", list(map(encoded.__getitem__, column))
 
 
 class CsvResultStore(ResultStore):
