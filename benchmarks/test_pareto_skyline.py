@@ -6,7 +6,8 @@ engine produces.  The sort-based skyline (O(n log n) for two objectives;
 divide and conquer, vectorised with numpy on large inputs, for k >= 3) is
 benchmarked here on 10,000 random points and cross-checked against the
 naive reference on a smaller sample.  The k >= 3 rewrite must beat the
-legacy block-nested loop it replaced by ``SKYLINE_3D_SPEEDUP_FLOOR``.
+legacy block-nested loop it replaced, kept here as :func:`_skyline_bnl`
+(it is no longer part of the library), by ``SKYLINE_3D_SPEEDUP_FLOOR``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 from conftest import print_series
 
-from repro.core.explorer import _skyline_bnl, pareto_front
+from repro.core.explorer import _dominates, pareto_front
 
 try:
     import numpy  # noqa: F401 - availability probe only
@@ -31,6 +32,24 @@ POINT_COUNT = 10_000
 #: replaced (full pareto_front call vs the equivalent legacy path, same
 #: 10k-point input).  Only enforced where numpy backs the vectorised path.
 SKYLINE_3D_SPEEDUP_FLOOR = 3.0
+
+
+def _skyline_bnl(vectors):
+    """Indices of the k-objective non-dominated set (block-nested loop).
+
+    The legacy k >= 3 skyline: points are visited in lexicographic order so
+    likely dominators enter the window early, and each candidate is
+    compared against the window with an early exit on the first dominator.
+    Lexicographic order means a later candidate never dominates an earlier
+    window entry, so the window only grows.  O(n * |front|) comparisons.
+    """
+    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
+    window = []
+    for index in order:
+        candidate = vectors[index]
+        if not any(_dominates(vectors[kept], candidate) for kept in window):
+            window.append(index)
+    return window
 
 
 class _Vector:

@@ -35,6 +35,7 @@ import dataclasses
 import hashlib
 import itertools
 import time
+import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,7 +56,6 @@ from repro.sweep.engine import (
     Record,
     SweepEngine,
     SweepSummary,
-    check_backend,
     derive_scenario_config,
 )
 from repro.sweep.block import record_blocks
@@ -191,6 +191,28 @@ class ExploreResult:
         return min(self.points, key=lambda p: (p.objective(objective), p.label))
 
 
+def check_backend(backend: Optional[str]) -> None:
+    """Validate :class:`Session`'s deprecated ``backend`` option, which
+    selects nothing.
+
+    Every sweep runs on the compiled batch engine.  ``"batch"`` is accepted
+    silently, ``"scalar"`` with a :class:`DeprecationWarning`, and anything
+    else raises :class:`ValueError`.
+    """
+    if backend is None or backend == "batch":
+        return
+    if backend != "scalar":
+        raise ValueError(
+            f"unknown backend {backend!r}; known backends: ['scalar', 'batch']"
+        )
+    warnings.warn(
+        "backend='scalar' is deprecated and ignored: every sweep runs on the "
+        "compiled batch engine, whose records are identical",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
 class Session:
     """Facade unifying estimate / sweep / explore behind one object.
 
@@ -200,7 +222,7 @@ class Session:
         table: Technology table override.
         jobs: Worker processes for sweeps and exploration (``1`` = serial).
         backend: Deprecated and ignored; ``"scalar"`` warns
-            (:func:`repro.sweep.engine.check_backend`).
+            (:func:`check_backend`).
         include_cost: Add ``cost_usd`` to sweep records and cost reports to
             explore points.
         mp_context: Multiprocessing start method for worker pools.

@@ -45,6 +45,7 @@ from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.io.loaders import load_design_directory
 from repro.io.writers import write_report
+from repro.serve.errors import error_message
 from repro.testcases.registry import get_testcase, list_testcases
 
 
@@ -181,29 +182,6 @@ def resolve_compile_cache(explicit: Optional[str]) -> Optional[str]:
     return os.environ.get(COMPILE_CACHE_ENV) or None
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """The deprecated ``--backend`` flag: still validated, no effect."""
-    parser.add_argument(
-        "--backend",
-        choices=["scalar", "batch"],
-        default=None,
-        help=(
-            "Deprecated and ignored: every run uses the compiled batch "
-            "engine, whose records match the scalar pipeline bit for bit"
-        ),
-    )
-
-
-def _note_deprecated_backend(backend: Optional[str]) -> None:
-    """Print one stderr note when the deprecated ``--backend scalar`` is given."""
-    if backend == "scalar":
-        print(
-            "note: --backend scalar is deprecated and ignored; the compiled "
-            "batch engine produces identical records",
-            file=sys.stderr,
-        )
-
-
 def build_sweep_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``eco-chip sweep`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -238,7 +216,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
     )
-    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
@@ -354,7 +331,7 @@ def _parse_axis_sets(entries: Sequence[str]) -> "dict":
         except (TypeError, ValueError, KeyError) as exc:
             # KeyError included: axis validators that delegate to lookup
             # helpers (e.g. carbon sources) raise it for unknown names.
-            raise ValueError(f"--set {axis.name}: {exc}") from exc
+            raise ValueError(f"--set {axis.name}: {error_message(exc)}") from exc
         axes[axis.name] = values
     return axes
 
@@ -389,6 +366,12 @@ def _sweep_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
+    if args.top < 0:
+        print(
+            format_error_text("invalid-spec", f"--top must be >= 0, got {args.top}"),
+            file=sys.stderr,
+        )
+        return EXIT_SPEC_ERROR
     if args.retries is not None and args.retries < 0:
         print(
             format_error_text(
@@ -406,7 +389,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
-    _note_deprecated_backend(args.backend)
     resilience = None
     if (
         args.retries is not None
@@ -438,7 +420,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         spec = SweepSpec.from_dict(config, base_dir=base_dir)
         scenarios = spec.expand()
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
+        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
         return EXIT_SPEC_ERROR
     if not scenarios:
         print(
@@ -490,11 +472,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
             store = open_store(out_path, append=append)
         except ValueError as exc:
             # Unknown format: the request itself is wrong.
-            print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
+            print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
             return EXIT_SPEC_ERROR
         except (OSError, RuntimeError) as exc:
             # I/O failure or a live writer holding the store lock.
-            print(format_error_text("runtime", str(exc)), file=sys.stderr)
+            print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
             return EXIT_RUNTIME_ERROR
 
     engine = SweepEngine(
@@ -547,7 +529,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     try:
         summary = engine.run(scenarios, store=store, on_record=on_record)
     except OSError as exc:
-        print(format_error_text("runtime", str(exc)), file=sys.stderr)
+        print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     finally:
         if store is not None:
@@ -599,7 +581,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         try:
             front = pareto_front(rows_from_records(pareto_records), objectives)
         except KeyError as exc:
-            print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
+            print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
             return EXIT_SPEC_ERROR
         print(f"\nPareto front under {objectives} ({len(front)} points):")
         for row in front:
@@ -669,7 +651,6 @@ def build_search_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
     )
-    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
@@ -728,7 +709,6 @@ def _search_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
-    _note_deprecated_backend(args.backend)
     compile_cache = resolve_compile_cache(args.compile_cache)
 
     try:
@@ -761,7 +741,7 @@ def _search_main(argv: Sequence[str]) -> int:
                 config[key] = value
         spec = SearchSpec.from_dict(config, base_dir=base_dir)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
+        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
         return EXIT_SPEC_ERROR
 
     out_path = args.out
@@ -788,10 +768,10 @@ def _search_main(argv: Sequence[str]) -> int:
     try:
         result = run_search(spec, engine, out=out_path, resume=resume)
     except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
+        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
         return EXIT_SPEC_ERROR
     except (OSError, RuntimeError) as exc:
-        print(format_error_text("runtime", str(exc)), file=sys.stderr)
+        print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
     fraction = 100.0 * result.evaluated_fraction
@@ -881,7 +861,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="Worker processes per sweep; 1 keeps evaluation in-process "
              "and shares the compile cache (default: 1)",
     )
-    _add_backend_flag(parser)
     parser.add_argument(
         "--compile-cache",
         metavar="DIR",
@@ -971,7 +950,6 @@ def _serve_main(argv: Sequence[str]) -> int:
     from repro.serve.app import create_server
     from repro.serve.quota import QuotaTracker
 
-    _note_deprecated_backend(args.backend)
     compile_cache_dir = resolve_compile_cache(args.compile_cache)
 
     quota = QuotaTracker(args.quota) if args.quota is not None else None
@@ -1062,7 +1040,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             design = load_design_directory(args.design_dir)
         except (FileNotFoundError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {error_message(exc)}", file=sys.stderr)
             return 2
         system = design.system
         node_sweep = design.node_sweep
@@ -1070,7 +1048,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             system = get_testcase(args.testcase)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {error_message(exc)}", file=sys.stderr)
             return 2
     else:
         parser.print_help()

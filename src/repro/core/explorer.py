@@ -14,7 +14,7 @@ import dataclasses
 import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # optional fast path, same soft dependency as repro.fastpath.batch
+try:  # optional: vectorises pareto_front on large inputs (the [fast] extra)
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is in the reference env
     _np = None
@@ -105,32 +105,6 @@ def _skyline_2d(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
     return survivors
 
 
-def _skyline_bnl(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
-    """Indices of the k-objective non-dominated set (block-nested loop).
-
-    Points are visited in lexicographic order so likely dominators enter the
-    window early; each candidate is compared against the current window with
-    an early exit on the first dominator.  Worst case O(n^2) comparisons,
-    but O(n * |front|) in practice — far below the all-pairs scan for the
-    small fronts design-space sweeps produce.
-    """
-    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-    window: List[int] = []
-    for index in order:
-        candidate = vectors[index]
-        dominated = False
-        for kept in window:
-            if _dominates(vectors[kept], candidate):
-                dominated = True
-                break
-        if dominated:
-            continue
-        # Lexicographic order guarantees earlier window entries are never
-        # dominated by later candidates, so the window only grows.
-        window.append(index)
-    return window
-
-
 #: Below this many (pre-sorted) points the divide-and-conquer skyline stops
 #: recursing and scans the slice directly.
 _DNC_BASE_CASE = 64
@@ -138,16 +112,6 @@ _DNC_BASE_CASE = 64
 #: Below this many points the vectorised skyline is not worth the array
 #: round-trip and the pure-python divide-and-conquer runs instead.
 _NUMPY_MIN_POINTS = 256
-
-def _skyline_filter(
-    candidates: Sequence[int], reference: Sequence[int], vectors: Sequence[Tuple[float, ...]]
-) -> List[int]:
-    """The ``candidates`` not dominated by any ``reference`` index."""
-    return [
-        index
-        for index in candidates
-        if not any(_dominates(vectors[kept], vectors[index]) for kept in reference)
-    ]
 
 
 def _skyline_divide(
@@ -161,8 +125,9 @@ def _skyline_divide(
     so merging halves only filters the right skyline against the left one —
     and filtering against the left *skyline* suffices, because any left point
     dominating a right point is itself dominated by (or equal to) some left
-    survivor, which then dominates the right point by transitivity.  The
-    window scan of :func:`_skyline_bnl` handles slices of ``_DNC_BASE_CASE``.
+    survivor, which then dominates the right point by transitivity.  Slices
+    of at most ``_DNC_BASE_CASE`` points are scanned against a window of
+    the survivors so far.
     """
     if len(order) <= _DNC_BASE_CASE:
         window: List[int] = []
@@ -174,7 +139,11 @@ def _skyline_divide(
     mid = len(order) // 2
     left = _skyline_divide(order[:mid], vectors)
     right = _skyline_divide(order[mid:], vectors)
-    return left + _skyline_filter(right, left, vectors)
+    return left + [
+        index
+        for index in right
+        if not any(_dominates(vectors[kept], vectors[index]) for kept in left)
+    ]
 
 
 def _skyline_numpy(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
@@ -236,19 +205,6 @@ def _skyline_2d_numpy(matrix) -> List[int]:
         prefix_best[1:] = _np.minimum.accumulate(run_min)[:-1]
     keep = (y == run_min[run_ids]) & (y < prefix_best[run_ids])
     return [int(index) for index in order[keep]]
-
-
-def _skyline_kd(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
-    """Dispatch the k>=3 skyline: vectorised when numpy is present and the
-    input is large enough to amortise the array round-trip, pure-python
-    divide and conquer otherwise.  Both compute the exact non-dominated set
-    (it is a property of the point multiset, not of the algorithm), so the
-    choice never changes results.
-    """
-    if _np is not None and len(vectors) >= _NUMPY_MIN_POINTS:
-        return _skyline_numpy(vectors)
-    order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-    return _skyline_divide(order, vectors)
 
 
 def pareto_front(
@@ -325,7 +281,8 @@ def pareto_front(
         if len(objectives) == 2:
             survivors = _skyline_2d(vectors)
         else:
-            survivors = _skyline_kd(vectors)
+            order = sorted(range(len(vectors)), key=lambda i: vectors[i])
+            survivors = _skyline_divide(order, vectors)
         keep = {indexes[survivor] for survivor in survivors}
     return [point for index, point in enumerate(points) if index in keep]
 

@@ -10,11 +10,7 @@ engine behind :class:`repro.sweep.engine.SweepEngine` and every front-end
 built on it.
 """
 
-from repro.fastpath.batch import (
-    NUMPY_MIN_GROUP,
-    BatchEstimator,
-    group_scenarios,
-)
+from repro.fastpath.batch import BatchEstimator, group_scenarios
 from repro.fastpath.compiled import (
     ChipletTerms,
     CompiledSystem,
@@ -38,7 +34,6 @@ __all__ = [
     "CompiledSystem",
     "CostTerms",
     "DiskCompileCache",
-    "NUMPY_MIN_GROUP",
     "PackagingTerms",
     "SourceTerms",
     "TemplateCompiler",

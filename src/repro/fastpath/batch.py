@@ -8,19 +8,16 @@ one record block (:class:`repro.sweep.block.RecordBlock`).  The block's
 records are bit-identical (exact float equality, same keys in the same
 order) to the scalar path's :func:`repro.sweep.engine.make_record` output.
 
-Two evaluation backends produce the same bits:
-
-* a dependency-free pure-Python loop (always available), and
-* a NumPy backend (``pip install eco-chip-repro[fast]``) that evaluates a whole
-  group as element-wise operations over preallocated arrays.  IEEE-754
-  binary64 element-wise arithmetic matches Python's float arithmetic
-  operation for operation, so the backends are interchangeable at the bit
-  level; NumPy is only engaged for groups large enough to amortise array
-  construction.
+The kernel is one dependency-free Python loop per group: it performs the
+scalar estimator's binary64 operations in the scalar estimator's order,
+which is what makes the records bit-identical.  NumPy is not used here
+(a vectorised group evaluator measured within noise of this loop end to
+end, and the loop must exist anyway for NumPy-free installs).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.axes import (
@@ -43,11 +40,6 @@ from repro.sweep.spec import Scenario, packaging_params_json
 from repro.technology.carbon_sources import carbon_intensity
 from repro.technology.nodes import TechnologyTable
 
-try:  # optional acceleration: the eco-chip-repro[fast] extra
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 Record = Dict[str, Any]
 
 #: The per-row values of a group, in the kernel's row-tuple order; a
@@ -69,10 +61,6 @@ _ROW_KEYS_WITH_COST = _ROW_KEYS + ("cost_usd",)
 #: The per-row canonical-JSON scenario columns, for a group whose scenarios
 #: do not share one packaging and one override dict.
 _JSON_KEYS = ("packaging_params", "overrides")
-
-#: Minimum group size for which the NumPy backend beats array-construction
-#: overhead (smaller groups always use the pure-Python loop).
-NUMPY_MIN_GROUP = 16
 
 
 def group_scenarios(
@@ -175,10 +163,6 @@ class BatchEstimator:
         table: Technology table override.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
-        use_numpy: ``True`` forces the NumPy backend for every group,
-            ``False`` forces the pure-Python loop, ``None`` (default) picks
-            NumPy automatically when it is installed and a group is large
-            enough to benefit.
         persistent_cache: Optional on-disk compile cache
             (:class:`repro.fastpath.DiskCompileCache` or a directory path),
             mounted by every config context's template compiler: compiled
@@ -192,19 +176,12 @@ class BatchEstimator:
         config: Optional[EstimatorConfig] = None,
         table: Optional[TechnologyTable] = None,
         include_cost: bool = True,
-        use_numpy: Optional[bool] = None,
         persistent_cache: Optional[Any] = None,
     ):
-        if use_numpy and _np is None:
-            raise ImportError(
-                "use_numpy=True but numpy is not installed; "
-                "install the optional extra: pip install eco-chip-repro[fast]"
-            )
         from repro.fastpath.diskcache import as_disk_cache
 
         self._table = table
         self.include_cost = include_cost
-        self.use_numpy = use_numpy
         #: Shared by every config context (one disk cache object, one set
         #: of cache-wide counters, one mount point).
         self.persistent_cache = as_disk_cache(persistent_cache)
@@ -241,8 +218,13 @@ class BatchEstimator:
 
     @property
     def numpy_available(self) -> bool:
-        """True when the NumPy backend can be used in this environment."""
-        return _np is not None
+        """True when NumPy is installed.
+
+        The batch kernel never uses it; only
+        :func:`repro.core.explorer.pareto_front` vectorises large inputs
+        with it.  Kept for environment reports.
+        """
+        return importlib.util.find_spec("numpy") is not None
 
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate template-cache counters across all config contexts.
@@ -285,10 +267,9 @@ class BatchEstimator:
 
         The single-scenario seam the resilience layer evaluates through:
         containment isolates failures per scenario, so a raising scenario
-        must not take its whole template group down with it.  A group of
-        one always uses the pure-Python backend, whose arithmetic is
-        bit-identical to the NumPy group path, so records match
-        :meth:`evaluate_group` exactly.
+        must not take its whole template group down with it.  The kernel
+        is the same per row, so records match :meth:`evaluate_group`
+        exactly.
         """
         return self.evaluate_block(self.compile_for(scenario), [scenario]).record(0)
 
@@ -321,13 +302,7 @@ class BatchEstimator:
         """
         first = scenarios[0]
         context = self._context_for(first)
-        use_numpy = self.use_numpy
-        if use_numpy is None:
-            use_numpy = _np is not None and len(scenarios) >= NUMPY_MIN_GROUP
-        if use_numpy:
-            rows = self._rows_numpy(template, scenarios, context)
-        else:
-            rows = self._rows_pure(template, scenarios, context)
+        rows = self._rows_pure(template, scenarios, context)
         packaging = first.packaging
         overrides = first.overrides
         # Key order matches scenario.to_record() + make_record()'s update();
@@ -435,7 +410,7 @@ class BatchEstimator:
         template.source_terms_cache[fab_source] = terms
         return terms
 
-    # -- pure-Python backend -------------------------------------------------------------
+    # -- per-row kernel --------------------------------------------------------------------
     def _rows_pure(
         self,
         template: CompiledSystem,
@@ -487,84 +462,3 @@ class BatchEstimator:
                 row += (cost.total_usd(system_volume),)
             rows.append(row)
         return rows
-
-    # -- NumPy backend -----------------------------------------------------------------
-    def _rows_numpy(
-        self,
-        template: CompiledSystem,
-        scenarios: Sequence[Scenario],
-        context: _ConfigContext,
-    ) -> List[Tuple[Any, ...]]:
-        """The per-row values of a group as element-wise array arithmetic."""
-        assert _np is not None, "numpy backend requested without numpy installed"
-        count = len(scenarios)
-        terms_list = [
-            self.source_terms(template, scenario.fab_source, context)
-            for scenario in scenarios
-        ]
-        base_volume = template.base_volume
-        base_lifetime = template.base_lifetime
-        # The records carry these values as given (an int volume stays an
-        # int, exactly as on the scalar path); the arrays are for arithmetic.
-        volumes = [
-            s.system_volume if s.system_volume is not None else base_volume
-            for s in scenarios
-        ]
-        lifetimes = [
-            s.lifetime_years if s.lifetime_years is not None else base_lifetime
-            for s in scenarios
-        ]
-        manufacturings = [t.manufacturing_total_g for t in terms_list]
-        his = [t.hi_total_g for t in terms_list]
-        system_volume = _np.array(volumes, dtype=_np.float64)
-        lifetime = _np.array(lifetimes, dtype=_np.float64)
-        manufacturing = _np.array(manufacturings, dtype=_np.float64)
-        hi = _np.array(his, dtype=_np.float64)
-        comm_design = _np.array(
-            [t.comm_design_total_g for t in terms_list], dtype=_np.float64
-        )
-
-        # Element-wise accumulation in chiplet order — identical to the
-        # scalar fold (IEEE binary64 operations in the same sequence).
-        amortised = _np.zeros(count, dtype=_np.float64)
-        for chiplet_index in range(len(template.chiplets)):
-            values = _np.array(
-                [t.design_parts[chiplet_index][1] for t in terms_list],
-                dtype=_np.float64,
-            )
-            fixed = terms_list[0].design_parts[chiplet_index][0]
-            amortised = amortised + (values if fixed else values / system_volume)
-        design_total = amortised + comm_design / system_volume
-        if context.include_design:
-            design_used = design_total
-        else:
-            design_used = _np.zeros(count, dtype=_np.float64)
-        lifetime_cfp = template.annual_cfp_g * lifetime
-        embodied = (manufacturing + design_used) + hi
-        total = embodied + lifetime_cfp
-
-        # Columns in _ROW_KEYS order.
-        columns = [
-            [s.index for s in scenarios],
-            [t.fab_label for t in terms_list],
-            lifetimes,
-            volumes,
-            total.tolist(),
-            embodied.tolist(),
-            manufacturings,
-            design_used.tolist(),
-            his,
-            lifetime_cfp.tolist(),
-        ]
-        cost = template.cost
-        if cost is not None:
-            nre_total = _np.zeros(count, dtype=_np.float64)
-            for group in cost.groups:
-                if group.reused:
-                    continue
-                volume = _np.zeros(count, dtype=_np.float64)
-                for member in group.member_volumes:
-                    volume = volume + (member if member is not None else system_volume)
-                nre_total = nre_total + group.masks_plus_design_usd / volume
-            columns.append((cost.fixed_usd + nre_total).tolist())
-        return list(zip(*columns))

@@ -34,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.serve.errors import JobStateError, NotFoundError, ServeError, SpecError
+from repro.serve.errors import NotFoundError, ServeError, SpecError, error_message
 from repro.serve.jobs import JobManager
 
 __all__ = ["ServeServer", "create_server"]
@@ -198,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             front = pareto_front(rows, objectives)
         except KeyError as exc:
-            raise SpecError(str(exc)) from exc
+            raise SpecError(error_message(exc)) from exc
         self._send_json(
             200,
             {

@@ -39,6 +39,18 @@ def format_error_text(code: str, message: str) -> str:
     return f"error: [{code}] {message}"
 
 
+def error_message(exc: BaseException) -> str:
+    """The human message of ``exc``.
+
+    ``str()`` of a one-argument :class:`KeyError` is the *repr* of its
+    argument, so a lookup error raised with a sentence would print wrapped
+    in quotes; this returns the sentence itself.
+    """
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
+
+
 class ServeError(Exception):
     """Base of all structured service errors.
 

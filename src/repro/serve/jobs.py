@@ -44,6 +44,7 @@ from repro.serve.errors import (
     NotFoundError,
     QueueFullError,
     SpecError,
+    error_message,
 )
 from repro.serve.metrics import Metrics
 from repro.serve.quota import QuotaTracker
@@ -293,7 +294,7 @@ class JobManager:
         try:
             spec = SweepSpec.from_dict(spec_dict)
         except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(str(exc)) from exc
+            raise SpecError(error_message(exc)) from exc
         if spec.count() == 0:
             raise SpecError("the spec expands into zero scenarios")
         if self.breaker is not None:

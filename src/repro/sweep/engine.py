@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -191,27 +190,6 @@ def reference_records(
         )
         records.append(make_record(scenario, system, report, fab_source, cost_usd))
     return records
-
-
-def check_backend(backend: Optional[str]) -> None:
-    """Validate the deprecated ``backend`` option, which selects nothing.
-
-    Every sweep runs on the compiled batch engine.  ``"batch"`` is accepted
-    silently, ``"scalar"`` with a :class:`DeprecationWarning`, and anything
-    else raises :class:`ValueError`.
-    """
-    if backend is None or backend == "batch":
-        return
-    if backend != "scalar":
-        raise ValueError(
-            f"unknown backend {backend!r}; known backends: ['scalar', 'batch']"
-        )
-    warnings.warn(
-        "backend='scalar' is deprecated and ignored: every sweep runs on the "
-        "compiled batch engine, whose records are identical",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 #: Worker-process batch estimator, one per worker.
@@ -424,8 +402,6 @@ class SweepEngine:
         jobs: Worker processes; ``1`` runs serially in-process.
         config: Estimator configuration shared by all scenarios (scenario
             ``fab_source`` overrides the energy sources per scenario).
-        backend: Deprecated and ignored (:func:`check_backend`); kept for
-            one release so existing callers keep working.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
         mp_context: Multiprocessing start method for worker pools
@@ -467,7 +443,6 @@ class SweepEngine:
         self,
         jobs: int = 1,
         config: Optional[EstimatorConfig] = None,
-        backend: Optional[str] = None,
         include_cost: bool = True,
         mp_context: Optional[str] = None,
         table: Optional[TechnologyTable] = None,
@@ -478,7 +453,6 @@ class SweepEngine:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        check_backend(backend)
         if mp_context is not None:
             known = multiprocessing.get_all_start_methods()
             if mp_context not in known:

@@ -224,6 +224,14 @@ class TestServeErrors:
         status, payload, _ = request("POST", f"{base}/v1/sweeps")
         assert status == 400
 
+    def test_keyerror_message_has_no_repr_quotes(self, server):
+        _, base = server
+        status, payload, _ = request(
+            "POST", f"{base}/v1/sweeps", {"testcases": ["ga102-3chiplet"], "packaging": ["warp"]}
+        )
+        assert status == 400
+        assert payload["error"]["message"].startswith("unknown packaging type 'warp'; ")
+
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server
         _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)

@@ -107,7 +107,10 @@ class TestSweepCli:
 
     def test_unknown_preset_fails(self, capsys):
         assert main(["sweep", "--preset", "warp"]) == 2
-        assert "unknown sweep preset" in capsys.readouterr().err
+        # KeyError-derived messages print without the repr quotes.
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] unknown sweep preset 'warp'; known presets: "
+        )
 
     def test_missing_spec_file_fails(self, tmp_path, capsys):
         assert main(["sweep", "--spec", str(tmp_path / "ghost.json")]) == 2
@@ -125,26 +128,17 @@ class TestSweepCli:
         assert code == 2
         assert "unknown result-store format" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["scalar", "batch"])
-    def test_deprecated_backend_flag_is_ignored(self, backend, tmp_path, capsys):
-        plain = tmp_path / "plain.jsonl"
-        flagged = tmp_path / "flagged.jsonl"
-        argv = ["sweep", "--preset", "ga102-quick", "--quiet"]
-        assert main(argv + ["--out", str(plain)]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--backend", backend, "--out", str(flagged)]) == 0
-        notes = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("note:")
-        ]
-        assert len(notes) == (1 if backend == "scalar" else 0)
-        assert flagged.read_bytes() == plain.read_bytes()
-
-    def test_unknown_backend_fails(self, capsys):
+    def test_removed_backend_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--preset", "ga102-quick", "--backend", "bogus"])
+            main(["sweep", "--preset", "ga102-quick", "--backend", "batch"])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_negative_top_fails(self, capsys):
+        assert main(["sweep", "--preset", "ga102-quick", "--top", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [invalid-spec] --top must be >= 0, got -1\n"
+        )
 
     def test_invalid_jobs_fails(self, capsys):
         assert main(["sweep", "--preset", "ga102-quick", "--jobs", "0"]) == 2

@@ -1,9 +1,9 @@
 """Property-based skyline equivalence (hypothesis).
 
-Every skyline implementation — the 2-objective sweep, the k>=3
-divide-and-conquer, the vectorised numpy formulation and the legacy
-block-nested loop — must compute the exact non-dominated index set of a
-brute-force all-pairs scan on *any* input, including coarse value grids
+Every skyline implementation — one pure-Python and one vectorised numpy
+version per regime: the 2-objective sweep, the k>=3 divide-and-conquer,
+and their numpy counterparts — must compute the exact non-dominated index
+set of a brute-force all-pairs scan on *any* input, including coarse value grids
 full of exact duplicates and single-axis ties.  NaN handling is a
 :func:`repro.core.explorer.pareto_front` contract (exclude-with-warning or
 raise), checked against a NaN-free reference front.
@@ -21,9 +21,7 @@ from hypothesis import strategies as st
 from repro.core.explorer import (
     _dominates,
     _skyline_2d,
-    _skyline_bnl,
     _skyline_divide,
-    _skyline_kd,
     pareto_front,
 )
 
@@ -47,6 +45,11 @@ def brute_force_front(vectors):
             _dominates(other, candidate) for j, other in enumerate(vectors) if j != i
         )
     )
+
+
+def divide(vectors):
+    """:func:`_skyline_divide` over ``vectors`` in lexicographic order."""
+    return _skyline_divide(sorted(range(len(vectors)), key=lambda i: vectors[i]), vectors)
 
 
 class _Vector:
@@ -97,10 +100,7 @@ class TestSkylineEquivalence:
     @settings(max_examples=200)
     def test_k3plus_all_implementations_agree_on_coarse_grids(self, vectors):
         expected = brute_force_front(vectors)
-        order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-        assert sorted(_skyline_bnl(vectors)) == expected
-        assert sorted(_skyline_divide(order, vectors)) == expected
-        assert sorted(_skyline_kd(vectors)) == expected
+        assert sorted(divide(vectors)) == expected
         if HAVE_NUMPY:
             assert sorted(_skyline_numpy(vectors)) == expected
 
@@ -108,8 +108,7 @@ class TestSkylineEquivalence:
     @settings(max_examples=150)
     def test_k3plus_all_implementations_agree_on_smooth_points(self, vectors):
         expected = brute_force_front(vectors)
-        order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-        assert sorted(_skyline_divide(order, vectors)) == expected
+        assert sorted(divide(vectors)) == expected
         if HAVE_NUMPY:
             assert sorted(_skyline_numpy(vectors)) == expected
 
@@ -120,7 +119,7 @@ class TestSkylineEquivalence:
         # member's copies are all on the front too.
         duplicated = list(vectors) * (copies + 1)
         expected = brute_force_front(duplicated)
-        assert sorted(_skyline_kd(duplicated)) == expected
+        assert sorted(divide(duplicated)) == expected
         if HAVE_NUMPY:
             assert sorted(_skyline_numpy(duplicated)) == expected
 
@@ -129,8 +128,7 @@ class TestSkylineEquivalence:
     def test_divide_recursion_is_exercised_past_the_base_case(self, vectors):
         # Grow past _DNC_BASE_CASE so the merge path runs, not just the scan.
         grown = list(vectors) * 3 + [(v[0] + 0.125, v[1], v[2]) for v in vectors]
-        order = sorted(range(len(grown)), key=lambda i: grown[i])
-        assert sorted(_skyline_divide(order, grown)) == brute_force_front(grown)
+        assert sorted(divide(grown)) == brute_force_front(grown)
 
 
 class TestParetoFrontNaN:

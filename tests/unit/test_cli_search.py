@@ -153,35 +153,6 @@ class TestHappyPath:
         assert "of 32 grid points" in stdout  # 16-point preset x 2 diameters
         assert len(load_records(out)) == 6
 
-    def test_backends_agree_on_the_store(self, spec_path, tmp_path, capsys):
-        # --backend is deprecated and ignored: "scalar" prints one note and
-        # writes the same bytes as a run without the flag.
-        default = tmp_path / "default.jsonl"
-        scalar = tmp_path / "scalar.jsonl"
-        assert main(["search", "--spec", str(spec_path), "--out", str(default), "--quiet"]) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "search",
-                    "--spec",
-                    str(spec_path),
-                    "--backend",
-                    "scalar",
-                    "--out",
-                    str(scalar),
-                    "--quiet",
-                ]
-            )
-            == 0
-        )
-        notes = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("note:")
-        ]
-        assert len(notes) == 1 and "deprecated" in notes[0]
-        assert default.read_bytes() == scalar.read_bytes()
-
     def test_resume_extends_the_same_file(self, spec_path, tmp_path, capsys):
         out = tmp_path / "resume.jsonl"
         assert main(["search", "--spec", str(spec_path), "--out", str(out), "--quiet"]) == 0

@@ -224,11 +224,11 @@ class TestSkylineCorrectness:
 
 
 class TestSkylineBlockNestedLoop:
-    """The k>=3 branch (divide-and-conquer `_skyline_kd`) specifically.
+    """The k>=3 branch (divide-and-conquer `_skyline_divide`) specifically.
 
     Small inputs here run the pure-python recursion; the vectorised numpy
-    path and the legacy `_skyline_bnl` reference are held to the same
-    answers in TestSkylineKdDispatch and tests/property/test_property_skyline.py.
+    path is held to the same answers in TestSkylineKdDispatch and
+    tests/property/test_property_skyline.py.
     """
 
     OBJ3 = ["a", "b", "c"]
@@ -317,13 +317,14 @@ class TestSkylineKdDispatch:
         assert pareto_front(points, self.OBJ3) == _naive_front(points, self.OBJ3)
 
     def test_numpy_and_divide_agree_above_and_below_the_threshold(self):
-        from repro.core.explorer import _NUMPY_MIN_POINTS, _skyline_divide, _skyline_kd
+        pytest.importorskip("numpy")
+        from repro.core.explorer import _NUMPY_MIN_POINTS, _skyline_divide, _skyline_numpy
 
         for count in (40, _NUMPY_MIN_POINTS * 2):
             points = self._grid(count, seed=count)
             vectors = [tuple(p.objective(n) for n in self.OBJ3) for p in points]
             order = sorted(range(len(vectors)), key=lambda i: vectors[i])
-            assert sorted(_skyline_kd(vectors)) == sorted(_skyline_divide(order, vectors))
+            assert sorted(_skyline_numpy(vectors)) == sorted(_skyline_divide(order, vectors))
 
     def test_nan_points_are_excluded_with_a_warning(self):
         nan = float("nan")

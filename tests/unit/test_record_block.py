@@ -109,18 +109,10 @@ class TestKernelBlocks:
         members = [s for s in scenarios if estimator.compile_for(s) is template]
         block = estimator.evaluate_block(template, members)
         expected = reference_records(members)
+        assert block.lists == ("nodes",)
         assert tuple(block.shared) == tuple(expected[0])
         assert block.records() == expected
         assert repr(block.records()) == repr(expected)
-
-    @pytest.mark.parametrize("use_numpy", [False, True])
-    def test_both_group_evaluators_fill_the_same_block(self, use_numpy):
-        pytest.importorskip("numpy")
-        scenarios = GROUPED.expand()[:8]
-        estimator = BatchEstimator(use_numpy=use_numpy)
-        block = estimator.evaluate_block(estimator.compile_for(scenarios[0]), scenarios)
-        assert block.lists == ("nodes",)
-        assert repr(block.records()) == repr(reference_records(scenarios))
 
     def test_equal_packaging_dicts_render_per_row(self):
         # Hand-built scenarios: equal packaging dicts that are distinct
