@@ -19,9 +19,11 @@ grid must beat the scalar oracle.
 
 ``test_sweep_to_jsonl_end_to_end`` gates a sweep streamed to a JSONL store
 without collecting records (``Session.sweep(out=..., collect_records=False)``)
-— expand, group, compile, evaluate, render and write — on the grid crossed
-with lifetimes and volumes, and checks the store's bytes against the
-oracle's records.
+— the spec's template groups, compile, evaluate, render and write — on
+the grid crossed with lifetimes and volumes, and checks the store's bytes
+against the oracle's records.  ``test_sweep_parallel_end_to_end`` gates the
+same grid at ``jobs=2`` on fork workers with the records collected: the
+one entry that crosses the process pool.
 """
 
 from __future__ import annotations
@@ -210,6 +212,22 @@ def test_sweep_to_jsonl_end_to_end(benchmark, tmp_path):
     count = result.summary.scenario_count
     print_series(
         f"Sweep to JSONL, {STORE_GRID.name} ({count} scenarios)",
+        [f"  end to end: {count / benchmark.stats.stats.min:10.0f} scenarios/s (best round)"],
+    )
+
+
+def test_sweep_parallel_end_to_end(benchmark):
+    """Sweep at ``jobs=2`` (fork workers) through ``Session.sweep``, records collected.
+
+    Template groups go out to the workers and record blocks come back; the
+    parent builds the record dicts, which must equal the oracle's.
+    """
+    session = Session(jobs=2, mp_context="fork")
+    result = benchmark(session.sweep, STORE_GRID)
+    assert list(result.records) == reference_records(STORE_GRID)
+    count = result.summary.scenario_count
+    print_series(
+        f"Parallel sweep, {STORE_GRID.name} ({count} scenarios, jobs=2)",
         [f"  end to end: {count / benchmark.stats.stats.min:10.0f} scenarios/s (best round)"],
     )
 

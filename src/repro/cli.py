@@ -37,7 +37,7 @@ import argparse
 import heapq
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Collection, List, Optional, Sequence
 
 from repro.core.disaggregation import iter_node_configurations
 from repro.core.estimator import EcoChip, EstimatorConfig
@@ -418,11 +418,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 )
             config[name] = values
         spec = SweepSpec.from_dict(config, base_dir=base_dir)
-        scenarios = spec.expand()
+        count = spec.count()
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
         return EXIT_SPEC_ERROR
-    if not scenarios:
+    if not count:
         print(
             format_error_text("invalid-spec", "the spec expands into zero scenarios"),
             file=sys.stderr,
@@ -432,6 +432,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     out_path = args.out
     append = False
     skipped = 0
+    done_ids: Collection[int] = ()
     existing_records: List = []
     if args.resume:
         if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
@@ -447,8 +448,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
         out_path = args.resume
         append = True
         try:
-            scenarios, skipped, existing_records, repaired = prepare_resume(
-                scenarios, args.resume
+            done_ids, skipped, existing_records, repaired = prepare_resume(
+                spec, args.resume
             )
         except (OSError, ValueError) as exc:
             print(
@@ -462,7 +463,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
             print(f"repaired torn tail of {args.resume} (crashed run)")
         if skipped:
             print(f"resuming {args.resume}: {skipped} scenarios already evaluated")
-        if not scenarios:
+        if skipped == count:
             print(f"nothing to do: all scenarios already in {args.resume}")
             return 0
 
@@ -527,7 +528,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     # Row dicts are only built when the top-N table or the front needs them.
     on_record = track if top_n > 0 or pareto_records is not None else None
     try:
-        summary = engine.run(scenarios, store=store, on_record=on_record)
+        summary = engine.run(spec, store=store, on_record=on_record, skip=done_ids)
     except OSError as exc:
         print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
         return EXIT_RUNTIME_ERROR

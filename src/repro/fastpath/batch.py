@@ -1,12 +1,15 @@
 """Batch evaluation of sweep scenarios over compiled templates.
 
-:class:`BatchEstimator` groups scenarios by their template key (base system,
-node assignment, packaging architecture), compiles each template once via
-:class:`repro.fastpath.compiled.TemplateCompiler`, and evaluates every
-scenario of a group as flat arithmetic over the compiled coefficients into
-one record block (:class:`repro.sweep.block.RecordBlock`).  The block's
-records are bit-identical (exact float equality, same keys in the same
-order) to the scalar path's :func:`repro.sweep.engine.make_record` output.
+:class:`BatchEstimator` evaluates template groups
+(:class:`repro.sweep.spec.TemplateGroup`: scenarios sharing a base system,
+node assignment, packaging and overrides, as enumerated by a spec or
+gathered from a scenario list by :func:`group_scenarios`), compiles each
+template once via :class:`repro.fastpath.compiled.TemplateCompiler`, and
+evaluates every row of a group as flat arithmetic over the compiled
+coefficients into one record block (:class:`repro.sweep.block.RecordBlock`).
+The block's records are bit-identical (exact float equality, same keys in
+the same order) to the scalar path's :func:`repro.sweep.engine.make_record`
+output.
 
 The kernel is one dependency-free Python loop per group: it performs the
 scalar estimator's binary64 operations in the scalar estimator's order,
@@ -18,7 +21,7 @@ end, and the loop must exist anyway for NumPy-free installs).
 from __future__ import annotations
 
 import importlib.util
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.axes import (
     apply_config_overrides,
@@ -36,7 +39,7 @@ from repro.fastpath.compiled import (
 from repro.packaging.base import _TO_MM2
 from repro.sweep.block import RecordBlock
 from repro.sweep.engine import _source_name
-from repro.sweep.spec import Scenario, packaging_params_json
+from repro.sweep.spec import GroupRow, Scenario, TemplateGroup, packaging_params_json
 from repro.technology.carbon_sources import carbon_intensity
 from repro.technology.nodes import TechnologyTable
 
@@ -65,12 +68,12 @@ _JSON_KEYS = ("packaging_params", "overrides")
 
 def group_scenarios(
     scenarios: Sequence[Scenario],
-) -> List[Tuple[Tuple, List[Tuple[int, Scenario]]]]:
+) -> List[Tuple[List[int], TemplateGroup]]:
     """Group scenarios by template key, preserving first-occurrence order.
 
-    Returns ``[(template_key, [(position, scenario), ...]), ...]`` where
-    ``position`` is the scenario's index in the input sequence (*not* its
-    grid index, which survives resume filtering).
+    Returns ``[(positions, group), ...]`` where ``positions`` are the
+    group's scenarios' indices in the input sequence (*not* their grid
+    indices, which survive resume filtering and sit in the group's rows).
     """
     # Packaging and override dicts are shared between the scenarios of one
     # spec expansion, so canonicalising per object identity avoids
@@ -79,7 +82,7 @@ def group_scenarios(
     # i.e. within this call.
     signature_by_id: Dict[int, Optional[Tuple]] = {}
     override_sig_by_id: Dict[int, Optional[Tuple]] = {}
-    groups: Dict[Tuple, List[Tuple[int, Scenario]]] = {}
+    groups: Dict[Tuple, Tuple[List[int], List[Scenario]]] = {}
     for position, scenario in enumerate(scenarios):
         packaging = scenario.packaging
         if packaging is None:
@@ -106,9 +109,10 @@ def group_scenarios(
         )
         members = groups.get(key)
         if members is None:
-            groups[key] = members = []
-        members.append((position, scenario))
-    return list(groups.items())
+            groups[key] = members = ([], [])
+        members[0].append(position)
+        members[1].append(scenario)
+    return [(positions, TemplateGroup.of(members)) for positions, members in groups.values()]
 
 
 class _ConfigContext:
@@ -197,15 +201,15 @@ class BatchEstimator:
         #: that inspect or pre-warm the override-free cache).
         self.compiler = self._base_context.compiler
 
-    def _context_for(self, scenario: Scenario) -> _ConfigContext:
-        """The compilation context for a scenario's config-axis overrides."""
-        if not scenario.overrides:  # hot path: override-free grids
+    def _context_for(self, group: Union[TemplateGroup, Scenario]) -> _ConfigContext:
+        """The compilation context for a group's config-axis overrides."""
+        if not group.overrides:  # hot path: override-free grids
             return self._base_context
-        signature = config_overrides_signature(scenario.overrides)
+        signature = config_overrides_signature(group.overrides)
         context = self._contexts.get(signature)
         if context is None:
             config = apply_config_overrides(
-                self._base_context.compiler.config, scenario.overrides
+                self._base_context.compiler.config, group.overrides
             )
             context = _ConfigContext(
                 config,
@@ -254,11 +258,9 @@ class BatchEstimator:
         """Records for ``scenarios``, in input order."""
         scenarios = list(scenarios)
         records: List[Optional[Record]] = [None] * len(scenarios)
-        for key, members in group_scenarios(scenarios):
-            group_records = self.evaluate_group(
-                self.compile_for(members[0][1]), [s for _, s in members]
-            )
-            for (position, _), record in zip(members, group_records):
+        for positions, group in group_scenarios(scenarios):
+            block = self.evaluate_block(self.compile_for(group), group)
+            for position, record in zip(positions, block.records()):
                 records[position] = record
         return records  # type: ignore[return-value]
 
@@ -268,31 +270,30 @@ class BatchEstimator:
         The single-scenario seam the resilience layer evaluates through:
         containment isolates failures per scenario, so a raising scenario
         must not take its whole template group down with it.  The kernel
-        is the same per row, so records match :meth:`evaluate_group`
+        is the same per row, so records match :meth:`evaluate_block`
         exactly.
         """
-        return self.evaluate_block(self.compile_for(scenario), [scenario]).record(0)
+        group = TemplateGroup.of([scenario])
+        return self.evaluate_block(self.compile_for(group), group).record(0)
 
-    def compile_for(self, scenario: Scenario) -> CompiledSystem:
-        """The compiled template behind ``scenario``."""
-        return self._context_for(scenario).compiler.compile(
-            scenario.base_kind,
-            scenario.base_ref,
-            scenario.nodes,
-            scenario.packaging,
-            scenario.overrides,
+    def compile_for(self, group: Union[TemplateGroup, Scenario]) -> CompiledSystem:
+        """The compiled template behind a group (or a single scenario)."""
+        return self._context_for(group).compiler.compile(
+            group.base_kind,
+            group.base_ref,
+            group.nodes,
+            group.packaging,
+            group.overrides,
         )
 
     def evaluate_group(
         self, template: CompiledSystem, scenarios: Sequence[Scenario]
     ) -> List[Record]:
         """Records for scenarios that all share ``template``."""
-        return self.evaluate_block(template, scenarios).records()
+        return self.evaluate_block(template, TemplateGroup.of(scenarios)).records()
 
-    def evaluate_block(
-        self, template: CompiledSystem, scenarios: Sequence[Scenario]
-    ) -> RecordBlock:
-        """The records of scenarios that all share ``template``, as one block.
+    def evaluate_block(self, template: CompiledSystem, group: TemplateGroup) -> RecordBlock:
+        """The records of a template group's rows, as one block.
 
         Template-level values (base, nodes, packaging, system, areas,
         power) are held once in the block's shared record; the rest are
@@ -300,23 +301,19 @@ class BatchEstimator:
         :func:`repro.sweep.engine.make_record` output key for key, in the
         same key order.
         """
-        first = scenarios[0]
-        context = self._context_for(first)
-        rows = self._rows_pure(template, scenarios, context)
-        packaging = first.packaging
-        overrides = first.overrides
+        rows = self._rows_pure(template, group.rows, self._context_for(group))
         # Key order matches scenario.to_record() + make_record()'s update();
         # the None values are per-row and come from ``rows``.
         shared: Record = {
             "scenario": None,
-            "base": first.base_ref,
+            "base": group.base_ref,
             "nodes": list(template.node_values),
             "packaging": template.architecture,
-            "packaging_params": packaging_params_json(packaging),
+            "packaging_params": packaging_params_json(group.packaging),
             "fab_source": None,
             "lifetime_years": None,
             "system_volume": None,
-            "overrides": overrides_json(overrides),
+            "overrides": overrides_json(group.overrides),
             "system": template.system_name,
             "total_carbon_g": None,
             "embodied_carbon_g": None,
@@ -333,17 +330,14 @@ class BatchEstimator:
         else:
             shared["cost_usd"] = None
             varying = _ROW_KEYS_WITH_COST
-        # A spec expansion shares one packaging and one override dict
-        # between the scenarios of a group, so they render once; a template
-        # that serves several dicts (equal signatures) renders them per row.
-        for scenario in scenarios:
-            if scenario.packaging is not packaging or scenario.overrides is not overrides:
-                varying += _JSON_KEYS
-                rows = [
-                    row + (packaging_params_json(s.packaging), overrides_json(s.overrides))
-                    for row, s in zip(rows, scenarios)
-                ]
-                break
+        # A group whose rows do not share one packaging and one override
+        # dict (equal signatures) renders them per row.
+        if group.row_dicts is not None:
+            varying += _JSON_KEYS
+            rows = [
+                row + (packaging_params_json(packaging), overrides_json(overrides))
+                for row, (packaging, overrides) in zip(rows, group.row_dicts)
+            ]
         return RecordBlock(shared, varying, rows, ("nodes",))
 
     # -- per-(template, fab source) terms ----------------------------------------------
@@ -414,10 +408,10 @@ class BatchEstimator:
     def _rows_pure(
         self,
         template: CompiledSystem,
-        scenarios: Sequence[Scenario],
+        group_rows: Sequence[GroupRow],
         context: _ConfigContext,
     ) -> List[Tuple[Any, ...]]:
-        """The per-row values of a group, one scenario at a time."""
+        """The per-row values of a group, one row tuple at a time."""
         include_design = context.include_design
         annual = template.annual_cfp_g
         base_volume = template.base_volume
@@ -425,18 +419,12 @@ class BatchEstimator:
         cost = template.cost
         source_terms = self.source_terms
         rows = []
-        for scenario in scenarios:
-            terms = source_terms(template, scenario.fab_source, context)
-            system_volume = (
-                scenario.system_volume
-                if scenario.system_volume is not None
-                else base_volume
-            )
-            lifetime = (
-                scenario.lifetime_years
-                if scenario.lifetime_years is not None
-                else base_lifetime
-            )
+        for index, fab_source, lifetime, system_volume in group_rows:
+            terms = source_terms(template, fab_source, context)
+            if system_volume is None:
+                system_volume = base_volume
+            if lifetime is None:
+                lifetime = base_lifetime
             # Eq. 12 amortisation: sum(per-chiplet amortised) + comm / NS.
             amortised = 0.0
             for is_fixed, value in terms.design_parts:
@@ -447,7 +435,7 @@ class BatchEstimator:
             lifetime_cfp = annual * lifetime
             embodied = terms.manufacturing_total_g + design_used + terms.hi_total_g
             row = (
-                scenario.index,
+                index,
                 terms.fab_label,
                 lifetime,
                 system_volume,

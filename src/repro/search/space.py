@@ -28,13 +28,7 @@ import bisect
 import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sweep.spec import (
-    BASE_DESIGN_DIR,
-    BASE_TESTCASE,
-    Scenario,
-    SweepSpec,
-    resolve_base,
-)
+from repro.sweep.spec import Scenario, SweepSpec
 
 __all__ = ["GridSpace"]
 
@@ -126,33 +120,22 @@ class GridSpace:
         self._override_combos: Dict[Tuple[int, ...], Mapping[str, Any]] = {}
         self._override_names = [name for name, _ in spec.overrides]
 
-        bases: List[Tuple[str, str]] = [(BASE_TESTCASE, t) for t in spec.testcases]
-        bases += [(BASE_DESIGN_DIR, d) for d in spec.design_dirs]
         offset = 0
-        for base_kind, base_ref in bases:
+        for base_kind, base_ref, chiplets in spec.bases():
             digits: List[_Digit] = []
-            if spec.node_configs or spec.nodes:
-                system = resolve_base(base_kind, base_ref)
-                if spec.node_configs:
-                    for config in spec.node_configs:
-                        if len(config) != system.chiplet_count:
-                            raise ValueError(
-                                f"node config {config} has {len(config)} entries "
-                                f"but {base_ref!r} has {system.chiplet_count} "
-                                f"chiplets"
-                            )
+            if spec.node_configs:
+                digits.append(
+                    _Digit.build("node_config", "node_configs", spec.node_configs)
+                )
+            elif spec.nodes:
+                # all_node_configurations == product(nodes, repeat=count)
+                # coerced to floats: one float-valued digit per chiplet,
+                # chiplet 0 most significant.
+                node_values = tuple(float(node) for node in spec.nodes)
+                for chiplet in range(chiplets):
                     digits.append(
-                        _Digit.build("node_config", "node_configs", spec.node_configs)
+                        _Digit.build("node", f"node[{chiplet}]", node_values)
                     )
-                else:
-                    # all_node_configurations == product(nodes, repeat=count)
-                    # coerced to floats: one float-valued digit per chiplet,
-                    # chiplet 0 most significant.
-                    node_values = tuple(float(node) for node in spec.nodes)
-                    for chiplet in range(system.chiplet_count):
-                        digits.append(
-                            _Digit.build("node", f"node[{chiplet}]", node_values)
-                        )
             if spec.packaging:
                 digits.append(_Digit.build("packaging", "packaging", spec.packaging))
             for name, values in spec.overrides:

@@ -293,15 +293,16 @@ class JobManager:
         spec_dict = dict(spec_dict)
         try:
             spec = SweepSpec.from_dict(spec_dict)
+            count = spec.count()  # also checks node configs against the bases
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(error_message(exc)) from exc
-        if spec.count() == 0:
+        if count == 0:
             raise SpecError("the spec expands into zero scenarios")
         if self.breaker is not None:
             for key in self._breaker_keys(spec):
                 self.breaker.check(key)
         if self.quota is not None:
-            self.quota.reserve(client, spec.count())
+            self.quota.reserve(client, count)
         job_id = uuid.uuid4().hex[:12]
         job = Job(
             job_id,

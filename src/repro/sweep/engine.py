@@ -1,9 +1,11 @@
 """Sharded, process-parallel evaluation of sweep scenarios.
 
-The engine turns an expanded scenario list into flattened result records
-through the compiled batch fast path (:mod:`repro.fastpath`): scenarios are
-grouped by template, each template compiles once, and every group
-evaluates as flat arithmetic.
+The engine turns a sweep into flattened result records through the
+compiled batch fast path (:mod:`repro.fastpath`).  Its unit is the template
+group (:class:`repro.sweep.spec.TemplateGroup`): a spec enumerates its
+groups directly, without one :class:`Scenario` per row, and an explicit
+scenario list is grouped by template first.  Each template compiles once,
+and every group evaluates as flat arithmetic.
 
 * ``jobs=1`` evaluates in-process (deterministic, no pickling);
 * ``jobs>1`` shards whole template groups over a
@@ -44,6 +46,7 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -51,6 +54,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -68,7 +72,7 @@ from repro.resilience.records import (
     evaluate_contained,
 )
 from repro.sweep.block import RecordBlock
-from repro.sweep.spec import Scenario, SweepSpec
+from repro.sweep.spec import Scenario, SweepSpec, TemplateGroup
 from repro.sweep.store import (
     ResultStore,
     iter_records as _iter_store_records,
@@ -234,9 +238,11 @@ def _one_row(position: int, record: Record) -> PlacedBlock:
     return [position], RecordBlock.from_records([record])
 
 
-def _evaluate_chunk(
-    groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> List[PlacedBlock]:
+#: ``(positions, group)``: a template group and the input positions of its rows.
+PlacedGroup = Tuple[Sequence[int], TemplateGroup]
+
+
+def _evaluate_chunk(groups: Sequence[PlacedGroup]) -> List[PlacedBlock]:
     """Evaluate template groups, returning one placed block per group.
 
     Each worker keeps its :class:`repro.fastpath.BatchEstimator` (and its
@@ -245,15 +251,13 @@ def _evaluate_chunk(
     """
     assert _EVALUATOR is not None, "worker initializer did not run"
     results: List[PlacedBlock] = []
-    for positions, scenarios in groups:
-        template = _EVALUATOR.compile_for(scenarios[0])
-        results.append((positions, _EVALUATOR.evaluate_block(template, scenarios)))
+    for positions, group in groups:
+        template = _EVALUATOR.compile_for(group)
+        results.append((positions, _EVALUATOR.evaluate_block(template, group)))
     return results
 
 
-def _evaluate_chunk_contained(
-    groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> Tuple[List[PlacedBlock], int]:
+def _evaluate_chunk_contained(groups: Sequence[PlacedGroup]) -> Tuple[List[PlacedBlock], int]:
     """Contained chunk: per-scenario evaluation through the compiled
     template cache, so one raising scenario costs its group nothing.
     Every record (an error record included) is a one-row block."""
@@ -261,8 +265,8 @@ def _evaluate_chunk_contained(
     assert _POLICY is not None, "supervised pool without a resilience policy"
     results: List[PlacedBlock] = []
     retries = 0
-    for positions, scenarios in groups:
-        for position, scenario in zip(positions, scenarios):
+    for positions, group in groups:
+        for position, scenario in zip(positions, group.scenarios()):
             record, attempts_over = evaluate_contained(
                 _EVALUATOR.evaluate_scenario,
                 scenario,
@@ -318,20 +322,55 @@ def shard(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
     return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
+def _placed_groups(
+    sweep: Union[SweepSpec, Iterable[Scenario]], skip: Collection[int]
+) -> Iterator[PlacedGroup]:
+    """The template groups of ``sweep`` with their input positions, in order.
+
+    A spec's groups come from :meth:`SweepSpec.template_groups`, contiguous
+    and in grid order; a scenario list is grouped by
+    :func:`repro.fastpath.group_scenarios`.  Rows whose scenario ids are in
+    ``skip`` are left out, and positions count the rows that remain.
+    """
+    if not isinstance(sweep, SweepSpec):
+        # Imported at call time, so layer tracers can patch the package.
+        from repro.fastpath import group_scenarios
+
+        yield from group_scenarios([s for s in sweep if s.index not in skip])
+        return
+    start = 0
+    for group in sweep.template_groups():
+        if skip:
+            group = group._replace(rows=[row for row in group.rows if row[0] not in skip])
+        if group.rows:
+            yield range(start, start + len(group.rows)), group
+            start += len(group.rows)
+
+
+def _covered(sweep: Union[SweepSpec, Sequence[Scenario]], ids: Collection[int]) -> int:
+    """How many of ``sweep``'s scenarios have their id in ``ids``."""
+    if isinstance(sweep, SweepSpec):
+        count = sweep.count()  # a spec's ids are exactly range(count)
+        return sum(1 for index in ids if 0 <= index < count)
+    return sum(1 for scenario in sweep if scenario.index in ids)
+
+
 def prepare_resume(
-    scenarios: Sequence[Scenario],
+    sweep: Union[SweepSpec, Sequence[Scenario]],
     resume: Union[ResultStore, str, "Path"],
-) -> Tuple[List[Scenario], int, List[Record], bool]:
+) -> Tuple[Set[int], int, List[Record], bool]:
     """Shared resume preparation for :meth:`SweepEngine.run` and the CLI.
 
-    Repairs a torn store tail left by a crash, loads the records already on
-    disk, and filters out the scenarios whose ids they cover.
+    Repairs a torn store tail left by a crash and loads the records already
+    on disk.
 
     Returns:
-        ``(remaining_scenarios, skipped_count, existing_records, repaired)``
-        — ``existing_records`` lets callers fold already-computed results
-        into best/top/Pareto summaries so a resumed run reports on the whole
-        sweep, not just the newly evaluated tail.
+        ``(done_ids, skipped_count, existing_records, repaired)``:
+        ``done_ids`` are the stored scenario ids (the ``skip`` of
+        :meth:`SweepEngine.run`), ``skipped_count`` how many of ``sweep``'s
+        scenarios they cover, and ``existing_records`` lets callers fold
+        already-computed results into best/top/Pareto summaries so a
+        resumed run reports on the whole sweep, not just the new tail.
     """
     repaired = repair_torn_tail(resume)
     path = resume.path if isinstance(resume, ResultStore) else Path(resume)
@@ -343,11 +382,7 @@ def prepare_resume(
         for record in existing
         if record.get("scenario") is not None
     }
-    scenarios = list(scenarios)
-    if not done_ids:
-        return scenarios, 0, existing, repaired
-    remaining = [s for s in scenarios if s.index not in done_ids]
-    return remaining, len(scenarios) - len(remaining), existing, repaired
+    return done_ids, _covered(sweep, done_ids), existing, repaired
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +647,6 @@ class SweepEngine:
         return results
 
     # -- streaming ------------------------------------------------------------------
-    def _resolve_scenarios(
-        self, sweep: Union[SweepSpec, Iterable[Scenario]]
-    ) -> List[Scenario]:
-        if isinstance(sweep, SweepSpec):
-            return sweep.expand()
-        return list(sweep)
-
     def _containment_policy(self) -> Optional[ResiliencePolicy]:
         """The effective policy when containment/chaos machinery engages.
 
@@ -635,13 +663,14 @@ class SweepEngine:
     def _iter_contained(
         self,
         estimator: Any,
-        members: Sequence[Tuple[int, Scenario]],
+        positions: Sequence[int],
+        group: TemplateGroup,
         policy: ResiliencePolicy,
     ) -> Iterator[PlacedBlock]:
         """Evaluate one group scenario by scenario under ``policy``, lazily,
         so each record streams out as a one-row block (and a serve shutdown
         can interrupt at its boundary) as soon as it is evaluated."""
-        for position, scenario in members:
+        for position, scenario in zip(positions, group.scenarios()):
             record, retries = evaluate_contained(
                 estimator.evaluate_scenario, scenario, policy, chaos=self.chaos
             )
@@ -657,17 +686,19 @@ class SweepEngine:
             yield from block.records()
 
     def iter_blocks(
-        self, sweep: Union[SweepSpec, Iterable[Scenario]]
+        self,
+        sweep: Union[SweepSpec, Iterable[Scenario]],
+        skip: Collection[int] = (),
     ) -> Iterator[RecordBlock]:
         """Yield the records of every scenario as record blocks, in scenario order.
 
-        Scenarios are grouped by compiled template and each group evaluates
-        at once into one :class:`~repro.sweep.block.RecordBlock`; a block is
-        buffered only while an earlier group is still outstanding, and a
-        group that is not contiguous in the input leaves as one block per
-        run of consecutive scenarios.  For spec-expanded grids (template
-        axes outermost) groups are contiguous, so every group leaves as one
-        block and memory stays bounded by the largest group.
+        Each template group evaluates at once into one
+        :class:`~repro.sweep.block.RecordBlock`.  A spec's groups are
+        contiguous, so every group leaves as one block and memory stays
+        bounded by the largest group; a scenario list's group that is not
+        contiguous in the input is buffered while an earlier group is
+        outstanding and leaves as one block per run of consecutive
+        scenarios.  Scenarios whose ids are in ``skip`` are left out.
 
         Under a containment policy each scenario evaluates individually
         through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
@@ -676,14 +707,11 @@ class SweepEngine:
         error records included — are bit-identical for every ``jobs``
         value.
         """
-        from repro.fastpath import BatchEstimator, group_scenarios
+        from repro.fastpath import BatchEstimator
 
         self.last_retry_count = 0
-        scenarios = self._resolve_scenarios(sweep)
-        if not scenarios:
-            return
         policy = self._containment_policy()
-        groups = group_scenarios(scenarios)
+        groups = _placed_groups(sweep, skip)
         in_order = _InOrder()
         if self.jobs == 1:
             # A shared estimator (repro.serve) keeps its compiled templates
@@ -696,26 +724,19 @@ class SweepEngine:
                     include_cost=self.include_cost,
                     persistent_cache=self.compile_cache,
                 )
-            for _, members in groups:
+            for positions, group in groups:
                 if policy is None:
-                    template = estimator.compile_for(members[0][1])
-                    block = estimator.evaluate_block(
-                        template, [scenario for _, scenario in members]
-                    )
-                    yield from in_order.add([position for position, _ in members], block)
+                    block = estimator.evaluate_block(estimator.compile_for(group), group)
+                    yield from in_order.add(positions, block)
                 else:
-                    for positions, block in self._iter_contained(estimator, members, policy):
-                        yield from in_order.add(positions, block)
+                    for placed in self._iter_contained(estimator, positions, group, policy):
+                        yield from in_order.add(*placed)
             return
-        payload = [
-            (
-                [position for position, _ in members],
-                [scenario for _, scenario in members],
-            )
-            for _, members in groups
-        ]
+        payload = list(groups)
+        if not payload:
+            return
         # Shard whole groups (not scenarios) so each template compiles in
-        # exactly one worker; chunks keep the first-occurrence group order.
+        # exactly one worker; chunks keep the group order.
         chunks = shard(payload, max(1, -(-len(payload) // (self.jobs * 4))))
         if self.resilience is not None:
             for chunk_results in self._run_chunks_supervised(
@@ -731,8 +752,8 @@ class SweepEngine:
                 ),
                 lost_payload=lambda chunk, exc: [
                     _one_row(position, error_record(scenario, exc))
-                    for positions, members in chunk
-                    for position, scenario in zip(positions, members)
+                    for positions, group in chunk
+                    for position, scenario in zip(positions, group.scenarios())
                 ],
             ):
                 for positions, block in chunk_results:
@@ -759,11 +780,13 @@ class SweepEngine:
         resume: Optional[Union[ResultStore, str, "Path"]] = None,
         on_record: Optional[Callable[[Record], None]] = None,
         annotate: Optional[Mapping[str, Any]] = None,
+        skip: Collection[int] = (),
     ) -> SweepSummary:
         """Evaluate every scenario, streaming records into ``store``.
 
         Args:
-            sweep: A spec (expanded here) or pre-expanded scenarios.
+            sweep: A spec (its template groups are evaluated without
+                expanding it) or an explicit scenario list.
             store: Streaming result store; the records of each template
                 group are appended (one write) as soon as the group is
                 computed and every earlier scenario has been written.
@@ -787,16 +810,20 @@ class SweepEngine:
                 each evaluation batch).  A key that collides with a record
                 column raises :class:`ValueError` — annotations may never
                 silently overwrite evaluation output.
+            skip: Scenario ids to leave out, for callers that read a
+                resume store themselves (:func:`prepare_resume`); ``resume``
+                replaces it.
 
         Returns:
             A :class:`SweepSummary` with counts, timing and the best record.
         """
-        scenarios = self._resolve_scenarios(sweep)
+        if not isinstance(sweep, SweepSpec):
+            sweep = list(sweep)
         annotations = dict(annotate) if annotate else None
-        skipped = 0
+        skipped = _covered(sweep, skip) if skip else 0
         best: Optional[Record] = None
         if resume is not None:
-            scenarios, skipped, existing, _ = prepare_resume(scenarios, resume)
+            skip, skipped, existing, _ = prepare_resume(sweep, resume)
             for record in existing:
                 total_g = record.get("total_carbon_g")
                 if total_g is not None and (
@@ -807,12 +834,12 @@ class SweepEngine:
         # index (the dict is built once, at the end).
         best_total = best["total_carbon_g"] if best is not None else None
         best_row: Optional[Tuple[RecordBlock, int]] = None
-        total = len(scenarios)
+        total = (sweep.count() if isinstance(sweep, SweepSpec) else len(sweep)) - skipped
         done = 0
         error_count = 0
         error_codes: Dict[str, int] = {}
         start = time.perf_counter()
-        for block in self.iter_blocks(scenarios):
+        for block in self.iter_blocks(sweep, skip):
             if annotations is not None:
                 collisions = [key for key in annotations if key in block.shared]
                 if collisions:

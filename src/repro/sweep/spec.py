@@ -5,9 +5,11 @@ sweeps in its experiments: technology-node assignments (Fig. 7), packaging
 architectures (Figs. 9, 11), fab energy sources (Table I's 30–700 g/kWh
 range), lifetimes (Fig. 4) and manufacturing volumes (Fig. 12), applied to
 built-in testcases or on-disk design directories.  Specs are plain frozen
-dataclasses, buildable from JSON/YAML-ish dictionaries or files, and expand
-into a flat list of picklable :class:`Scenario` objects that
-:class:`repro.sweep.engine.SweepEngine` evaluates in parallel.
+dataclasses, buildable from JSON/YAML-ish dictionaries or files.  A spec
+enumerates its grid as :class:`TemplateGroup` s (the scenarios of one
+compiled template, one row tuple each), which
+:class:`repro.sweep.engine.SweepEngine` evaluates in parallel, or expands
+into a flat list of picklable :class:`Scenario` objects.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import dataclasses
 import itertools
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.axes import (
     apply_system_overrides,
@@ -95,8 +97,9 @@ class Scenario:
     """One expanded scenario: a base system plus the knob overrides.
 
     Scenarios are deliberately *descriptions*, not resolved systems: they
-    are tiny and picklable, so the engine can ship them to worker processes
-    which rebuild the (much larger) system objects locally.
+    (and the :class:`TemplateGroup` s the engine ships instead) are tiny
+    and picklable, and worker processes rebuild the (much larger) system
+    objects locally.
 
     Attributes:
         index: Position in the expanded grid (stable across runs).
@@ -204,6 +207,52 @@ def format_axis_value(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(format_axis_value(item) for item in value) + "]"
     return str(value)
+
+
+#: One row of a template group: ``(index, fab_source, lifetime_years, system_volume)``.
+GroupRow = Tuple[int, Optional[str], Optional[float], Optional[float]]
+
+
+class TemplateGroup(NamedTuple):
+    """Scenarios sharing one compiled template: its fields once, a row each.
+
+    The unit the batch engine compiles, evaluates and ships to workers.
+    ``row_dicts`` holds per-row ``(packaging, overrides)`` pairs when the
+    scenarios' dicts are equal but not shared objects, else ``None``.
+    """
+
+    base_kind: str
+    base_ref: str
+    nodes: Optional[Tuple[float, ...]]
+    packaging: Optional[Mapping[str, Any]]
+    overrides: Optional[Mapping[str, Any]]
+    rows: Sequence[GroupRow]
+    row_dicts: Optional[Sequence[Tuple[Any, Any]]] = None
+
+    @classmethod
+    def of(cls, scenarios: Sequence[Scenario]) -> "TemplateGroup":
+        """The group of ``scenarios``, which must share one template key."""
+        first = scenarios[0]
+        rows = [(s.index, s.fab_source, s.lifetime_years, s.system_volume) for s in scenarios]
+        dicts = [(s.packaging, s.overrides) for s in scenarios]
+        shared = all(p is first.packaging and o is first.overrides for p, o in dicts)
+        return cls(
+            first.base_kind, first.base_ref, first.nodes, first.packaging,
+            first.overrides, rows, None if shared else dicts,
+        )
+
+    def scenarios(self) -> List[Scenario]:
+        """One :class:`Scenario` per row (the containment path's unit)."""
+        dicts = self.row_dicts or itertools.repeat((self.packaging, self.overrides))
+        return [
+            Scenario(
+                index, self.base_kind, self.base_ref, self.nodes, packaging,
+                source, lifetime, volume, overrides,
+            )
+            for (index, source, lifetime, volume), (packaging, overrides) in zip(
+                self.rows, dicts
+            )
+        ]
 
 
 def resolve_base(base_kind: str, base_ref: str) -> ChipletSystem:
@@ -447,79 +496,80 @@ class SweepSpec:
         return cls.from_dict(preset_dict(name))
 
     # -- expansion ------------------------------------------------------------------
-    def expand(self) -> List[Scenario]:
-        """The flat list of scenarios (cartesian product of the axes).
+    def bases(self) -> List[Tuple[str, str, Optional[int]]]:
+        """``(base kind, base ref, chiplet count)`` per base system, in grid order.
 
-        Node assignments depend on each base system's chiplet count, so the
-        base systems are resolved once here (in the parent process); the
-        returned scenarios stay small and picklable.
+        The chiplet count is resolved only when a node axis needs it
+        (``None`` otherwise), and explicit ``node_configs`` are checked
+        against it here, so :meth:`count`, :meth:`template_groups` and
+        :class:`repro.search.space.GridSpace` reject a mismatched spec
+        alike.
         """
         bases: List[Tuple[str, str]] = [(BASE_TESTCASE, t) for t in self.testcases]
         bases += [(BASE_DESIGN_DIR, d) for d in self.design_dirs]
+        resolved: List[Tuple[str, str, Optional[int]]] = []
+        for base_kind, base_ref in bases:
+            chiplets = None
+            if self.nodes or self.node_configs:
+                chiplets = resolve_base(base_kind, base_ref).chiplet_count
+                for config in self.node_configs:
+                    if len(config) != chiplets:
+                        raise ValueError(
+                            f"node config {config} has {len(config)} entries but "
+                            f"{base_ref!r} has {chiplets} chiplets"
+                        )
+            resolved.append((base_kind, base_ref, chiplets))
+        return resolved
 
+    def template_groups(self) -> Iterator[TemplateGroup]:
+        """The grid as template groups, lazily, in :meth:`expand` order.
+
+        Template-defining axes (base, nodes, packaging, overrides) are the
+        outer loops, so each of their combinations is one group of
+        contiguous indices whose rows run over the carbon sources,
+        lifetimes and volumes.  The groups of one call share the spec's
+        packaging dicts and one dict per override combination, so the
+        batch engine's identity-keyed caches avoid re-hashing them.
+        """
         packaging_axis: Sequence[Optional[Mapping[str, Any]]] = self.packaging or (None,)
-        source_axis: Sequence[Optional[str]] = self.carbon_sources or (None,)
-        lifetime_axis: Sequence[Optional[float]] = self.lifetimes or (None,)
-        volume_axis: Sequence[Optional[float]] = self.system_volumes or (None,)
-        # One shared dict per override combination: scenarios of a combo
-        # reference the same object, so the batch engine's identity-keyed
-        # signature caches avoid re-hashing it thousands of times.
-        override_axis: Sequence[Optional[Mapping[str, Any]]]
+        override_axis: Sequence[Optional[Mapping[str, Any]]] = (None,)
         if self.overrides:
             names = [name for name, _ in self.overrides]
             override_axis = [
                 dict(zip(names, combo))
-                for combo in itertools.product(
-                    *(values for _, values in self.overrides)
-                )
+                for combo in itertools.product(*(values for _, values in self.overrides))
             ]
-        else:
-            override_axis = (None,)
-
-        scenarios: List[Scenario] = []
-        for base_kind, base_ref in bases:
-            node_axis: Sequence[Optional[Tuple[float, ...]]]
-            if self.node_configs or self.nodes:
-                system = resolve_base(base_kind, base_ref)
-                if self.node_configs:
-                    for config in self.node_configs:
-                        if len(config) != system.chiplet_count:
-                            raise ValueError(
-                                f"node config {config} has {len(config)} entries but "
-                                f"{base_ref!r} has {system.chiplet_count} chiplets"
-                            )
-                    node_axis = self.node_configs
-                else:
-                    node_axis = all_node_configurations(self.nodes, system.chiplet_count)
-            else:
-                node_axis = (None,)
-            # Template-defining axes (nodes, packaging, overrides) are the
-            # outer loops so batch-engine template groups stay contiguous.
-            for nodes, packaging, overrides, source, lifetime, volume in itertools.product(
-                node_axis, packaging_axis, override_axis, source_axis,
-                lifetime_axis, volume_axis,
+        row_axis = list(
+            itertools.product(
+                self.carbon_sources or (None,),
+                self.lifetimes or (None,),
+                self.system_volumes or (None,),
+            )
+        )
+        index = 0
+        for base_kind, base_ref, chiplets in self.bases():
+            node_axis: Sequence[Optional[Tuple[float, ...]]] = (None,)
+            if self.node_configs:
+                node_axis = self.node_configs
+            elif self.nodes:
+                node_axis = all_node_configurations(self.nodes, chiplets)
+            for nodes, packaging, overrides in itertools.product(
+                node_axis, packaging_axis, override_axis
             ):
-                scenarios.append(
-                    Scenario(
-                        index=len(scenarios),
-                        base_kind=base_kind,
-                        base_ref=base_ref,
-                        nodes=nodes,
-                        packaging=packaging,
-                        fab_source=source,
-                        lifetime_years=lifetime,
-                        system_volume=volume,
-                        overrides=overrides,
-                    )
-                )
-        return scenarios
+                rows = [(index + offset,) + row for offset, row in enumerate(row_axis)]
+                index += len(rows)
+                yield TemplateGroup(base_kind, base_ref, nodes, packaging, overrides, rows)
+
+    def expand(self) -> List[Scenario]:
+        """The flat list of scenarios: every :meth:`template_groups` row."""
+        return [s for group in self.template_groups() for s in group.scenarios()]
 
     def count(self) -> int:
         """Number of scenarios the spec expands into.
 
-        Computed arithmetically from the axis lengths (base systems are
-        resolved only for their chiplet counts) — no scenario objects are
-        allocated, so sizing a huge grid stays cheap.
+        Computed arithmetically from the axis lengths after the same base
+        checks :meth:`expand` makes (:meth:`bases`) — no scenario objects
+        are allocated, so sizing a huge grid stays cheap.
         """
         other_axes = (
             max(1, len(self.packaging))
@@ -529,19 +579,11 @@ class SweepSpec:
         )
         for _, values in self.overrides:
             other_axes *= len(values)
-        bases: List[Tuple[str, str]] = [(BASE_TESTCASE, t) for t in self.testcases]
-        bases += [(BASE_DESIGN_DIR, d) for d in self.design_dirs]
-        total = 0
-        for base_kind, base_ref in bases:
-            if self.node_configs:
-                node_count = len(self.node_configs)
-            elif self.nodes:
-                chiplets = resolve_base(base_kind, base_ref).chiplet_count
-                node_count = len(self.nodes) ** chiplets
-            else:
-                node_count = 1
-            total += node_count * other_axes
-        return total
+        node_counts = [
+            len(self.node_configs) or (len(self.nodes) ** chiplets if self.nodes else 1)
+            for _, _, chiplets in self.bases()
+        ]
+        return sum(node_counts) * other_axes
 
 
 def preset_dict(name: str) -> Dict[str, Any]:

@@ -121,6 +121,18 @@ class TestSweepCli:
         spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"], "bogus": True}))
         assert main(["sweep", "--spec", str(spec_path)]) == 2
 
+    def test_mismatched_node_config_fails_before_the_store_opens(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"testcases": ["ga102-3chiplet"], "node_configs": [[7, 7]]})
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] node config (7.0, 7.0) has 2 entries"
+        )
+        assert not out.exists()
+
     def test_unknown_output_format_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"]}))

@@ -11,7 +11,12 @@ presets:
   keys, same order) and serialise to the same JSON text;
 * **resume idempotence** — re-running a sweep against a store that already
   holds a prefix of its records computes exactly the missing tail, and
-  resuming a *complete* store computes nothing and changes nothing.
+  resuming a *complete* store computes nothing and changes nothing;
+* **template groups** — a spec's :meth:`~SweepSpec.template_groups`
+  flatten to :meth:`~SweepSpec.expand` and to
+  :class:`~repro.search.space.GridSpace`, and the engine writes the same
+  store bytes from the spec as from its expanded list, at ``jobs`` 1 and 2,
+  fresh and resumed from a store cut mid-line.
 
 Grids are kept small (≤ ~128 scenarios) so the whole suite stays CI-cheap;
 the deterministic ``ci`` hypothesis profile (see ``conftest.py``) makes the
@@ -20,6 +25,7 @@ drawn grids reproducible run to run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -27,6 +33,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.search.space import GridSpace
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import JsonlResultStore, load_records
@@ -162,3 +169,72 @@ class TestResumeIdempotence:
             assert summary.scenario_count == 0
             assert summary.skipped_count == len(scenarios)
             assert load_records(path) == before
+
+
+@st.composite
+def grid_specs(draw) -> SweepSpec:
+    """:func:`sweep_specs`, or the same axes over mix-and-match ``nodes``
+    (then sometimes with a second, 2-chiplet base)."""
+    spec = draw(sweep_specs())
+    if draw(st.booleans()):
+        nodes = draw(
+            st.lists(st.sampled_from([7.0, 10.0, 14.0]), min_size=1, max_size=2, unique=True)
+        )
+        testcases = draw(
+            st.sampled_from([spec.testcases, tuple(sorted({*spec.testcases, "emr-2chiplet"}))])
+        )
+        spec = dataclasses.replace(
+            spec, testcases=testcases, nodes=tuple(nodes), node_configs=()
+        )
+    return spec
+
+
+class TestTemplateGroups:
+    @given(spec=grid_specs())
+    @settings(max_examples=12)
+    def test_groups_flatten_to_expand_and_the_grid_space(self, spec):
+        groups = list(spec.template_groups())
+        expanded = spec.expand()
+        space = GridSpace(spec)
+        decoded = [space.scenario(index) for index in range(space.size)]
+        flat = [scenario for group in groups for scenario in group.scenarios()]
+        assert flat == expanded == decoded
+        assert [row[0] for group in groups for row in group.rows] == list(
+            range(spec.count())
+        )
+        start = 0
+        for group in groups:
+            assert group.row_dicts is None
+            stop = start + len(group.rows)
+            for source in (flat, expanded, decoded):
+                members = source[start:stop]
+                assert {id(s.packaging) for s in members} == {id(members[0].packaging)}
+                assert {id(s.overrides) for s in members} == {id(members[0].overrides)}
+                assert all(
+                    (s.base_kind, s.base_ref, s.nodes, s.packaging, s.overrides)
+                    == group[:5]
+                    for s in members
+                )
+            start = stop
+
+    @given(spec=grid_specs(), cut_fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=8)
+    def test_spec_and_list_runs_write_identical_stores(self, spec, cut_fraction):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.jsonl"
+            reference = None
+            for jobs in (1, 2):
+                engine = SweepEngine(jobs=jobs, mp_context="fork")
+                for sweep in (spec, spec.expand()):
+                    path.unlink(missing_ok=True)
+                    with JsonlResultStore(path) as store:
+                        engine.run(sweep, store=store)
+                    if reference is None:
+                        reference = path.read_bytes()
+                        # Usually mid-line: the resume repairs a torn tail.
+                        cut = reference[: int(len(reference) * cut_fraction)]
+                    assert path.read_bytes() == reference
+                    path.write_bytes(cut)
+                    with JsonlResultStore(path, append=True) as store:
+                        engine.run(sweep, store=store, resume=store)
+                    assert path.read_bytes() == reference

@@ -39,10 +39,12 @@ class TestGrouping:
             _scenario(index=3, nodes=(7.0, 7.0, 7.0), lifetime_years=4.0),
         ]
         groups = group_scenarios(scenarios)
-        assert len(groups) == 2
+        assert [positions for positions, _ in groups] == [[0, 2], [1, 3]]
         (_, first), (_, second) = groups
-        assert [position for position, _ in first] == [0, 2]
-        assert [position for position, _ in second] == [1, 3]
+        assert first.rows == [(0, "coal", None, None), (2, "wind", None, None)]
+        assert second.nodes == (7.0, 7.0, 7.0)
+        assert second.rows == [(1, None, None, None), (3, None, 4.0, None)]
+        assert first.scenarios() == [scenarios[0], scenarios[2]]
 
     def test_packaging_dicts_group_by_content(self):
         a = _scenario(index=0, packaging={"type": "rdl", "layers": 6})

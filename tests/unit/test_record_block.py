@@ -10,7 +10,7 @@ import pytest
 from repro.fastpath import BatchEstimator
 from repro.sweep.block import RecordBlock, record_blocks
 from repro.sweep.engine import SweepEngine, reference_records
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, TemplateGroup
 from repro.sweep.store import (
     CsvResultStore,
     JsonlResultStore,
@@ -107,7 +107,7 @@ class TestKernelBlocks:
         estimator = BatchEstimator()
         template = estimator.compile_for(scenarios[0])
         members = [s for s in scenarios if estimator.compile_for(s) is template]
-        block = estimator.evaluate_block(template, members)
+        block = estimator.evaluate_block(template, TemplateGroup.of(members))
         expected = reference_records(members)
         assert block.lists == ("nodes",)
         assert tuple(block.shared) == tuple(expected[0])
@@ -130,7 +130,8 @@ class TestKernelBlocks:
             for i in range(3)
         ]
         estimator = BatchEstimator()
-        block = estimator.evaluate_block(estimator.compile_for(scenarios[0]), scenarios)
+        group = TemplateGroup.of(scenarios)
+        block = estimator.evaluate_block(estimator.compile_for(group), group)
         assert block.column("packaging_params") == ['{"layers": 4}'] * 3
         assert block.records() == reference_records(scenarios)
 
@@ -139,7 +140,7 @@ class TestKernelBlocks:
         estimator = BatchEstimator()
         template = estimator.compile_for(scenarios[0])
         same = [s for s in scenarios if estimator.compile_for(s) is template]
-        block = estimator.evaluate_block(template, same)
+        block = estimator.evaluate_block(template, TemplateGroup.of(same))
         assert estimator.evaluate_group(template, same) == block.records()
         assert estimator.evaluate_scenario(same[0]) == block.record(0)
 

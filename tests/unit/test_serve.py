@@ -247,6 +247,8 @@ class TestJobManager:
                 manager.submit({"testcases": ["ga102-3chiplet"], "bogus": True})
             with pytest.raises(SpecError):
                 manager.submit(["not", "a", "mapping"])
+            with pytest.raises(SpecError, match="has 2 entries"):
+                manager.submit({"testcases": ["ga102-3chiplet"], "node_configs": [[7, 7]]})
         finally:
             manager.shutdown()
 

@@ -88,6 +88,19 @@ class TestExpansion:
         with pytest.raises(ValueError, match="chiplets"):
             spec.expand()
 
+    def test_count_makes_the_same_node_config_check_as_expand(self):
+        # A spec that is sized but never expanded is rejected all the same.
+        spec = SweepSpec.from_dict(
+            {"testcases": ["ga102-3chiplet"], "node_configs": [[7, 7]]}
+        )
+        message = r"node config \(7\.0, 7\.0\) has 2 entries"
+        with pytest.raises(ValueError, match=message):
+            spec.count()
+        with pytest.raises(ValueError, match=message):
+            spec.expand()
+        with pytest.raises(ValueError, match=message):
+            next(spec.template_groups())
+
     def test_multiple_bases_concatenate(self):
         spec = SweepSpec.from_dict(
             {"testcases": ["ga102-3chiplet", "a15-3chiplet"], "lifetimes": [2, 4]}
