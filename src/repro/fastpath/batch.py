@@ -23,23 +23,19 @@ from __future__ import annotations
 import importlib.util
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.axes import (
-    apply_config_overrides,
-    config_overrides_signature,
-    overrides_json,
-    template_overrides_signature,
-)
+from repro.axes import apply_config_overrides, overrides_json
 from repro.core.estimator import EstimatorConfig
 from repro.fastpath.compiled import (
+    GEOMETRY_CONFIG_FIELDS,
     CompiledSystem,
+    GeometryCompiler,
     SourceTerms,
     TemplateCompiler,
-    packaging_signature,
 )
 from repro.packaging.base import _TO_MM2
 from repro.sweep.block import RecordBlock
 from repro.sweep.engine import _source_name
-from repro.sweep.spec import GroupRow, Scenario, TemplateGroup, packaging_params_json
+from repro.sweep.spec import GroupKey, GroupRow, Scenario, TemplateGroup, packaging_params_json
 from repro.technology.carbon_sources import carbon_intensity
 from repro.technology.nodes import TechnologyTable
 
@@ -76,43 +72,34 @@ def group_scenarios(
     indices, which survive resume filtering and sit in the group's rows).
     """
     # Packaging and override dicts are shared between the scenarios of one
-    # spec expansion, so canonicalising per object identity avoids
-    # re-hashing the same mapping thousands of times.  The id caches are
+    # spec expansion, so keying their signatures by object identity avoids
+    # re-hashing the same mappings thousands of times.  The id cache is
     # only valid while the scenarios (and therefore the dicts) are alive,
     # i.e. within this call.
-    signature_by_id: Dict[int, Optional[Tuple]] = {}
-    override_sig_by_id: Dict[int, Optional[Tuple]] = {}
-    groups: Dict[Tuple, Tuple[List[int], List[Scenario]]] = {}
+    keys_by_ids: Dict[Tuple[int, int], GroupKey] = {}
+    groups: Dict[Tuple, Tuple[List[int], List[Scenario], GroupKey]] = {}
     for position, scenario in enumerate(scenarios):
-        packaging = scenario.packaging
-        if packaging is None:
-            signature = None
-        else:
-            signature = signature_by_id.get(id(packaging))
-            if signature is None:
-                signature = packaging_signature(packaging)
-                signature_by_id[id(packaging)] = signature
-        overrides = scenario.overrides
-        if not overrides:
-            override_sig = None
-        else:
-            override_sig = override_sig_by_id.get(id(overrides))
-            if override_sig is None:
-                override_sig = template_overrides_signature(overrides)
-                override_sig_by_id[id(overrides)] = override_sig
+        ids = (id(scenario.packaging), id(scenario.overrides))
+        signatures = keys_by_ids.get(ids)
+        if signatures is None:
+            signatures = GroupKey.of(scenario.packaging, scenario.overrides)
+            keys_by_ids[ids] = signatures
         key = (
             scenario.base_kind,
             scenario.base_ref,
             scenario.nodes,
-            signature,
-            override_sig,
+            signatures.packaging,
+            signatures.template,
         )
         members = groups.get(key)
         if members is None:
-            groups[key] = members = ([], [])
+            groups[key] = members = ([], [], signatures)
         members[0].append(position)
         members[1].append(scenario)
-    return [(positions, TemplateGroup.of(members)) for positions, members in groups.values()]
+    return [
+        (positions, TemplateGroup.of(members, signatures))
+        for positions, members, signatures in groups.values()
+    ]
 
 
 class _ConfigContext:
@@ -120,8 +107,10 @@ class _ConfigContext:
 
     Config-target axis overrides (:mod:`repro.axes`) produce distinct
     :class:`EstimatorConfig` objects; each gets its own template compiler
-    (template coefficients depend on the config — wafer diameter, defect
-    scale, router spec, ...) plus the config-derived evaluation constants.
+    (die yield, wafer waste and design energy depend on the config) over
+    the geometry stage it shares with every context that agrees on
+    :data:`repro.fastpath.compiled.GEOMETRY_CONFIG_FIELDS`, plus the
+    config-derived evaluation constants.
     """
 
     __slots__ = (
@@ -132,20 +121,9 @@ class _ConfigContext:
         "include_wafer_waste",
     )
 
-    def __init__(
-        self,
-        config: Optional[EstimatorConfig],
-        table: Optional[TechnologyTable],
-        include_cost: bool,
-        persistent_cache: Optional[Any] = None,
-    ):
-        self.compiler = TemplateCompiler(
-            config=config,
-            table=table,
-            include_cost=include_cost,
-            persistent_cache=persistent_cache,
-        )
-        config = self.compiler.config
+    def __init__(self, compiler: TemplateCompiler):
+        self.compiler = compiler
+        config = compiler.config
         self.default_fab_label = _source_name(config.fab_carbon_source)
         self.default_intensities = (
             carbon_intensity(config.fab_carbon_source),
@@ -189,35 +167,34 @@ class BatchEstimator:
         #: Shared by every config context (one disk cache object, one set
         #: of cache-wide counters, one mount point).
         self.persistent_cache = as_disk_cache(persistent_cache)
-        self._base_context = _ConfigContext(
-            config, table, include_cost, persistent_cache=self.persistent_cache
+        #: Geometry-config key -> the geometry stage shared by its contexts.
+        self._geometries: Dict[Tuple, GeometryCompiler] = {}
+        self._base_context = self._new_context(
+            config if config is not None else EstimatorConfig()
         )
         #: Config-override signature -> compilation context; ``None`` is
         #: the override-free base configuration.
         self._contexts: Dict[Optional[Tuple], _ConfigContext] = {
             None: self._base_context
         }
-        #: Base-config template compiler (kept as an attribute for callers
-        #: that inspect or pre-warm the override-free cache).
-        self.compiler = self._base_context.compiler
 
-    def _context_for(self, group: Union[TemplateGroup, Scenario]) -> _ConfigContext:
+    def _new_context(self, config: EstimatorConfig) -> _ConfigContext:
+        args = (config, self._table, self.include_cost, self.persistent_cache)
+        key = tuple(getattr(config, name) for name in GEOMETRY_CONFIG_FIELDS)
+        geometry = self._geometries.get(key)
+        if geometry is None:
+            geometry = self._geometries[key] = GeometryCompiler(*args)
+        return _ConfigContext(TemplateCompiler(*args, geometry=geometry))
+
+    def _context_for(self, group: TemplateGroup) -> _ConfigContext:
         """The compilation context for a group's config-axis overrides."""
-        if not group.overrides:  # hot path: override-free grids
+        signature = group.key.config
+        if signature is None:  # hot path: grids without config axes
             return self._base_context
-        signature = config_overrides_signature(group.overrides)
         context = self._contexts.get(signature)
         if context is None:
-            config = apply_config_overrides(
-                self._base_context.compiler.config, group.overrides
-            )
-            context = _ConfigContext(
-                config,
-                self._table,
-                self.include_cost,
-                persistent_cache=self.persistent_cache,
-            )
-            self._contexts[signature] = context
+            config = apply_config_overrides(self._base_context.compiler.config, group.overrides)
+            context = self._contexts[signature] = self._new_context(config)
         return context
 
     @property
@@ -236,17 +213,20 @@ class BatchEstimator:
         A process-wide estimator shared across server requests surfaces
         these through ``/v1/metrics``: ``template_hits`` /
         ``template_misses`` count :meth:`TemplateCompiler.compile` lookups,
-        ``templates`` and ``contexts`` the resident cache sizes,
+        ``templates``, ``geometries`` (template geometries, shared by
+        config contexts) and ``contexts`` the resident cache sizes,
         ``compiles`` the full template compilations actually run (an
         in-memory miss satisfied by the persistent disk cache is not a
         compile), and ``disk_hits`` / ``disk_misses`` the persistent-cache
         probes (zeros when no ``persistent_cache`` is mounted).
         """
         contexts = list(self._contexts.values())
+        geometries = list(self._geometries.values())
         return {
             "template_hits": sum(c.compiler.template_hits for c in contexts),
             "template_misses": sum(c.compiler.template_misses for c in contexts),
             "templates": sum(len(c.compiler._templates) for c in contexts),
+            "geometries": sum(len(g._geometries) for g in geometries),
             "contexts": len(contexts),
             "compiles": sum(c.compiler.compiles for c in contexts),
             "disk_hits": sum(c.compiler.disk_hits for c in contexts),
@@ -278,12 +258,15 @@ class BatchEstimator:
 
     def compile_for(self, group: Union[TemplateGroup, Scenario]) -> CompiledSystem:
         """The compiled template behind a group (or a single scenario)."""
+        if isinstance(group, Scenario):
+            group = TemplateGroup.of([group])
         return self._context_for(group).compiler.compile(
             group.base_kind,
             group.base_ref,
             group.nodes,
             group.packaging,
             group.overrides,
+            group.key,
         )
 
     def evaluate_group(
@@ -309,11 +292,11 @@ class BatchEstimator:
             "base": group.base_ref,
             "nodes": list(template.node_values),
             "packaging": template.architecture,
-            "packaging_params": packaging_params_json(group.packaging),
+            "packaging_params": group.key.packaging_params,
             "fab_source": None,
             "lifetime_years": None,
             "system_volume": None,
-            "overrides": overrides_json(group.overrides),
+            "overrides": group.key.overrides,
             "system": template.system_name,
             "total_carbon_g": None,
             "embodied_carbon_g": None,
@@ -345,11 +328,13 @@ class BatchEstimator:
         self,
         template: CompiledSystem,
         fab_source: Optional[str],
-        context: Optional[_ConfigContext] = None,
+        context: _ConfigContext,
     ) -> SourceTerms:
-        """Terms that depend on the fab source but not on lifetime/volume."""
-        if context is None:
-            context = self._base_context
+        """Terms that depend on the fab source but not on lifetime/volume.
+
+        ``context`` must be the one ``template`` was compiled under: the
+        terms (cached on the template) read its default carbon sources.
+        """
         terms = template.source_terms_cache.get(fab_source)
         if terms is not None:
             return terms

@@ -2,12 +2,12 @@
 
 A *template* is everything about a scenario that survives changes of fab
 carbon source, lifetime and manufacturing volume: the base system, its node
-assignment and its packaging architecture.  :class:`TemplateCompiler`
-resolves a template once — area scaling, per-chiplet packaging overheads,
-floorplan geometry, yields, wafer utilisation, EDA compute time, packaging
-substrate terms and the dollar-cost structure — into flat closed-form
-coefficients, so that evaluating a scenario against a compiled template is
-plain arithmetic (see :mod:`repro.fastpath.batch`).
+assignment and its packaging architecture.  A template is resolved once —
+area scaling, per-chiplet packaging overheads, floorplan geometry, yields,
+wafer utilisation, EDA compute time, packaging substrate terms and the
+dollar-cost structure — into flat closed-form coefficients, so that
+evaluating a scenario against a compiled template is plain arithmetic (see
+:mod:`repro.fastpath.batch`).
 
 Bit-exactness contract
 ----------------------
@@ -20,13 +20,19 @@ scalar results bit for bit.  When touching any of the mirrored formulas,
 update both sides and rely on the parity tests in
 ``tests/integration/test_batch_parity.py`` to catch divergence.
 
-The compiler shares work across templates through layered caches: base
-systems, per-(chiplet, node) areas, floorplans keyed by their area signature
-(different node assignments that produce the same chiplet areas share one
-floorplan — adjacency extraction runs lazily, only for architectures whose
-:attr:`~repro.packaging.base.PackagingModel.needs_adjacencies` flag is
-set), packaging models and per-node PHY/router figures per spec, and
-per-die yield/wafer terms.
+Compilation has two stages, split by what they read of the config:
+
+1. :class:`GeometryCompiler`: the base system with system-axis overrides
+   applied, areas, packaging overheads, floorplan, packaging terms,
+   operational power and dollar-cost terms.  It reads the table and only
+   the :data:`GEOMETRY_CONFIG_FIELDS` of the config, so every config context
+   that agrees on them shares one, keyed on base, nodes, packaging and
+   system-override signatures.  Floorplans are keyed by their area
+   signature (adjacency extraction runs lazily, only for architectures
+   whose :attr:`~repro.packaging.base.PackagingModel.needs_adjacencies`
+   flag is set).
+2. :class:`TemplateCompiler`, one per config context: die yield, wasted
+   wafer area and design energy, over the shared geometry.
 
 Per-architecture closed forms live with their models: every
 :class:`~repro.packaging.base.PackagingModel` implements
@@ -40,13 +46,9 @@ ones.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.axes import (
-    apply_system_overrides,
-    system_overrides_signature,
-    template_overrides_signature,
-)
+from repro.axes import apply_system_overrides
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.core.system import ChipletSystem
 from repro.fastpath.diskcache import DiskCompileCache, as_disk_cache
@@ -61,7 +63,7 @@ from repro.design.eda import gates_from_transistors
 from repro.floorplan.slicing import FloorplanResult, SlicingFloorplanner
 from repro.packaging.base import PackagedChiplet, PackagingModel, PackagingTerms
 from repro.packaging.registry import build_packaging_model, spec_from_dict
-from repro.sweep.spec import packaging_signature, resolve_base
+from repro.sweep.spec import GroupKey, packaging_signature, resolve_base
 from repro.technology.nodes import (
     TechnologyTable,
     _normalise_node_key,
@@ -73,9 +75,12 @@ __all__ = [
     "CompiledSystem",
     "CostGroupTerms",
     "CostTerms",
+    "GEOMETRY_CONFIG_FIELDS",
+    "GeometryCompiler",
     "PackagingTerms",
     "SourceTerms",
     "TemplateCompiler",
+    "TemplateGeometry",
     "TemplateKey",
     "compile_packaging",
     "packaging_signature",
@@ -91,7 +96,7 @@ def compile_packaging(
 
     Convenience wrapper around :meth:`PackagingModel.compile_terms` with
     uncached per-call PHY/router power figures; the compiler proper goes
-    through :meth:`TemplateCompiler._compile_packaging`, which caches them
+    through :meth:`GeometryCompiler._compile_packaging`, which caches them
     per (spec, node).
     """
     spec = getattr(model, "spec", None)
@@ -237,24 +242,35 @@ TemplateKey = Tuple[
     str, str, Optional[Tuple[float, ...]], Optional[Tuple], Optional[Tuple]
 ]
 
+#: The :class:`EstimatorConfig` fields the geometry stage reads: the
+#: floorplanner's spacing and the packaging model's router spec and carbon
+#: source.  Config contexts that agree on them share one
+#: :class:`GeometryCompiler`; every other field is read per context only.
+GEOMETRY_CONFIG_FIELDS = ("chiplet_spacing_mm", "router_spec", "package_carbon_source")
 
-class TemplateCompiler:
-    """Compiles and caches :class:`CompiledSystem` templates.
 
-    Args:
-        config: Estimator configuration (same meaning as for
-            :class:`repro.core.estimator.EcoChip`).
-        table: Technology table override.
-        include_cost: Also compile the dollar-cost terms for ``cost_usd``.
-        persistent_cache: Optional on-disk compile cache
-            (:class:`repro.fastpath.DiskCompileCache` or a directory path):
-            templates and floorplans missing from the in-memory caches are
-            loaded from (and compiled results stored to) disk, so cold
-            starts across processes, runs and server restarts share one
-            compile investment.  Entries are salted with the config, the
-            technology-table content hash and the cost flag, so a cache
-            directory may be shared between differently-configured
-            compilers without cross-talk.
+class TemplateGeometry(NamedTuple):
+    """Stage 1 of a template: everything its config context cannot change."""
+
+    base: ChipletSystem  # system-axis overrides applied
+    node_keys: Tuple[Any, ...]
+    node_values: Tuple[float, ...]
+    final_areas: Tuple[float, ...]
+    transistors: Tuple[float, ...]
+    packaging: PackagingTerms
+    is_monolithic: bool
+    annual_cfp_g: float
+    power_w: float
+    silicon_area_mm2: float
+    cost: Optional[CostTerms]
+
+
+class GeometryCompiler:
+    """Stage 1: compiles and caches the config-free geometry of templates.
+
+    Reads the technology table and only the :data:`GEOMETRY_CONFIG_FIELDS`
+    of ``config``, so one instance serves every config context that agrees
+    on them.  Arguments as for :class:`TemplateCompiler`.
     """
 
     def __init__(
@@ -264,51 +280,23 @@ class TemplateCompiler:
         include_cost: bool = True,
         persistent_cache: Optional[Any] = None,
     ):
-        self.config = config if config is not None else EstimatorConfig()
-        self.estimator = EcoChip(config=self.config, table=table)
+        self.estimator = EcoChip(config=config, table=table)
+        self.config = self.estimator.config
         self.cost_model = (
             ChipletCostModel(table=self.estimator.table) if include_cost else None
         )
         self.persistent_cache: Optional[DiskCompileCache] = as_disk_cache(
             persistent_cache
         )
-        #: Everything template values depend on besides the template key
-        #: itself — table content, config, cost flag — pre-digested so each
-        #: entry address hashes a short string, not the full config repr.
-        #: Computed only when a persistent cache is mounted: cache-less
-        #: compilers (the common case) skip the table walk entirely.
-        if self.persistent_cache is not None:
-            import hashlib
-
-            self._disk_salt: Optional[str] = hashlib.sha256(
-                repr(
-                    (table_signature(table), repr(self.config), bool(include_cost))
-                ).encode("utf-8")
-            ).hexdigest()
-        else:
-            self._disk_salt = None
         self._bases: Dict[Tuple[str, str], ChipletSystem] = {}
-        self._templates: Dict[TemplateKey, CompiledSystem] = {}
-        #: Template-cache hit/miss counters (int increments are GIL-atomic;
-        #: a server sharing one compiler across threads reads these for its
-        #: /v1/metrics endpoint).  ``template_misses`` counts in-memory
-        #: misses; ``compiles`` counts the subset that also missed the
-        #: persistent cache and ran the full compile.
-        self.template_hits = 0
-        self.template_misses = 0
-        self.compiles = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        # design-directory base ref -> content fingerprint (templates built
-        # on on-disk designs key their persistent entries on the files too).
-        self._dir_fingerprints: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+        # (base kind, base ref, nodes, packaging signature, system-override
+        # signature) -> geometry
+        self._geometries: Dict[Tuple, TemplateGeometry] = {}
         # packaging signature -> packaging spec
-        self._specs: Dict[Tuple, Any] = {}
+        self._specs: Dict[Optional[Tuple], Any] = {}
         # (base key incl. system-override signature, chiplet name, node)
         # -> (base area, transistor count)
-        self._areas: Dict[
-            Tuple[Tuple[str, str, Optional[Tuple]], str, float], Tuple[float, float]
-        ] = {}
+        self._areas: Dict[Tuple, Tuple[float, float]] = {}
         # packaging spec -> model (compile-time only: yields / areas / powers)
         self._packaging_models: Dict[Any, PackagingModel] = {}
         # (packaging spec, node, chiplet count) -> per-chiplet area overhead
@@ -318,27 +306,9 @@ class TemplateCompiler:
         self._router_powers: Dict[Tuple[Any, float], float] = {}
         # (spacing, area items) -> (floorplan, has adjacencies), shared
         # across templates: equal area signatures floorplan identically.
-        self._floorplans: Dict[
-            Tuple[float, Tuple[Tuple[str, float], ...]], Tuple[FloorplanResult, bool]
-        ] = {}
-        # (final area, node) -> (die yield, wasted wafer area per die)
-        self._die_terms: Dict[Tuple[float, float], Tuple[float, float]] = {}
-        # (transistors, node, iterations) -> design energy in kWh
-        self._design_kwh: Dict[Tuple[float, float, int], float] = {}
-        # iterations -> inter-die communication design energy in kWh
-        self._comm_kwh: Dict[int, float] = {}
+        self._floorplans: Dict[Tuple, Tuple[FloorplanResult, bool]] = {}
         # (base area, node) -> die cost in USD
         self._die_costs: Dict[Tuple[float, float], float] = {}
-
-    # -- shared-cache helpers -------------------------------------------------------
-    def base_system(self, base_kind: str, base_ref: str) -> ChipletSystem:
-        """The (cached) base system a template builds on."""
-        key = (base_kind, base_ref)
-        system = self._bases.get(key)
-        if system is None:
-            system = resolve_base(base_kind, base_ref)
-            self._bases[key] = system
-        return system
 
     def _floorplan(
         self,
@@ -385,127 +355,40 @@ class TemplateCompiler:
             self._packaging_models[spec] = model
         return model
 
-    def _packaging_spec(self, packaging: Optional[Mapping[str, Any]], base: ChipletSystem):
-        if packaging is None:
-            return base.packaging
-        signature = packaging_signature(packaging)
-        spec = self._specs.get(signature)
-        if spec is None:
-            spec = spec_from_dict(dict(packaging))
-            self._specs[signature] = spec
-        return spec
-
-    # -- template compilation ---------------------------------------------------------
-    def compile(
+    def geometry(
         self,
         base_kind: str,
         base_ref: str,
         nodes: Optional[Tuple[float, ...]],
         packaging: Optional[Mapping[str, Any]],
-        overrides: Optional[Mapping[str, Any]] = None,
-    ) -> CompiledSystem:
-        """Compile (or fetch) the template for one scenario family.
-
-        ``overrides`` is the scenario's registered-axis override mapping
-        (:mod:`repro.axes`): system-target axes are applied to the base
-        system before compilation, and the axis ``compile_terms`` hooks
-        key the template cache.  Config-target axes must already be baked
-        into this compiler's ``config`` — the
-        :class:`repro.fastpath.batch.BatchEstimator` keeps one compiler
-        per config-override signature.
-        """
-        key: TemplateKey = (
-            base_kind,
-            base_ref,
-            nodes,
-            packaging_signature(packaging),
-            template_overrides_signature(overrides) if overrides else None,
-        )
-        template = self._templates.get(key)
-        if template is None:
-            self.template_misses += 1
-            template = self._load_persistent(key)
-            if template is None:
-                template = self._compile(
-                    base_kind, base_ref, nodes, packaging, overrides
-                )
-                self.compiles += 1
-                self._store_persistent(key, template)
-            self._templates[key] = template
-        else:
-            self.template_hits += 1
-        return template
-
-    # -- persistent cache -------------------------------------------------------------
-    def _template_disk_key(self, key: TemplateKey) -> Tuple:
-        """The on-disk address material of a template key.
-
-        Templates built on a design directory depend on its files, not just
-        its path, so the key grows a content fingerprint: an edited design
-        never replays a stale entry.
-        """
-        base_kind, base_ref = key[0], key[1]
-        if base_kind != "design_dir":
-            return key
-        fingerprint = self._dir_fingerprints.get(base_ref)
-        if fingerprint is None:
-            import hashlib
-            from pathlib import Path
-
-            entries = []
-            root = Path(base_ref)
-            for path in sorted(p for p in root.rglob("*") if p.is_file()):
-                entries.append(
-                    (
-                        path.relative_to(root).as_posix(),
-                        hashlib.sha256(path.read_bytes()).hexdigest(),
-                    )
-                )
-            fingerprint = tuple(entries)
-            self._dir_fingerprints[base_ref] = fingerprint
-        return key + (fingerprint,)
-
-    def _load_persistent(self, key: TemplateKey) -> Optional[CompiledSystem]:
-        cache = self.persistent_cache
-        if cache is None:
-            return None
-        template = cache.load("template", self._disk_salt, self._template_disk_key(key))
-        if template is None:
-            self.disk_misses += 1
-            return None
-        self.disk_hits += 1
-        return template
-
-    def _store_persistent(self, key: TemplateKey, template: CompiledSystem) -> None:
-        if self.persistent_cache is not None:
-            # Stored straight after compilation, before any evaluation, so
-            # the per-source term cache ships empty and entries stay lean.
-            self.persistent_cache.store(
-                "template", self._disk_salt, self._template_disk_key(key), template
-            )
-
-    def _compile(
-        self,
-        base_kind: str,
-        base_ref: str,
-        nodes: Optional[Tuple[float, ...]],
-        packaging: Optional[Mapping[str, Any]],
-        overrides: Optional[Mapping[str, Any]] = None,
-    ) -> CompiledSystem:
+        overrides: Optional[Mapping[str, Any]],
+        key: GroupKey,
+    ) -> TemplateGeometry:
+        """The (cached) geometry of one template; ``key`` is the
+        :class:`~repro.sweep.spec.GroupKey` of ``packaging`` and ``overrides``."""
+        geometry_key = (base_kind, base_ref, nodes, key.packaging, key.system)
+        geometry = self._geometries.get(geometry_key)
+        if geometry is not None:
+            return geometry
         # System-target axis overrides transform the base system before any
         # geometry is derived — mirroring Scenario.build_system, which
         # applies them first on the scalar path.  Caches keyed on the base
         # (areas, cost) carry the override signature so an axis that
         # changes the chiplets themselves cannot poison shared entries.
-        base_key = (base_kind, base_ref, system_overrides_signature(overrides))
-        base = apply_system_overrides(
-            self.base_system(base_kind, base_ref), overrides
-        )
+        base_key = (base_kind, base_ref, key.system)
+        base = self._bases.get((base_kind, base_ref))
+        if base is None:
+            base = self._bases[(base_kind, base_ref)] = resolve_base(base_kind, base_ref)
+        base = apply_system_overrides(base, overrides)
         estimator = self.estimator
-        spec = self._packaging_spec(packaging, base)
+        if packaging is None:
+            spec = base.packaging
+        else:
+            spec = self._specs.get(key.packaging)
+            if spec is None:
+                spec = self._specs[key.packaging] = spec_from_dict(dict(packaging))
         model = self._packaging_model(spec)
         chiplet_count = base.chiplet_count
-        is_monolithic = chiplet_count == 1 or model.is_monolithic
 
         if nodes is not None:
             if len(nodes) != chiplet_count:
@@ -554,69 +437,10 @@ class TemplateCompiler:
             model, spec, node_keys, tuple(final_area_values), floorplan
         )
 
-        # Per-chiplet manufacturing and design coefficients.
-        design_model = estimator.design_model
-        table = estimator.table
-        chiplet_terms: List[ChipletTerms] = []
-        for chiplet, node_key, node_value, transistors, final_area in zip(
-            base.chiplets, node_keys, node_values, transistor_counts, final_area_values
-        ):
-            die_key = (final_area, node_value)
-            die_terms = self._die_terms.get(die_key)
-            if die_terms is None:
-                die_terms = (
-                    estimator.manufacturing.yield_model.die_yield(final_area, node_key),
-                    estimator.manufacturing.wafer.utilisation(
-                        final_area
-                    ).wasted_area_per_die_mm2,
-                )
-                self._die_terms[die_key] = die_terms
-            yield_value, wasted_area = die_terms
-            record = table.get(node_key)
-            if chiplet.reused:
-                design_kwh = 0.0
-            else:
-                kwh_key = (transistors, node_value, base.design_iterations)
-                design_kwh = self._design_kwh.get(kwh_key)
-                if design_kwh is None:
-                    gates = gates_from_transistors(
-                        transistors, design_model.transistors_per_gate
-                    )
-                    hours = design_model.spr_model.design_hours(
-                        gates, node_key, base.design_iterations
-                    )
-                    design_kwh = hours * design_model.design_power_w / 1000.0
-                    self._design_kwh[kwh_key] = design_kwh
-            chiplet_terms.append(
-                ChipletTerms(
-                    name=chiplet.name,
-                    final_area_mm2=final_area,
-                    eff=record.equipment_efficiency,
-                    epa=record.epa_kwh_per_cm2,
-                    gas_g_cm2=record.gas_kg_per_cm2 * 1000.0,
-                    material_g_cm2=record.material_kg_per_cm2 * 1000.0,
-                    yield_value=yield_value,
-                    wasted_area_mm2=wasted_area,
-                    design_energy_kwh=design_kwh,
-                    reused=chiplet.reused,
-                    explicit_volume=chiplet.manufactured_volume,
-                )
-            )
-
-        # Inter-die communication design effort (None for monolithic systems).
-        comm_design_kwh: Optional[float] = None
-        if not is_monolithic and DEFAULT_COMM_DESIGN_GATES > 0:
-            comm_design_kwh = self._comm_kwh.get(base.design_iterations)
-            if comm_design_kwh is None:
-                comm_hours = design_model.spr_model.design_hours(
-                    DEFAULT_COMM_DESIGN_GATES, 7, base.design_iterations
-                )
-                comm_design_kwh = comm_hours * design_model.design_power_w / 1000.0
-                self._comm_kwh[base.design_iterations] = comm_design_kwh
-
         # Operational terms (estimator step 7): _effective_operating_spec
         # replicated over the compiled geometry — the annual footprint and
         # the power figure are lifetime- and fab-source-independent.
+        table = estimator.table
         operating = base.operating.with_comm_power(packaging_terms.comm_power_w)
         if operating.annual_energy_kwh is None and operating.average_power_w is None:
             total_area = sum(final_areas.values())
@@ -641,25 +465,22 @@ class TemplateCompiler:
                 operating = dataclasses.replace(operating, **updates)
         operational = estimator.operational_model.evaluate(operating)
 
-        silicon_area = sum(final_area_values)
-
-        cost_terms = (
-            self._compile_cost(base_key, base, node_values) if self.cost_model else None
-        )
-
-        return CompiledSystem(
-            system_name=base.name,
+        geometry = self._geometries[geometry_key] = TemplateGeometry(
+            base=base,
+            node_keys=node_keys,
             node_values=node_values,
-            base_volume=base.system_volume,
-            base_lifetime=base.operating.lifetime_years,
-            chiplets=tuple(chiplet_terms),
+            final_areas=tuple(final_area_values),
+            transistors=tuple(transistor_counts),
             packaging=packaging_terms,
-            comm_design_energy_kwh=comm_design_kwh,
+            is_monolithic=chiplet_count == 1 or model.is_monolithic,
             annual_cfp_g=operational.annual_cfp_g,
             power_w=operational.energy.total_power_w,
-            silicon_area_mm2=silicon_area,
-            cost=cost_terms,
+            silicon_area_mm2=sum(final_area_values),
+            cost=(
+                self._compile_cost(base_key, base, node_values) if self.cost_model else None
+            ),
         )
+        return geometry
 
     def _compile_packaging(
         self,
@@ -760,3 +581,237 @@ class TemplateCompiler:
                 )
             )
         return CostTerms(fixed_usd=fixed, groups=tuple(groups))
+
+
+class TemplateCompiler:
+    """Stage 2: compiles and caches :class:`CompiledSystem` templates under one config.
+
+    Adds what reads the rest of the config (die yield, wasted wafer area,
+    design energy) to the geometry a :class:`GeometryCompiler` compiles.
+
+    Args:
+        config: Estimator configuration (same meaning as for
+            :class:`repro.core.estimator.EcoChip`).
+        table: Technology table override.
+        include_cost: Also compile the dollar-cost terms for ``cost_usd``.
+        persistent_cache: Optional on-disk compile cache
+            (:class:`repro.fastpath.DiskCompileCache` or a directory path):
+            templates and floorplans missing from the in-memory caches are
+            loaded from (and compiled results stored to) disk, so cold
+            starts across processes, runs and server restarts share one
+            compile investment.  Entries are salted with the config, the
+            technology-table content hash and the cost flag, so a cache
+            directory may be shared between differently-configured
+            compilers without cross-talk.
+        geometry: A geometry stage to share (same table and cost flag, and
+            a config equal on :data:`GEOMETRY_CONFIG_FIELDS`); else a new one.
+    """
+
+    def __init__(
+        self,
+        config: Optional[EstimatorConfig] = None,
+        table: Optional[TechnologyTable] = None,
+        include_cost: bool = True,
+        persistent_cache: Optional[Any] = None,
+        geometry: Optional[GeometryCompiler] = None,
+    ):
+        self.config = config if config is not None else EstimatorConfig()
+        self.estimator = EcoChip(config=self.config, table=table)
+        self.persistent_cache: Optional[DiskCompileCache] = as_disk_cache(
+            persistent_cache
+        )
+        if geometry is None:
+            geometry = GeometryCompiler(self.config, table, include_cost, self.persistent_cache)
+        self.geometry = geometry
+        #: Everything template values depend on besides the template key
+        #: itself — table content, config, cost flag — pre-digested so each
+        #: entry address hashes a short string, not the full config repr.
+        #: Computed only when a persistent cache is mounted: cache-less
+        #: compilers (the common case) skip the table walk entirely.
+        if self.persistent_cache is not None:
+            import hashlib
+
+            self._disk_salt: Optional[str] = hashlib.sha256(
+                repr(
+                    (table_signature(table), repr(self.config), bool(include_cost))
+                ).encode("utf-8")
+            ).hexdigest()
+        else:
+            self._disk_salt = None
+        self._templates: Dict[TemplateKey, CompiledSystem] = {}
+        #: Template-cache hit/miss counters (int increments are GIL-atomic;
+        #: a server sharing one compiler across threads reads these for its
+        #: /v1/metrics endpoint).  ``template_misses`` counts in-memory
+        #: misses; ``compiles`` counts the subset that also missed the
+        #: persistent cache and ran the full compile.
+        self.template_hits = 0
+        self.template_misses = 0
+        self.compiles = 0
+        self.disk_hits = 0
+        self.disk_misses = 0
+        # design-directory base ref -> content fingerprint (templates built
+        # on on-disk designs key their persistent entries on the files too).
+        self._dir_fingerprints: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+        # (final area, node) -> ChipletTerms fields eff .. wasted_area_mm2
+        self._die_terms: Dict[Tuple[float, float], Tuple[float, ...]] = {}
+        # (transistors, node, iterations) -> design energy in kWh
+        self._design_kwh: Dict[Tuple[float, float, int], float] = {}
+        # iterations -> inter-die communication design energy in kWh
+        self._comm_kwh: Dict[int, float] = {}
+
+    # -- template compilation ---------------------------------------------------------
+    def compile(
+        self,
+        base_kind: str,
+        base_ref: str,
+        nodes: Optional[Tuple[float, ...]],
+        packaging: Optional[Mapping[str, Any]],
+        overrides: Optional[Mapping[str, Any]] = None,
+        key: Optional[GroupKey] = None,
+    ) -> CompiledSystem:
+        """Compile (or fetch) the template for one scenario family.
+
+        ``overrides`` is the scenario's registered-axis override mapping
+        (:mod:`repro.axes`): system-target axes are applied to the base
+        system before compilation, and the axis ``compile_terms`` hooks
+        key the template cache.  Config-target axes must already be baked
+        into this compiler's ``config`` — the
+        :class:`repro.fastpath.batch.BatchEstimator` keeps one compiler
+        per config-override signature.  ``key`` is the
+        :class:`~repro.sweep.spec.GroupKey` of ``packaging`` and ``overrides``.
+        """
+        key = key if key is not None else GroupKey.of(packaging, overrides)
+        template_key: TemplateKey = (base_kind, base_ref, nodes, key.packaging, key.template)
+        template = self._templates.get(template_key)
+        if template is None:
+            self.template_misses += 1
+            template = self._load_persistent(template_key)
+            if template is None:
+                template = self._compile(
+                    self.geometry.geometry(base_kind, base_ref, nodes, packaging, overrides, key)
+                )
+                self.compiles += 1
+                self._store_persistent(template_key, template)
+            self._templates[template_key] = template
+        else:
+            self.template_hits += 1
+        return template
+
+    # -- persistent cache -------------------------------------------------------------
+    def _template_disk_key(self, key: TemplateKey) -> Tuple:
+        """The on-disk address material of a template key.
+
+        Templates built on a design directory depend on its files, not just
+        its path, so the key grows a content fingerprint: an edited design
+        never replays a stale entry.
+        """
+        base_kind, base_ref = key[0], key[1]
+        if base_kind != "design_dir":
+            return key
+        fingerprint = self._dir_fingerprints.get(base_ref)
+        if fingerprint is None:
+            import hashlib
+            from pathlib import Path
+
+            entries = []
+            root = Path(base_ref)
+            for path in sorted(p for p in root.rglob("*") if p.is_file()):
+                entries.append(
+                    (
+                        path.relative_to(root).as_posix(),
+                        hashlib.sha256(path.read_bytes()).hexdigest(),
+                    )
+                )
+            fingerprint = tuple(entries)
+            self._dir_fingerprints[base_ref] = fingerprint
+        return key + (fingerprint,)
+
+    def _load_persistent(self, key: TemplateKey) -> Optional[CompiledSystem]:
+        cache = self.persistent_cache
+        if cache is None:
+            return None
+        template = cache.load("template", self._disk_salt, self._template_disk_key(key))
+        if template is None:
+            self.disk_misses += 1
+            return None
+        self.disk_hits += 1
+        return template
+
+    def _store_persistent(self, key: TemplateKey, template: CompiledSystem) -> None:
+        if self.persistent_cache is not None:
+            # Stored straight after compilation, before any evaluation, so
+            # the per-source term cache ships empty and entries stay lean.
+            self.persistent_cache.store(
+                "template", self._disk_salt, self._template_disk_key(key), template
+            )
+
+    def _compile(self, geometry: TemplateGeometry) -> CompiledSystem:
+        """The config-dependent terms over a template's shared geometry."""
+        estimator = self.estimator
+        base = geometry.base
+        iterations = base.design_iterations
+        design_model = estimator.design_model
+        table = estimator.table
+        chiplet_terms: List[ChipletTerms] = []
+        for chiplet, node_key, node_value, transistors, final_area in zip(
+            base.chiplets, geometry.node_keys, geometry.node_values,
+            geometry.transistors, geometry.final_areas,
+        ):
+            die_key = (final_area, node_value)
+            die_terms = self._die_terms.get(die_key)
+            if die_terms is None:
+                record = table.get(node_key)
+                die_terms = (
+                    record.equipment_efficiency,
+                    record.epa_kwh_per_cm2,
+                    record.gas_kg_per_cm2 * 1000.0,
+                    record.material_kg_per_cm2 * 1000.0,
+                    estimator.manufacturing.yield_model.die_yield(final_area, node_key),
+                    estimator.manufacturing.wafer.utilisation(
+                        final_area
+                    ).wasted_area_per_die_mm2,
+                )
+                self._die_terms[die_key] = die_terms
+            if chiplet.reused:
+                design_kwh = 0.0
+            else:
+                kwh_key = (transistors, node_value, iterations)
+                design_kwh = self._design_kwh.get(kwh_key)
+                if design_kwh is None:
+                    gates = gates_from_transistors(
+                        transistors, design_model.transistors_per_gate
+                    )
+                    hours = design_model.spr_model.design_hours(gates, node_key, iterations)
+                    design_kwh = hours * design_model.design_power_w / 1000.0
+                    self._design_kwh[kwh_key] = design_kwh
+            chiplet_terms.append(
+                ChipletTerms(
+                    chiplet.name, final_area, *die_terms, design_kwh,
+                    chiplet.reused, chiplet.manufactured_volume,
+                )
+            )
+
+        # Inter-die communication design effort (None for monolithic systems).
+        comm_design_kwh: Optional[float] = None
+        if not geometry.is_monolithic and DEFAULT_COMM_DESIGN_GATES > 0:
+            comm_design_kwh = self._comm_kwh.get(iterations)
+            if comm_design_kwh is None:
+                comm_hours = design_model.spr_model.design_hours(
+                    DEFAULT_COMM_DESIGN_GATES, 7, iterations
+                )
+                comm_design_kwh = comm_hours * design_model.design_power_w / 1000.0
+                self._comm_kwh[iterations] = comm_design_kwh
+
+        return CompiledSystem(
+            system_name=base.name,
+            node_values=geometry.node_values,
+            base_volume=base.system_volume,
+            base_lifetime=base.operating.lifetime_years,
+            chiplets=tuple(chiplet_terms),
+            packaging=geometry.packaging,
+            comm_design_energy_kwh=comm_design_kwh,
+            annual_cfp_g=geometry.annual_cfp_g,
+            power_w=geometry.power_w,
+            silicon_area_mm2=geometry.silicon_area_mm2,
+            cost=geometry.cost,
+        )

@@ -24,8 +24,11 @@ from repro.axes import (
     apply_system_overrides,
     axis_names,
     canonical_value,
+    config_overrides_signature,
     get_axis,
     overrides_json,
+    system_overrides_signature,
+    template_overrides_signature,
 )
 from repro.core.disaggregation import all_node_configurations
 from repro.core.system import ChipletSystem
@@ -213,10 +216,38 @@ def format_axis_value(value: Any) -> str:
 GroupRow = Tuple[int, Optional[str], Optional[float], Optional[float]]
 
 
+class GroupKey(NamedTuple):
+    """The signatures of a template group's packaging and override dicts.
+
+    ``packaging`` and ``template`` key the template caches, ``system`` the
+    geometry cache and ``config`` the config context; ``packaging_params``
+    and ``overrides`` are record columns.
+    """
+
+    packaging: Optional[Tuple]
+    packaging_params: Optional[str]
+    config: Optional[Tuple]
+    system: Optional[Tuple]
+    template: Optional[Tuple]
+    overrides: Optional[str]
+
+    @classmethod
+    def of(cls, packaging: Optional[Mapping], overrides: Optional[Mapping]) -> "GroupKey":
+        return cls(
+            packaging_signature(packaging),
+            packaging_params_json(packaging),
+            config_overrides_signature(overrides),
+            system_overrides_signature(overrides),
+            template_overrides_signature(overrides),
+            overrides_json(overrides),
+        )
+
+
 class TemplateGroup(NamedTuple):
     """Scenarios sharing one compiled template: its fields once, a row each.
 
     The unit the batch engine compiles, evaluates and ships to workers.
+    ``key`` holds the signatures of ``packaging`` and ``overrides``.
     ``row_dicts`` holds per-row ``(packaging, overrides)`` pairs when the
     scenarios' dicts are equal but not shared objects, else ``None``.
     """
@@ -227,18 +258,20 @@ class TemplateGroup(NamedTuple):
     packaging: Optional[Mapping[str, Any]]
     overrides: Optional[Mapping[str, Any]]
     rows: Sequence[GroupRow]
+    key: GroupKey
     row_dicts: Optional[Sequence[Tuple[Any, Any]]] = None
 
     @classmethod
-    def of(cls, scenarios: Sequence[Scenario]) -> "TemplateGroup":
+    def of(cls, scenarios: Sequence[Scenario], key: Optional[GroupKey] = None) -> "TemplateGroup":
         """The group of ``scenarios``, which must share one template key."""
         first = scenarios[0]
         rows = [(s.index, s.fab_source, s.lifetime_years, s.system_volume) for s in scenarios]
         dicts = [(s.packaging, s.overrides) for s in scenarios]
         shared = all(p is first.packaging and o is first.overrides for p, o in dicts)
         return cls(
-            first.base_kind, first.base_ref, first.nodes, first.packaging,
-            first.overrides, rows, None if shared else dicts,
+            first.base_kind, first.base_ref, first.nodes, first.packaging, first.overrides,
+            rows, key if key is not None else GroupKey.of(first.packaging, first.overrides),
+            None if shared else dicts,
         )
 
     def scenarios(self) -> List[Scenario]:
@@ -528,8 +561,9 @@ class SweepSpec:
         outer loops, so each of their combinations is one group of
         contiguous indices whose rows run over the carbon sources,
         lifetimes and volumes.  The groups of one call share the spec's
-        packaging dicts and one dict per override combination, so the
-        batch engine's identity-keyed caches avoid re-hashing them.
+        packaging dicts, one dict per override combination and one
+        :class:`GroupKey` per (packaging, overrides) pair, so the batch
+        engine hashes no dict per group.
         """
         packaging_axis: Sequence[Optional[Mapping[str, Any]]] = self.packaging or (None,)
         override_axis: Sequence[Optional[Mapping[str, Any]]] = (None,)
@@ -539,6 +573,10 @@ class SweepSpec:
                 dict(zip(names, combo))
                 for combo in itertools.product(*(values for _, values in self.overrides))
             ]
+        template_axis = [
+            (packaging, overrides, GroupKey.of(packaging, overrides))
+            for packaging, overrides in itertools.product(packaging_axis, override_axis)
+        ]
         row_axis = list(
             itertools.product(
                 self.carbon_sources or (None,),
@@ -553,12 +591,12 @@ class SweepSpec:
                 node_axis = self.node_configs
             elif self.nodes:
                 node_axis = all_node_configurations(self.nodes, chiplets)
-            for nodes, packaging, overrides in itertools.product(
-                node_axis, packaging_axis, override_axis
+            for nodes, (packaging, overrides, key) in itertools.product(
+                node_axis, template_axis
             ):
                 rows = [(index + offset,) + row for offset, row in enumerate(row_axis)]
                 index += len(rows)
-                yield TemplateGroup(base_kind, base_ref, nodes, packaging, overrides, rows)
+                yield TemplateGroup(base_kind, base_ref, nodes, packaging, overrides, rows, key)
 
     def expand(self) -> List[Scenario]:
         """The flat list of scenarios: every :meth:`template_groups` row."""

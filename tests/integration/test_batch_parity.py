@@ -122,6 +122,51 @@ class TestConfigurationParity:
         )
 
 
+class TestConfigContextParity:
+    """Config axes that share one geometry stage, and one that must not.
+
+    ``wafer_diameter_mm`` and ``defect_density_scale`` only change per-context
+    terms, so their contexts share compiled geometry; ``router_spec`` changes
+    the interposer's router overhead, so its contexts must not.  The base
+    config's spacing is not the default, so a geometry stage built for the
+    wrong spacing shows too.
+    """
+
+    CONFIG = EstimatorConfig(chiplet_spacing_mm=0.75)
+    SPEC = SweepSpec.from_dict(
+        {
+            "testcases": ["ga102-3chiplet", "emr-2chiplet"],
+            "nodes": [7, 14],
+            "packaging": ["rdl_fanout", "passive_interposer", "3d"],
+            "carbon_sources": ["coal", "wind"],
+            "wafer_diameter_mm": [300, 450],
+            "defect_density_scale": [0.5, 2.0],
+            "router_spec": [{"ports": 4}, {"ports": 8, "flit_width_bits": 256}],
+        }
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_records(self.SPEC, config=self.CONFIG)
+
+    def test_batch_estimator_bit_identical(self, reference):
+        estimator = BatchEstimator(config=self.CONFIG)
+        _assert_identical(reference, estimator.evaluate(self.SPEC.expand()))
+        # 36 templates (12 node mixes x 3 packagings) in each of the 8
+        # config contexts (plus the unused base), one geometry per router spec.
+        stats = estimator.cache_stats()
+        assert (stats["contexts"], stats["templates"], stats["geometries"]) == (
+            9, 8 * 36, 2 * 36
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_session_sweep_bit_identical(self, reference, jobs):
+        from repro import Session
+
+        records = Session(self.CONFIG, jobs=jobs).sweep(self.SPEC).records
+        _assert_identical(reference, list(records))
+
+
 class TestOutOfTreeArchitecture:
     """The example plugin architecture meets the same parity bar as built-ins.
 

@@ -18,7 +18,7 @@ from repro.fastpath import (
     packaging_signature,
 )
 from repro.sweep.engine import reference_records
-from repro.sweep.spec import Scenario, SweepSpec
+from repro.sweep.spec import Scenario, SweepSpec, TemplateGroup
 from repro.testcases.registry import get_testcase
 
 QUICK = SweepSpec.preset("ga102-quick")
@@ -73,9 +73,9 @@ class TestTemplateCompiler:
         # templates share one floorplan signature (and one cache entry).
         compiler = TemplateCompiler()
         compiler.compile("testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"})
-        count_after_rdl = len(compiler._floorplans)
+        count_after_rdl = len(compiler.geometry._floorplans)
         compiler.compile("testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"})
-        assert len(compiler._floorplans) == count_after_rdl
+        assert len(compiler.geometry._floorplans) == count_after_rdl
 
     def test_node_count_mismatch_raises(self):
         compiler = TemplateCompiler()
@@ -90,6 +90,72 @@ class TestTemplateCompiler:
         assert template.node_values == (7.0, 14.0, 10.0)
         assert template.architecture == "3d_stack"
         assert template.system_name == get_testcase("ga102-3chiplet").name
+
+
+class TestGeometrySharing:
+    """Config contexts that agree on GEOMETRY_CONFIG_FIELDS share stage 1."""
+
+    def test_contexts_differing_in_defect_density_share_geometry(self):
+        estimator = BatchEstimator(include_cost=False)
+        templates = [
+            estimator.compile_for(
+                _scenario(nodes=(7.0, 14.0, 10.0), overrides={"defect_density_scale": scale})
+            )
+            for scale in (0.5, 2.0)
+        ]
+        stats = estimator.cache_stats()
+        assert stats["contexts"] == 3  # the base context plus one per scale
+        assert stats["templates"] == 2
+        assert stats["geometries"] == 1
+        [geometry] = estimator._geometries.values()
+        assert len(geometry._floorplans) == 1
+        first, second = templates
+        assert first.packaging is second.packaging
+        assert [c.yield_value for c in first.chiplets] != [
+            c.yield_value for c in second.chiplets
+        ]
+
+    def test_router_spec_contexts_do_not_share_geometry(self):
+        estimator = BatchEstimator(include_cost=False)
+        first, second = (
+            estimator.compile_for(
+                _scenario(
+                    packaging={"type": "passive_interposer"},
+                    overrides={"router_spec": {"ports": ports}},
+                )
+            )
+            for ports in (4, 8)
+        )
+        assert estimator.cache_stats()["geometries"] == 2
+        assert first.packaging != second.packaging
+
+
+class TestConfigFieldClassification:
+    def test_every_config_field_is_classified(self):
+        # A new EstimatorConfig field fails here until someone decides
+        # which stage reads it: a field the geometry stage reads must key
+        # it (GEOMETRY_CONFIG_FIELDS), or contexts would share stale geometry.
+        import dataclasses
+
+        from repro.fastpath.compiled import GEOMETRY_CONFIG_FIELDS
+
+        geometry_key = {
+            "chiplet_spacing_mm",  # floorplans
+            "router_spec",  # interposer router overheads and power
+            "package_carbon_source",  # packaging models (and default intensity)
+        }
+        per_context = {
+            "fab_carbon_source",  # default fab intensity
+            "design_carbon_source",  # default design intensity
+            "design_power_w",  # design and comm-design kWh
+            "wafer_diameter_mm",  # wasted wafer area per die
+            "include_wafer_waste",  # source terms
+            "include_design",  # row kernel
+            "defect_density_scale",  # die yield
+        }
+        assert set(GEOMETRY_CONFIG_FIELDS) == geometry_key
+        names = {field.name for field in dataclasses.fields(EstimatorConfig)}
+        assert names == geometry_key | per_context
 
 
 class TestPackagingClosedForm:
@@ -178,12 +244,21 @@ class TestBatchEstimator:
 
     def test_source_terms_cached_per_template(self):
         estimator = BatchEstimator()
-        scenario = _scenario(fab_source="coal")
-        template = estimator.compile_for(scenario)
-        first = estimator.source_terms(template, "coal")
-        second = estimator.source_terms(template, "coal")
+        group = TemplateGroup.of([_scenario(fab_source="coal")])
+        template = estimator.compile_for(group)
+        context = estimator._context_for(group)
+        first = estimator.source_terms(template, "coal", context)
+        second = estimator.source_terms(template, "coal", context)
         assert first is second
-        assert estimator.source_terms(template, "wind") is not first
+        assert estimator.source_terms(template, "wind", context) is not first
+
+    def test_source_terms_need_the_template_context(self):
+        # The default-source terms read the context's config; there is no
+        # silent fallback to the base context.
+        estimator = BatchEstimator()
+        template = estimator.compile_for(_scenario())
+        with pytest.raises(TypeError):
+            estimator.source_terms(template, None)
 
     def test_explicit_chiplet_volume_is_respected(self):
         # a15 chiplets carry explicit manufactured volumes in some testcases;
