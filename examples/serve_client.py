@@ -157,18 +157,20 @@ def main(argv: Sequence[str]) -> int:
     front = client.pareto(job["id"], ("total_carbon_g", "silicon_area_mm2"))
     print(f"pareto front (carbon vs area): {len(front)} points")
 
-    # Identical resubmission: served from the shared result cache.
+    # Identical resubmission: re-evaluated on the server's warm templates.
     again = client.wait(client.submit(SPEC)["id"])
-    print(f"resubmission {again['id']}: state={again['state']} cached={again['cached']}")
+    print(f"resubmission {again['id']}: {again['state']} in {again['elapsed_s']:.3f}s")
 
     metrics = client.metrics()
+    # Only a server evaluating in-process (jobs=1) shares one template cache.
+    templates = metrics.get("template_cache", {})
     print(
         "metrics: {d} done, {c} scenarios evaluated, "
-        "{h} result-cache hits, {s} sweeps served from cache".format(
+        "{h} template-cache hits, {m} templates compiled".format(
             d=metrics["jobs"]["done"],
             c=metrics["counters"].get("scenarios_evaluated", 0),
-            h=metrics["result_cache"]["hits"],
-            s=metrics["counters"].get("sweeps_served_from_cache", 0),
+            h=templates.get("template_hits", 0),
+            m=templates.get("compiles", 0),
         )
     )
 

@@ -32,9 +32,6 @@ conditions, or an out-of-tree axis — is one mapping away::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import itertools
-import time
 import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -43,7 +40,6 @@ from repro.axes import (
     apply_system_overrides,
     axis_names,
     config_overrides_signature,
-    overrides_signature,
     validate_overrides,
 )
 from repro.core.estimator import EcoChip, EstimatorConfig
@@ -58,17 +54,14 @@ from repro.sweep.engine import (
     SweepSummary,
     derive_scenario_config,
 )
-from repro.sweep.block import record_blocks
-from repro.sweep.spec import Scenario, SweepSpec, packaging_signature
+from repro.sweep.spec import SweepSpec
 from repro.sweep.store import (
     SweepRow,
-    completed_scenario_ids,
     load_records,
     open_store,
-    repair_torn_tail,
     rows_from_records,
 )
-from repro.technology.nodes import TechnologyTable, table_signature
+from repro.technology.nodes import TechnologyTable
 from repro.testcases.registry import get_testcase
 
 __all__ = [
@@ -77,52 +70,8 @@ __all__ = [
     "SearchSpec",
     "Session",
     "SweepResult",
-    "sweep_cache_key",
 ]
 
-
-def sweep_cache_key(
-    scenarios: Sequence[Scenario],
-    config: EstimatorConfig,
-    include_cost: bool,
-    table: Optional[TechnologyTable] = None,
-) -> str:
-    """Canonical cache key of a sweep: its scenarios plus evaluation context.
-
-    Two submissions share a key exactly when every scenario's
-    value-determining fields match (base, nodes, canonical packaging and
-    axis-override signatures, fab source, lifetime, volume — the same
-    signatures the engine keys its own caches on) *and* the estimator
-    context (config, cost flag, technology table) matches, which is
-    precisely the condition under which the engine produces bit-identical
-    records.  Used by :class:`Session` when a ``result_cache`` is attached
-    (:class:`repro.serve.cache.ResultCache`) so identical re-submissions
-    are served without re-evaluating anything.
-    """
-    hasher = hashlib.sha256()
-    # Tables are keyed by *content*, never by object identity: CPython
-    # reuses addresses after garbage collection, so an id()-based key would
-    # let a different table built at a recycled address silently replay a
-    # stale sweep.  Content hashing also lets a verbatim copy of the
-    # built-in table share its entries — the results are bit-identical.
-    table_key = table_signature(table)
-    hasher.update(repr((repr(config), bool(include_cost), table_key)).encode("utf-8"))
-    for scenario in scenarios:
-        hasher.update(
-            repr(
-                (
-                    scenario.base_kind,
-                    scenario.base_ref,
-                    scenario.nodes,
-                    packaging_signature(scenario.packaging),
-                    scenario.fab_source,
-                    scenario.lifetime_years,
-                    scenario.system_volume,
-                    overrides_signature(scenario.overrides),
-                )
-            ).encode("utf-8")
-        )
-    return hasher.hexdigest()
 
 #: What :meth:`Session.estimate` / :meth:`Session.explore` accept as a
 #: system: a built system, a testcase name, or a design-directory path.
@@ -226,12 +175,6 @@ class Session:
         include_cost: Add ``cost_usd`` to sweep records and cost reports to
             explore points.
         mp_context: Multiprocessing start method for worker pools.
-        result_cache: Optional sweep result cache (an object with
-            ``get(key) -> records | None`` and ``put(key, records)``, e.g.
-            :class:`repro.serve.cache.ResultCache`).  When attached,
-            :meth:`sweep` keys each run via :func:`sweep_cache_key` and
-            serves identical re-submissions from memory — replaying the
-            cached records into ``out`` — instead of re-evaluating.
         batch_estimator: Optional shared
             :class:`repro.fastpath.BatchEstimator` (``jobs=1`` only) so a
             long-lived process keeps one compiled-template cache across
@@ -263,7 +206,6 @@ class Session:
         backend: Optional[str] = None,
         include_cost: bool = True,
         mp_context: Optional[str] = None,
-        result_cache: Optional[Any] = None,
         batch_estimator: Optional[Any] = None,
         compile_cache: Optional[Any] = None,
         resilience: Optional[Any] = None,
@@ -289,7 +231,6 @@ class Session:
             resilience=resilience,
             chaos=chaos,
         )
-        self.result_cache = result_cache
         self._estimators: Dict[Tuple[Optional[str], Optional[Tuple]], EcoChip] = {}
 
     # -- introspection ----------------------------------------------------------------
@@ -405,51 +346,19 @@ class Session:
         if resume and out is None:
             raise ValueError("resume=True needs an out file to resume into")
 
-        cache = self.result_cache
-        cache_key: Optional[str] = None
-        scenarios: Optional[List[Scenario]] = None
-        if cache is not None:
-            scenarios = spec.expand()
-            cache_key = sweep_cache_key(
-                scenarios, self.config, self.include_cost, self.table
-            )
-            cached = cache.get(cache_key)
-            if cached is not None:
-                return self._replay_cached(
-                    spec,
-                    cached,
-                    out=out,
-                    resume=resume,
-                    progress=progress,
-                    collect_records=collect_records,
-                )
-
         records: List[Record] = []
-        # With a cache attached, records are always collected so a complete
-        # run can populate it.
-        collect = records.append if (collect_records or cache is not None) else None
         store = open_store(out, append=resume) if out is not None else None
         try:
             summary = self.engine.run(
-                scenarios if scenarios is not None else spec,
+                spec,
                 store=store,
                 progress=progress,
                 resume=(out if resume else None),
-                on_record=collect,
+                on_record=records.append if collect_records else None,
             )
         finally:
             if store is not None:
                 store.close()
-        if (
-            cache is not None
-            and cache_key is not None
-            and not resume
-            and summary.scenario_count == len(scenarios or ())
-            and summary.error_count == 0
-        ):
-            # Runs containing error records are never cached: a retry of
-            # the same submission should re-evaluate the failed scenarios.
-            cache.put(cache_key, tuple(records))
         if collect_records and resume:
             # A resumed run only computed the tail; the full record set —
             # old and new, in scenario order on disk — lives in the store.
@@ -458,60 +367,6 @@ class Session:
             spec=spec,
             summary=summary,
             records=tuple(records) if collect_records else (),
-        )
-
-    def _replay_cached(
-        self,
-        spec: SweepSpec,
-        cached: Sequence[Record],
-        *,
-        out: Optional[Union[str, Path]],
-        resume: bool,
-        progress: Optional[Any],
-        collect_records: bool,
-    ) -> SweepResult:
-        """Serve a sweep from cached records without evaluating anything.
-
-        The cached records are replayed into ``out`` so callers streaming
-        to a file see the exact bytes a live run would have produced; with
-        ``resume=True`` only the rows the store does not already hold are
-        appended (no duplicates after a crash-resume against a cache hit).
-        """
-        start = time.perf_counter()
-        if out is not None:
-            done_ids = set()
-            if resume:
-                repair_torn_tail(out)
-                done_ids = completed_scenario_ids(out)
-            with open_store(out, append=resume) as store:
-                # Consecutive not-yet-stored records go out as blocks, so a
-                # fresh replay is one write.
-                for is_new, run in itertools.groupby(
-                    cached, key=lambda record: record.get("scenario") not in done_ids
-                ):
-                    if is_new:
-                        for block in record_blocks(run):
-                            store.append_block(block)
-        total = len(cached)
-        if progress is not None:
-            progress(total, total)
-        best = min(
-            (r for r in cached if r.get("total_carbon_g") is not None),
-            key=lambda r: r["total_carbon_g"],
-            default=None,
-        )
-        summary = SweepSummary(
-            scenario_count=total,
-            elapsed_s=time.perf_counter() - start,
-            jobs=self.jobs,
-            best=dict(best) if best is not None else None,
-            store_path=str(Path(out)) if out is not None else None,
-            cached=True,
-        )
-        return SweepResult(
-            spec=spec,
-            summary=summary,
-            records=tuple(cached) if collect_records else (),
         )
 
     # -- search -----------------------------------------------------------------------

@@ -18,8 +18,8 @@ Additional conveniences:
   results.jsonl`` continues an interrupted sweep by skipping the scenario
   ids already in the file.
 * ``eco-chip serve`` runs the sweep-as-a-service HTTP job server
-  (:mod:`repro.serve`) with shared compile/result caches, quotas and a
-  metrics endpoint.
+  (:mod:`repro.serve`) with a shared compiled-template cache, quotas and
+  a metrics endpoint.
 * ``eco-chip search --spec <file> --budget N --strategy successive_halving``
   runs a goal-driven adaptive search (:mod:`repro.search`) over a sweep
   grid instead of enumerating it, streaming every evaluated point to the
@@ -832,8 +832,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Run the sweep-as-a-service HTTP job server: POST SweepSpec-"
             "shaped jobs to /v1/sweeps, poll /v1/sweeps/{id}, stream "
             "/v1/sweeps/{id}/results, scrape /v1/metrics.  Compiled "
-            "templates and finished sweeps are cached process-wide, so "
-            "repeat traffic is served without re-evaluating."
+            "templates are cached process-wide, so repeat traffic is "
+            "evaluated without recompiling."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1", help="Bind address (default: 127.0.0.1)")

@@ -2,9 +2,10 @@
 
 A stdlib-only HTTP JSON job server: submit SweepSpec-shaped jobs, poll
 status, stream crash-safe JSONL results, cancel, and scrape metrics —
-with process-wide compiled-template and result caches so repeat traffic
-is (nearly) free.  See :mod:`repro.serve.app` for the endpoint table and
-``eco-chip serve`` for the CLI entry point.
+with one process-wide compiled-template cache, so a repeat submission
+re-evaluates on warm templates instead of recompiling them.  See
+:mod:`repro.serve.app` for the endpoint table and ``eco-chip serve`` for
+the CLI entry point.
 
 Submodules are imported lazily so lightweight users (e.g. the CLI's
 error-code vocabulary in :mod:`repro.serve.errors`) do not pay for the
@@ -20,10 +21,8 @@ __all__ = [
     "JobManager",
     "Metrics",
     "QuotaTracker",
-    "ResultCache",
     "ServeError",
     "ServeServer",
-    "SharedCompileCache",
     "create_server",
 ]
 
@@ -33,17 +32,14 @@ _EXPORTS = {
     "JobManager": "repro.serve.jobs",
     "Metrics": "repro.serve.metrics",
     "QuotaTracker": "repro.serve.quota",
-    "ResultCache": "repro.serve.cache",
     "ServeError": "repro.serve.errors",
     "ServeServer": "repro.serve.app",
-    "SharedCompileCache": "repro.serve.cache",
     "create_server": "repro.serve.app",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.app import ServeServer, create_server
     from repro.serve.breaker import CircuitBreaker
-    from repro.serve.cache import ResultCache, SharedCompileCache
     from repro.serve.errors import ServeError
     from repro.serve.jobs import JobManager
     from repro.serve.metrics import Metrics

@@ -38,7 +38,6 @@ from repro.api import Session
 from repro.core.estimator import EstimatorConfig
 from repro.resilience import ChaosPlan, ResiliencePolicy
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import ResultCache, SharedCompileCache
 from repro.serve.errors import (
     JobStateError,
     NotFoundError,
@@ -98,7 +97,6 @@ class Job:
         self.submitted_at = submitted_at
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.cached = False
         self.elapsed_s: Optional[float] = None
         #: Recovered jobs resume from their store instead of truncating it.
         self.resume = False
@@ -115,7 +113,6 @@ class Job:
             "done": self.done,
             "error": self.error,
             "errors": self.errors,
-            "cached": self.cached,
             "elapsed_s": self.elapsed_s,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -133,21 +130,19 @@ class JobManager:
         queue_size: Bound of the pending-job queue; a full queue rejects
             submissions with 503 (:class:`QueueFullError`).
         jobs: Worker *processes* per sweep (``1`` keeps evaluation
-            in-process, which is what lets the compile cache be shared).
+            in-process, which is what lets every job share one
+            :class:`repro.fastpath.BatchEstimator` and its compiled
+            templates).
         config: Estimator configuration all jobs evaluate under.
         table: Technology table override.
         include_cost: Add ``cost_usd`` to records.
         quota: Optional per-client scenario budget.
         metrics: Metrics sink (created when omitted).
-        result_cache: Session-level result cache (created when omitted).
-        compile_cache: Shared compiled-template cache (created when jobs
-            evaluate in-process, i.e. ``jobs=1``).
         compile_cache_dir: Directory for the persistent on-disk compile
             cache (``--compile-cache`` /``ECO_CHIP_COMPILE_CACHE``).
-            Mounted under the auto-created :class:`SharedCompileCache`
-            so warm templates survive server restarts; ignored when an
-            explicit ``compile_cache`` instance is passed or ``jobs > 1``
-            (worker processes share no in-process templates).
+            Mounted under the shared estimator so warm templates survive
+            server restarts; ignored when ``jobs > 1`` (worker processes
+            share no in-process templates).
         resilience: :class:`~repro.resilience.ResiliencePolicy` jobs run
             under.  Defaults to containment (``on_error="record"``, no
             retries): a scenario that raises becomes one error record and
@@ -172,8 +167,6 @@ class JobManager:
         include_cost: bool = True,
         quota: Optional[QuotaTracker] = None,
         metrics: Optional[Metrics] = None,
-        result_cache: Optional[ResultCache] = None,
-        compile_cache: Optional[SharedCompileCache] = None,
         compile_cache_dir: Optional[Union[str, Path]] = None,
         resilience: Union[ResiliencePolicy, None, bool] = None,
         chaos: Optional[ChaosPlan] = None,
@@ -205,15 +198,22 @@ class JobManager:
             self.breaker = CircuitBreaker(metrics=self.metrics)
         else:
             self.breaker = breaker
-        self.result_cache = result_cache if result_cache is not None else ResultCache()
-        if compile_cache is None and jobs == 1:
-            compile_cache = SharedCompileCache(
+        self.estimator: Optional[Any] = None
+        if jobs == 1:
+            from repro.fastpath import BatchEstimator
+
+            # One estimator, and so one set of compiled templates, for
+            # every job.  Sharing it across worker threads is safe: its
+            # caches are plain dicts whose individual operations are
+            # GIL-atomic and whose values are deterministic, so the worst
+            # concurrent-miss outcome is computing the same immutable
+            # template twice.
+            self.estimator = BatchEstimator(
                 config=config,
                 table=table,
                 include_cost=include_cost,
                 persistent_cache=compile_cache_dir,
             )
-        self.compile_cache = compile_cache
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -374,10 +374,9 @@ class JobManager:
             "workers": self.workers,
             "counters": base["counters"],
             "latency": base["latency"],
-            "result_cache": self.result_cache.stats(),
         }
-        if self.compile_cache is not None:
-            payload["template_cache"] = self.compile_cache.stats()
+        if self.estimator is not None:
+            payload["template_cache"] = self.estimator.cache_stats()
         if self.quota is not None:
             payload["quota"] = self.quota.snapshot()
         if self.breaker is not None:
@@ -400,20 +399,8 @@ class JobManager:
                 continue
             except json.JSONDecodeError as exc:
                 # Corrupt / torn metadata (e.g. a crash mid-write outside
-                # the atomic-rename path): quarantine it so it is neither
-                # re-parsed on every restart nor silently deleted.
-                quarantine = meta_path.with_name(meta_path.name + ".corrupt")
-                try:
-                    os.replace(meta_path, quarantine)
-                except OSError:
-                    continue
-                logger.warning(
-                    "quarantined corrupt job metadata %s -> %s (%s)",
-                    meta_path.name,
-                    quarantine.name,
-                    exc,
-                )
-                self.metrics.increment("jobs_quarantined")
+                # the atomic-rename path).
+                self._quarantine(meta_path, exc)
                 continue
             if not isinstance(meta, dict) or "id" not in meta:
                 continue
@@ -421,24 +408,31 @@ class JobManager:
             with self._lock:
                 if job_id in self._jobs:
                     continue
+            try:
+                submitted_at = float(meta.get("submitted_at") or time.time())
+                done = int(meta.get("done") or 0)
+            except (TypeError, ValueError) as exc:
+                # Valid JSON with a mistyped field: as unusable as a torn
+                # file, and must not stop the server from booting.
+                self._quarantine(meta_path, exc)
+                continue
             spec_dict = meta.get("spec") or {}
             try:
                 spec = SweepSpec.from_dict(dict(spec_dict))
+                job = Job(
+                    job_id,
+                    str(meta.get("client", "anonymous")),
+                    spec_dict,
+                    spec,
+                    self.store_dir / f"{job_id}.jsonl",
+                    submitted_at,
+                )
             except (KeyError, TypeError, ValueError):
                 continue  # foreign or incompatible metadata: leave it alone
-            job = Job(
-                job_id,
-                str(meta.get("client", "anonymous")),
-                spec_dict,
-                spec,
-                self.store_dir / f"{job_id}.jsonl",
-                float(meta.get("submitted_at") or time.time()),
-            )
             job.state = str(meta.get("state", "queued"))
-            job.done = int(meta.get("done") or 0)
+            job.done = done
             job.error = meta.get("error")
             job.errors = meta.get("errors")
-            job.cached = bool(meta.get("cached", False))
             job.elapsed_s = meta.get("elapsed_s")
             job.started_at = meta.get("started_at")
             job.finished_at = meta.get("finished_at")
@@ -459,6 +453,22 @@ class JobManager:
         return adopted
 
     # -- internals --------------------------------------------------------------------
+    def _quarantine(self, meta_path: Path, reason: Exception) -> None:
+        """Move unusable job metadata aside to ``<name>.corrupt``, so it is
+        neither re-parsed on every restart nor silently deleted."""
+        quarantine = meta_path.with_name(meta_path.name + ".corrupt")
+        try:
+            os.replace(meta_path, quarantine)
+        except OSError:
+            return
+        logger.warning(
+            "quarantined corrupt job metadata %s -> %s (%s)",
+            meta_path.name,
+            quarantine.name,
+            reason,
+        )
+        self.metrics.increment("jobs_quarantined")
+
     @staticmethod
     def _breaker_keys(spec: SweepSpec) -> List[str]:
         """Circuit-breaker keys of a spec: its packaging types.
@@ -506,10 +516,7 @@ class JobManager:
             table=self.table,
             jobs=self.jobs,
             include_cost=self.include_cost,
-            result_cache=self.result_cache,
-            batch_estimator=(
-                self.compile_cache.estimator if self.compile_cache is not None else None
-            ),
+            batch_estimator=self.estimator,
             resilience=self.resilience,
             chaos=self.chaos,
         )
@@ -574,21 +581,15 @@ class JobManager:
             self._charge_breaker(job, success=False)
             self._finish(job, "failed")
         else:
-            job.done = total_count
-            job.cached = result.summary.cached
-            job.elapsed_s = result.summary.elapsed_s
-            self.metrics.observe("run", time.perf_counter() - start)
-            if result.summary.cached:
-                self.metrics.increment("sweeps_served_from_cache")
-            else:
-                self.metrics.increment(
-                    "scenarios_evaluated", result.summary.scenario_count
-                )
             summary = result.summary
-            retried = getattr(summary, "retry_count", 0)
+            job.done = total_count
+            job.elapsed_s = summary.elapsed_s
+            self.metrics.observe("run", time.perf_counter() - start)
+            self.metrics.increment("scenarios_evaluated", summary.scenario_count)
+            retried = summary.retry_count
             if retried:
                 self.metrics.increment("scenarios_retried", retried)
-            if getattr(summary, "error_count", 0):
+            if summary.error_count:
                 # Completed, but some scenarios yielded error records:
                 # terminal ``partial`` with a per-code error summary.
                 job.errors = {

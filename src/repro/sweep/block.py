@@ -18,7 +18,7 @@ workers ship them to the parent instead of per-record dicts.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 Record = Dict[str, Any]
 
@@ -114,17 +114,3 @@ class RecordBlock:
             {**self.shared, **extra}, self.varying, self.rows, self.lists + lists
         )
 
-
-def record_blocks(records: Iterable[Mapping[str, Any]]) -> Iterator[RecordBlock]:
-    """Blocks of consecutive ``records`` that share one key order."""
-    run: List[Mapping[str, Any]] = []
-    keys: Tuple[str, ...] = ()
-    for record in records:
-        record_keys = tuple(record)
-        if run and record_keys != keys:
-            yield RecordBlock.from_records(run)
-            run = []
-        keys = record_keys
-        run.append(record)
-    if run:
-        yield RecordBlock.from_records(run)

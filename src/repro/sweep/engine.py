@@ -401,9 +401,6 @@ class SweepSummary:
         store_path: Where records were streamed (``None`` without a store).
         skipped_count: Scenarios skipped because a resume store already
             contained their ids.
-        cached: True when the whole run was served from a Session-level
-            result cache without evaluating any scenario
-            (:class:`repro.api.Session` with a shared ``result_cache``).
         error_count: Scenarios contained as structured error records
             (resilience policies with ``on_error="record"`` only).
         retry_count: Total per-scenario retry attempts across the run.
@@ -417,7 +414,6 @@ class SweepSummary:
     best: Optional[Record]
     store_path: Optional[str] = None
     skipped_count: int = 0
-    cached: bool = False
     error_count: int = 0
     retry_count: int = 0
     error_codes: Tuple[Tuple[str, int], ...] = ()

@@ -38,10 +38,9 @@ def table_signature(table: Optional["TechnologyTable"] = None) -> str:
     Two tables hash equal exactly when they tabulate the same nodes with the
     same parameter values — the condition under which every model produces
     bit-identical results.  ``None`` hashes the built-in default table, so a
-    verbatim copy of the default shares its signature.  Used wherever table
-    identity must survive process boundaries: sweep result-cache keys
-    (:func:`repro.api.sweep_cache_key`) and persistent compile-cache entry
-    versioning (:mod:`repro.fastpath.diskcache`).
+    verbatim copy of the default shares its signature.  Used where table
+    identity must survive process boundaries: persistent compile-cache
+    entry versioning (:mod:`repro.fastpath.diskcache`).
     """
     if table is None:
         table = DEFAULT_TECHNOLOGY_TABLE

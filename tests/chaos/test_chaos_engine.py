@@ -123,15 +123,6 @@ class TestErrorRecordParity:
         with pytest.raises(InjectedFault):
             session.sweep(CHAOS_SPEC)
 
-    def test_failed_runs_are_not_result_cached(self):
-        from repro.serve.cache import ResultCache
-
-        cache = ResultCache()
-        session = Session(resilience=CONTAIN, chaos=_chaos(), result_cache=cache)
-        result = session.sweep(CHAOS_SPEC)
-        assert result.summary.error_count == 2
-        assert cache.stats()["entries"] == 0
-
 
 class TestRetrySucceeds:
     @pytest.mark.parametrize("jobs", [1, 2])

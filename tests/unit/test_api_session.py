@@ -135,6 +135,24 @@ class TestSweep:
         assert result.records == ()
         assert len(load_records(out)) == 4
 
+    def test_sweep_hands_the_engine_the_spec_unexpanded(self, tmp_path, monkeypatch):
+        # A sweep, fresh or resumed, through a shared estimator (as serve
+        # runs it) never materialises one Scenario per row.
+        from repro.fastpath import BatchEstimator
+        from repro.sweep.spec import SweepSpec
+
+        def no_expand(self):
+            raise AssertionError("Session.sweep expanded the spec")
+
+        monkeypatch.setattr(SweepSpec, "expand", no_expand)
+        session = Session(batch_estimator=BatchEstimator())
+        out = tmp_path / "r.jsonl"
+        first = session.sweep(SMALL_SPEC, out=out, collect_records=False)
+        again = session.sweep(SMALL_SPEC, out=out, resume=True)
+        assert first.summary.scenario_count == 4
+        assert again.summary.skipped_count == 4
+        assert len(load_records(out)) == 4
+
     def test_resume_skips_completed_scenarios(self, tmp_path):
         out = tmp_path / "r.jsonl"
         session = Session()
@@ -291,54 +309,3 @@ class TestSearchFacade:
         assert best == min(
             sweep.records, key=lambda r: (r["total_carbon_g"], r["scenario"])
         )
-
-
-class TestSweepCacheKey:
-    """Regression: table identity must never stand in for table content."""
-
-    @staticmethod
-    def _table(scale):
-        import dataclasses as dc
-
-        from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
-
-        return TechnologyTable(
-            nodes=[
-                dc.replace(n, defect_density_per_cm2=n.defect_density_per_cm2 * scale)
-                for n in DEFAULT_TECHNOLOGY_TABLE
-            ]
-        )
-
-    @staticmethod
-    def _key(table):
-        from repro.api import sweep_cache_key
-        from repro.sweep.spec import SweepSpec
-
-        scenarios = SweepSpec.from_dict(SMALL_SPEC).expand()
-        return sweep_cache_key(scenarios, EstimatorConfig(), True, table)
-
-    def test_distinct_tables_at_a_reused_address_never_share_a_key(self):
-        # The old key was f"table#{id(table)}": after the first table is
-        # garbage-collected, CPython readily hands its address to the next
-        # allocation, which would silently replay the stale sweep.
-        first = self._table(1.5)
-        address = id(first)
-        key_first = self._key(first)
-        del first
-        second = None
-        for _ in range(1000):
-            candidate = self._table(3.0)
-            if id(candidate) == address:
-                second = candidate  # address actually reused: the bug's trigger
-                break
-            del candidate
-        if second is None:
-            second = self._table(3.0)
-        assert self._key(second) != key_first
-
-    def test_verbatim_table_copy_shares_the_builtin_key(self):
-        from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
-
-        copy = TechnologyTable(nodes=list(DEFAULT_TECHNOLOGY_TABLE))
-        assert copy is not DEFAULT_TECHNOLOGY_TABLE
-        assert self._key(copy) == self._key(None) == self._key(DEFAULT_TECHNOLOGY_TABLE)

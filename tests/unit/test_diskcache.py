@@ -111,6 +111,14 @@ class TestTableSignature:
         )
         assert table_signature(edited) != table_signature()
 
+    def test_verbatim_table_copy_shares_the_builtin_signature(self):
+        # Content, not identity: a verbatim copy of the built-in table
+        # reads the same persistent compile-cache entries.
+        copy = type(DEFAULT_TECHNOLOGY_TABLE)(nodes=list(DEFAULT_TECHNOLOGY_TABLE))
+        assert copy is not DEFAULT_TECHNOLOGY_TABLE
+        assert table_signature(copy) == table_signature(None)
+        assert table_signature(copy) == table_signature(DEFAULT_TECHNOLOGY_TABLE)
+
 
 class TestPersistentCompilerSeam:
     SCENARIOS = SweepSpec.preset("ga102-quick").expand()

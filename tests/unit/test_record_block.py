@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.fastpath import BatchEstimator
-from repro.sweep.block import RecordBlock, record_blocks
+from repro.sweep.block import RecordBlock
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec, TemplateGroup
 from repro.sweep.store import (
@@ -93,12 +93,6 @@ class TestRecordBlock:
     def test_from_records_rejects_mixed_keys(self):
         with pytest.raises(ValueError, match="share their keys"):
             RecordBlock.from_records([{"a": 1}, {"b": 2}])
-
-    def test_record_blocks_split_at_key_changes(self):
-        records = [{"a": 1}, {"a": 2}, {"b": 3}, {"a": 4}]
-        blocks = list(record_blocks(records))
-        assert [b.size for b in blocks] == [2, 1, 1]
-        assert [r for b in blocks for r in b.records()] == records
 
 
 class TestKernelBlocks:

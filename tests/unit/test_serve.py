@@ -1,4 +1,4 @@
-"""Unit tests for repro.serve: caches, quotas, metrics, errors, job manager."""
+"""Unit tests for repro.serve: shared estimator, quotas, metrics, errors, job manager."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from repro.serve.cache import ResultCache, SharedCompileCache
 from repro.serve.errors import (
     EXIT_RUNTIME_ERROR,
     EXIT_SPEC_ERROR,
@@ -66,51 +65,6 @@ class TestErrors:
         assert JobStateError("x").http_status == 409
         assert QuotaExceededError("x").http_status == 429
         assert QueueFullError("x").http_status == 503
-
-
-# ---------------------------------------------------------------------------
-# Result cache
-# ---------------------------------------------------------------------------
-class TestResultCache:
-    def test_miss_then_hit(self):
-        cache = ResultCache()
-        assert cache.get("k") is None
-        cache.put("k", [{"scenario": 0}])
-        assert cache.get("k") == ({"scenario": 0},)
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_records_are_copied(self):
-        cache = ResultCache()
-        record = {"scenario": 0, "total_carbon_g": 1.0}
-        cache.put("k", [record])
-        record["total_carbon_g"] = 999.0
-        assert cache.get("k")[0]["total_carbon_g"] == 1.0
-
-    def test_replayed_records_are_mutation_safe(self):
-        # Regression: get() used to return the cached tuple's own dicts, so
-        # a caller annotating (or popping columns from) a replayed record
-        # corrupted the entry every future hit was served from.
-        cache = ResultCache()
-        cache.put("k", [{"scenario": 0, "total_carbon_g": 1.0}])
-        replay = cache.get("k")
-        replay[0]["total_carbon_g"] = 999.0
-        replay[0]["injected"] = True
-        assert cache.get("k") == ({"scenario": 0, "total_carbon_g": 1.0},)
-        assert cache.get("k")[0] is not cache.get("k")[0]
-
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", [])
-        cache.put("b", [])
-        assert cache.get("a") == ()  # refresh a
-        cache.put("c", [])  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == ()
-        assert cache.get("c") == ()
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +126,20 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Shared compile cache
+# Shared estimator
 # ---------------------------------------------------------------------------
-class TestSharedCompileCache:
+class TestSharedEstimator:
     def test_stats_track_hits_across_runs(self):
         from repro.api import Session
+        from repro.fastpath import BatchEstimator
 
-        cache = SharedCompileCache()
-        session = Session(batch_estimator=cache.estimator)
+        estimator = BatchEstimator()
+        session = Session(batch_estimator=estimator)
         session.sweep(SPEC)
-        first = cache.stats()
+        first = estimator.cache_stats()
         assert first["template_misses"] > 0
         session.sweep(SPEC)
-        second = cache.stats()
+        second = estimator.cache_stats()
         assert second["template_misses"] == first["template_misses"]
         assert second["template_hits"] > first["template_hits"]
 
@@ -223,21 +178,92 @@ class TestJobManager:
         finally:
             manager.shutdown()
 
-    def test_identical_resubmission_is_cached(self, tmp_path):
+    def test_identical_resubmission_reuses_warm_templates(self, tmp_path):
         manager = JobManager(tmp_path, workers=1)
         manager.start()
         try:
             first = manager.submit(SPEC)
             assert wait_for(lambda: first.state == "done")
+            warm = manager.metrics_snapshot()["template_cache"]
+            assert warm["compiles"] > 0
             second = manager.submit(dict(SPEC))
             assert wait_for(lambda: second.state == "done")
-            assert second.cached and not first.cached
-            assert second.store_path.read_bytes() == first.store_path.read_bytes()
             snap = manager.metrics_snapshot()
-            assert snap["result_cache"]["hits"] >= 1
-            assert snap["counters"]["sweeps_served_from_cache"] == 1
+            # Re-evaluated, not replayed, and on templates compiled once.
+            assert snap["template_cache"]["compiles"] == warm["compiles"]
+            assert snap["template_cache"]["template_hits"] > warm["template_hits"]
+            assert snap["counters"]["scenarios_evaluated"] == 2 * first.scenario_count
+            assert second.store_path.read_bytes() == first.store_path.read_bytes()
+            assert "cached" not in second.to_dict()
         finally:
             manager.shutdown()
+
+    def test_compile_cache_dir_keeps_templates_across_restarts(self, tmp_path):
+        first = JobManager(tmp_path / "a", workers=1, compile_cache_dir=tmp_path / "cc")
+        first.start()
+        try:
+            cold = first.submit(SPEC)
+            assert wait_for(lambda: cold.state == "done")
+            assert first.metrics_snapshot()["template_cache"]["compiles"] > 0
+        finally:
+            first.shutdown()
+        second = JobManager(tmp_path / "b", workers=1, compile_cache_dir=tmp_path / "cc")
+        second.start()
+        try:
+            warm = second.submit(SPEC)
+            assert wait_for(lambda: warm.state == "done")
+            templates = second.metrics_snapshot()["template_cache"]
+            assert templates["compiles"] == 0
+            assert templates["disk_hits"] > 0
+            assert warm.store_path.read_bytes() == cold.store_path.read_bytes()
+        finally:
+            second.shutdown()
+
+    def test_worker_processes_share_no_estimator(self, tmp_path):
+        from repro.api import Session
+
+        manager = JobManager(tmp_path / "jobs", workers=1, jobs=2)
+        assert manager.estimator is None
+        manager.start()
+        try:
+            job = manager.submit(SPEC)
+            assert wait_for(lambda: job.state == "done", timeout=60.0)
+            snap = manager.metrics_snapshot()
+            assert "template_cache" not in snap
+            assert snap["counters"]["scenarios_evaluated"] == job.scenario_count
+        finally:
+            manager.shutdown()
+        direct = tmp_path / "direct.jsonl"
+        Session().sweep(SPEC, out=direct, collect_records=False)
+        assert job.store_path.read_bytes() == direct.read_bytes()
+
+    def test_concurrent_jobs_share_the_estimator_safely(self, tmp_path):
+        import sys
+
+        from repro.api import Session
+
+        # Overlapping specs: every job reads and fills the same templates.
+        specs = [
+            {**SPEC, "name": f"overlap-{i}", "lifetimes": [float(i + 1), 10.0]}
+            for i in range(6)
+        ]
+        manager = JobManager(tmp_path / "jobs", workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manager.start()
+            jobs = [manager.submit(spec) for spec in specs]
+            assert wait_for(
+                lambda: all(job.state == "done" for job in jobs), timeout=60.0
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown()
+        assert all(not thread.is_alive() for thread in manager._threads)
+        for job, spec in zip(jobs, specs):
+            direct = tmp_path / f"{job.id}.direct.jsonl"
+            Session().sweep(spec, out=direct, collect_records=False)
+            assert job.store_path.read_bytes() == direct.read_bytes()
 
     def test_invalid_spec_rejected(self, tmp_path):
         manager = JobManager(tmp_path, workers=1)
@@ -309,3 +335,71 @@ class TestJobManager:
             assert sorted(r["scenario"] for r in records) == list(range(8))
         finally:
             adopted.shutdown()
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"done": "abc"}, {"done": [1]}, {"submitted_at": "yesterday"}],
+        ids=["done-str", "done-list", "submitted_at-str"],
+    )
+    def test_recover_quarantines_mistyped_metadata(self, tmp_path, field):
+        # Valid JSON with a mistyped field must not raise out of recover():
+        # start() would fail and the server could not boot.
+        meta = {"id": "deadbeef0002", "state": "done", "spec": SPEC, **field}
+        (tmp_path / "deadbeef0002.json").write_text(json.dumps(meta))
+        manager = JobManager(tmp_path, workers=1)
+        manager.start()
+        try:
+            assert manager.list_jobs() == []
+            assert not (tmp_path / "deadbeef0002.json").exists()
+            assert (tmp_path / "deadbeef0002.json.corrupt").is_file()
+            counters = manager.metrics_snapshot()["counters"]
+            assert counters["jobs_quarantined"] == 1
+            job = manager.submit(SPEC)  # the booted server still works
+            assert wait_for(lambda: job.state == "done")
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"testcases": ["ga102-3chiplet"], "bogus": True},
+            {"testcases": ["ga102-3chiplet"], "node_configs": [[7, 7]]},
+        ],
+        ids=["unknown-axis", "node-config-arity"],
+    )
+    def test_recover_leaves_incompatible_specs_alone(self, tmp_path, spec):
+        # A spec this process cannot run (e.g. an axis from a plugin not
+        # loaded here) stays on disk untouched, and the server still boots.
+        path = tmp_path / "deadbeef0004.json"
+        path.write_text(json.dumps({"id": "deadbeef0004", "state": "failed", "spec": spec}))
+        manager = JobManager(tmp_path, workers=1)
+        manager.start()
+        try:
+            assert manager.list_jobs() == []
+            assert path.is_file()
+            assert "jobs_quarantined" not in manager.metrics_snapshot()["counters"]
+        finally:
+            manager.shutdown()
+
+    def test_recover_adopts_metadata_carrying_a_cached_flag(self, tmp_path):
+        # Metadata from older servers may carry a "cached" key; it is
+        # ignored, not treated as corrupt.
+        meta = {
+            "id": "deadbeef0003",
+            "client": "alice",
+            "state": "done",
+            "scenarios": 8,
+            "done": 8,
+            "cached": True,
+            "elapsed_s": 0.01,
+            "submitted_at": 1.0,
+            "spec": SPEC,
+        }
+        (tmp_path / "deadbeef0003.json").write_text(json.dumps(meta))
+        manager = JobManager(tmp_path, workers=1)
+        adopted = manager.recover()
+        assert [(job.id, job.state, job.done) for job in adopted] == [
+            ("deadbeef0003", "done", 8)
+        ]
+        assert "cached" not in adopted[0].to_dict()
+        assert "jobs_quarantined" not in manager.metrics_snapshot()["counters"]
