@@ -20,6 +20,7 @@ exactly the API out-of-tree plugins use (see ``examples/custom_axis.py``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Mapping
 
 from repro.axes.registry import register_axis
@@ -32,8 +33,8 @@ _ROUTER_FIELDS = frozenset(field.name for field in dataclasses.fields(RouterSpec
 def _require_positive(label: str):
     def validate(value: Any) -> None:
         number = float(value)
-        if number <= 0:
-            raise ValueError(f"{label} must be positive, got {value!r}")
+        if not (math.isfinite(number) and number > 0):
+            raise ValueError(f"{label} must be positive and finite, got {value!r}")
 
     return validate
 

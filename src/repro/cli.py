@@ -741,6 +741,7 @@ def _search_main(argv: Sequence[str]) -> int:
             if value is not None:
                 config[key] = value
         spec = SearchSpec.from_dict(config, base_dir=base_dir)
+        spec.space.count()  # checks testcase names and node configs up front
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -396,42 +396,59 @@ class BatchEstimator:
         group_rows: Sequence[GroupRow],
         context: _ConfigContext,
     ) -> List[Tuple[Any, ...]]:
-        """The per-row values of a group, one row tuple at a time."""
+        """The per-row values of a group, one row tuple at a time.
+
+        Within a group the embodied terms and the cost depend only on the
+        fab source and volume: they are computed once per distinct pair.
+        """
         include_design = context.include_design
         annual = template.annual_cfp_g
         base_volume = template.base_volume
         base_lifetime = template.base_lifetime
         cost = template.cost
         source_terms = self.source_terms
+        embodied_terms: Dict[Tuple[Optional[str], float], Tuple[Any, ...]] = {}
         rows = []
         for index, fab_source, lifetime, system_volume in group_rows:
-            terms = source_terms(template, fab_source, context)
             if system_volume is None:
                 system_volume = base_volume
             if lifetime is None:
                 lifetime = base_lifetime
-            # Eq. 12 amortisation: sum(per-chiplet amortised) + comm / NS.
-            amortised = 0.0
-            for is_fixed, value in terms.design_parts:
-                amortised = amortised + (value if is_fixed else value / system_volume)
-            design_total = amortised + terms.comm_design_total_g / system_volume
-            design_used = design_total if include_design else 0.0
-            # Eqs. 1–2 totals, in the estimator's operation order.
+            embodied_key = (fab_source, system_volume)
+            terms = embodied_terms.get(embodied_key)
+            if terms is None:
+                source = source_terms(template, fab_source, context)
+                # Eq. 12 amortisation: sum(per-chiplet amortised) + comm / NS.
+                amortised = 0.0
+                for is_fixed, value in source.design_parts:
+                    amortised = amortised + (value if is_fixed else value / system_volume)
+                design_total = amortised + source.comm_design_total_g / system_volume
+                design_used = design_total if include_design else 0.0
+                # Eqs. 1–2 totals, in the estimator's operation order.
+                embodied = source.manufacturing_total_g + design_used + source.hi_total_g
+                terms = embodied_terms[embodied_key] = (
+                    source.fab_label,
+                    embodied,
+                    source.manufacturing_total_g,
+                    design_used,
+                    source.hi_total_g,
+                    None if cost is None else cost.total_usd(system_volume),
+                )
+            fab_label, embodied, manufacturing, design_used, hi, cost_usd = terms
             lifetime_cfp = annual * lifetime
-            embodied = terms.manufacturing_total_g + design_used + terms.hi_total_g
             row = (
                 index,
-                terms.fab_label,
+                fab_label,
                 lifetime,
                 system_volume,
                 embodied + lifetime_cfp,
                 embodied,
-                terms.manufacturing_total_g,
+                manufacturing,
                 design_used,
-                terms.hi_total_g,
+                hi,
                 lifetime_cfp,
             )
             if cost is not None:
-                row += (cost.total_usd(system_volume),)
+                row += (cost_usd,)
             rows.append(row)
         return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -40,7 +41,7 @@ from repro.packaging.registry import (
     spec_from_dict,
 )
 from repro.technology.carbon_sources import carbon_intensity
-from repro.testcases.registry import get_testcase
+from repro.testcases.registry import get_testcase, testcase_key
 from repro.yamlish import parse_yamlish
 
 PathLike = Union[str, Path]
@@ -377,11 +378,11 @@ class SweepSpec:
         if self.nodes and self.node_configs:
             raise ValueError("'nodes' and 'node_configs' are mutually exclusive")
         for value in self.lifetimes:
-            if value <= 0:
-                raise ValueError(f"lifetimes must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"lifetimes must be positive and finite, got {value}")
         for value in self.system_volumes:
-            if value <= 0:
-                raise ValueError(f"system volumes must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"system volumes must be positive and finite, got {value}")
         # Per-architecture parameter axes (packaging entries with a "params"
         # key) expand into one concrete config per value combination; the
         # registry validates axis names against the spec dataclass and
@@ -532,16 +533,19 @@ class SweepSpec:
     def bases(self) -> List[Tuple[str, str, Optional[int]]]:
         """``(base kind, base ref, chiplet count)`` per base system, in grid order.
 
-        The chiplet count is resolved only when a node axis needs it
-        (``None`` otherwise), and explicit ``node_configs`` are checked
-        against it here, so :meth:`count`, :meth:`template_groups` and
-        :class:`repro.search.space.GridSpace` reject a mismatched spec
-        alike.
+        Every testcase name is checked against the registry, the chiplet
+        count is resolved only when a node axis needs it (``None``
+        otherwise), and explicit ``node_configs`` are checked against it
+        here, so :meth:`count`, :meth:`template_groups` and
+        :class:`repro.search.space.GridSpace` reject a bad spec alike,
+        before anything runs.
         """
         bases: List[Tuple[str, str]] = [(BASE_TESTCASE, t) for t in self.testcases]
         bases += [(BASE_DESIGN_DIR, d) for d in self.design_dirs]
         resolved: List[Tuple[str, str, Optional[int]]] = []
         for base_kind, base_ref in bases:
+            if base_kind == BASE_TESTCASE:
+                testcase_key(base_ref)  # raises KeyError for unknown names
             chiplets = None
             if self.nodes or self.node_configs:
                 chiplets = resolve_base(base_kind, base_ref).chiplet_count

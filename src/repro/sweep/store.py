@@ -32,12 +32,13 @@ and for resume after a crash:
   lock left behind by a killed process is reclaimed automatically.
 
 The JSONL bytes are exactly ``json.dumps(record, sort_keys=True) + "\\n"``
-per row.  A block renders its shared values once, each distinct value of a
-column once and every row through one format string; any column the fast
-path cannot prove byte-equal (NaN or infinite floats, mixed types such as
-``100000`` next to ``100000.0``, lists, booleans) is encoded with
-:func:`json.dumps` value by value, and a one-row block or one with
-non-string keys takes the per-record path.
+per row.  A block renders its shared values once into constant text
+segments and each distinct value of a column once, then emits all its
+lines with one join over the segments and the per-row column texts; any
+column the fast path cannot prove byte-equal (NaN or infinite floats,
+mixed types such as ``100000`` next to ``100000.0``, lists, booleans) is
+encoded with :func:`json.dumps` value by value, and a one-row block or
+one with non-string keys takes the per-record path.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ import io
 import json
 import math
 import os
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.sweep.block import RecordBlock
 
@@ -234,41 +236,41 @@ def _jsonl_line(record: Mapping[str, Any]) -> str:
 def _jsonl_block(block: RecordBlock) -> str:
     """The JSONL lines of ``block``, byte-equal to :func:`_jsonl_line` per row.
 
-    One format string per block: each key (sorted, as ``sort_keys`` does)
-    with its shared value inlined or a ``%`` conversion for its column.
+    The keys are walked once, sorted (as ``sort_keys`` does): shared values
+    are inlined into constant text segments, and each varying column adds
+    one constant text or one text per row.  The block is then one join
+    over the segments and columns, row by row.
     """
-    shared = block.shared
-    if block.size == 1 or not all(type(key) is str for key in shared):
+    shared, size = block.shared, block.size
+    if size == 1 or not all(type(key) is str for key in shared):
         return "".join(map(_jsonl_line, block.records()))
     columns = dict(zip(block.varying, zip(*block.rows)))
-    parts: List[str] = []
-    arguments: List[Sequence[Any]] = []
+    pieces: List[Iterable[str]] = []
+    text, separator = "{", ""
     for key in sorted(shared):
-        head = (_encode_str(key) + ": ").replace("%", "%%")
+        text += separator + _encode_str(key) + ": "
+        separator = ", "
         column = columns.get(key)
         if column is None:
-            text, values = json.dumps(shared[key], sort_keys=True), None
+            value = json.dumps(shared[key], sort_keys=True)
         else:
-            text, values = _column_format(column)
-        if values is None:  # the same JSON text on every row
-            parts.append(head + text.replace("%", "%%"))
+            value = _column_text(column)
+        if type(value) is str:  # the same JSON text on every row
+            text += value
         else:
-            parts.append(head + text)
-            arguments.append(values)
-    line = "{" + ", ".join(parts) + "}\n"
-    if not arguments:
-        return (line % ()) * block.size
-    return "".join(map(line.__mod__, zip(*arguments)))
+            pieces += (repeat(text, size), value)
+            text = ""
+    pieces.append(repeat(text + "}\n", size))
+    return "".join(chain.from_iterable(zip(*pieces)))
 
 
-def _column_format(column: Sequence[Any]) -> Tuple[str, Optional[Sequence[Any]]]:
-    """How one per-row column enters the row format.
+def _column_text(column: Sequence[Any]) -> Union[str, Iterable[str]]:
+    """The JSON text of one per-row column.
 
-    Returns ``(conversion, values)``: ``"%r"`` with the raw column for ints
-    and for finite floats without repeats (their ``repr`` is their JSON
-    text), ``"%s"`` with per-row JSON text (a repeated float or string is
-    encoded once), or ``(json_text, None)`` when every row encodes to the
-    same text.
+    Returns one text when every row encodes to the same text, else the
+    texts row by row: ``repr`` for ints and for finite floats without
+    repeats (their ``repr`` is their JSON text), a repeated float or
+    string encoded once, and :func:`json.dumps` value by value otherwise.
     """
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
@@ -276,21 +278,21 @@ def _column_format(column: Sequence[Any]) -> Tuple[str, Optional[Sequence[Any]]]
         distinct = set(column)
         # 0.0 and -0.0 are one set member but two JSON texts.
         if len(distinct) == len(column) or 0.0 in distinct:
-            return "%r", column
+            return map(float.__repr__, column)
         encode = float.__repr__
     elif kind is str:
         distinct = set(column)
         encode = _encode_str
     elif kind is int:
-        return "%r", column
+        return map(int.__repr__, column)
     elif kind is type(None):
-        return "null", None
+        return "null"
     else:
-        return "%s", [json.dumps(value, sort_keys=True) for value in column]
+        return [json.dumps(value, sort_keys=True) for value in column]
     if len(distinct) == 1:
-        return encode(distinct.pop()), None
+        return encode(distinct.pop())
     encoded = {value: encode(value) for value in distinct}
-    return "%s", list(map(encoded.__getitem__, column))
+    return map(encoded.__getitem__, column)
 
 
 class CsvResultStore(ResultStore):

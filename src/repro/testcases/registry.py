@@ -27,16 +27,24 @@ def list_testcases() -> List[str]:
     return sorted(TESTCASES)
 
 
+def testcase_key(name: str) -> str:
+    """The registry key of testcase ``name`` (a lookup; nothing is built).
+
+    Raises:
+        KeyError: when ``name`` is unknown; the message lists the valid names.
+    """
+    key = name.strip().lower()
+    if key not in TESTCASES:
+        raise KeyError(
+            f"unknown testcase {name!r}; known testcases: {list_testcases()}"
+        )
+    return key
+
+
 def get_testcase(name: str) -> ChipletSystem:
     """Build the testcase registered under ``name``.
 
     Raises:
         KeyError: when ``name`` is unknown; the message lists the valid names.
     """
-    key = name.strip().lower()
-    builder = TESTCASES.get(key)
-    if builder is None:
-        raise KeyError(
-            f"unknown testcase {name!r}; known testcases: {list_testcases()}"
-        )
-    return builder()
+    return TESTCASES[testcase_key(name)]()

@@ -11,6 +11,7 @@ to the same JSON text, so an int-vs-float drift cannot hide behind ``==``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -27,6 +28,7 @@ from repro.sweep.store import (
     completed_scenario_ids,
     load_records,
 )
+from repro.testcases import ga102
 
 
 def _scalar_records(scenarios, config=None):
@@ -230,6 +232,34 @@ class TestScenarioOrdering:
         records = _batch_records([scenario, scenario, scenario])
         assert len(records) == 3
         assert records[0] == records[1] == records[2]
+
+
+class TestRowTermReuse:
+    def test_equal_sources_volumes_and_lifetimes_keep_each_rows_values(self):
+        # The kernel computes the embodied terms once per (fab source,
+        # volume) within a group.  None (the default), the default given
+        # explicitly ("coal" is the default fab source) and int/float
+        # spellings of one volume or lifetime must still give every row
+        # the oracle's record, types included.
+        combos = list(
+            itertools.product(
+                (None, "coal", "wind"),
+                (None, 100000, 1000, 1000.0),
+                (None, ga102.LIFETIME_YEARS, 2, 2.0, 3.5),
+            )
+        )
+        rows = [
+            Scenario(
+                index=index,
+                base_kind="testcase",
+                base_ref="ga102-3chiplet",
+                fab_source=fab_source,
+                system_volume=volume,
+                lifetime_years=lifetime,
+            )
+            for index, (fab_source, volume, lifetime) in enumerate(combos + combos[::-1])
+        ]
+        assert repr(list(SweepEngine().iter_records(rows))) == repr(reference_records(rows))
 
 
 class TestParallelBatch:

@@ -238,6 +238,13 @@ class TestServeErrors:
         assert status == 400
         assert payload["error"]["message"].startswith("unknown packaging type 'warp'; ")
 
+    def test_unknown_testcase_is_400(self, server):
+        _, base = server
+        status, payload, _ = request("POST", f"{base}/v1/sweeps", {"testcases": ["nope"]})
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-spec"
+        assert payload["error"]["message"].startswith("unknown testcase 'nope'; ")
+
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server
         _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)

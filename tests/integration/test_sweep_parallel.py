@@ -133,6 +133,37 @@ class TestSweepCli:
         )
         assert not out.exists()
 
+    def test_unknown_testcase_fails_before_the_store_opens(self, tmp_path, capsys):
+        # No node axis: the name is still checked before anything runs.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"testcases": ["nope"]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] unknown testcase 'nope'; known testcases: "
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axes, extra_args, message",
+        [
+            ({"lifetimes": [float("nan")]}, [], "lifetimes must be positive and finite, got nan"),
+            ({"system_volumes": [float("inf")]}, [], "system volumes must be positive and finite"),
+            ({"wafer_diameter_mm": [float("nan")]}, [], "wafer diameter must be positive and finite"),
+            ({}, ["--set", "defect_density_scale=nan"], "defect-density scale must be positive"),
+        ],
+        ids=["nan-lifetime", "inf-volume", "nan-wafer", "nan-defect-scale-set"],
+    )
+    def test_non_finite_axis_values_fail(self, tmp_path, capsys, axes, extra_args, message):
+        spec_path = tmp_path / "spec.json"
+        # json writes NaN and Infinity, which the spec loader reads back.
+        spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"], **axes}))
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out), *extra_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [invalid-spec] ") and message in err
+        assert not out.exists()
+
     def test_unknown_output_format_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"]}))

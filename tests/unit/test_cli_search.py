@@ -53,6 +53,16 @@ class TestArgumentErrors:
         assert main(["search", "--spec", str(path)]) == 2
         assert "unknown search-spec keys" in capsys.readouterr().err
 
+    def test_unknown_testcase_fails_before_the_store_opens(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SPEC, "space": {"testcases": ["nope"]}}))
+        out = tmp_path / "s.jsonl"
+        assert main(["search", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] unknown testcase 'nope'; known testcases: "
+        )
+        assert not out.exists()
+
     def test_unknown_strategy_flag(self, spec_path, capsys):
         assert (
             main(["search", "--spec", str(spec_path), "--strategy", "warp"]) == 2
