@@ -23,7 +23,8 @@ without collecting records (``Session.sweep(out=..., collect_records=False)``)
 the grid crossed with lifetimes and volumes, and checks the store's bytes
 against the oracle's records.  ``test_sweep_parallel_end_to_end`` gates the
 same grid at ``jobs=2`` on fork workers with the records collected: the
-one entry that crosses the process pool.
+entry that crosses the process pool.  ``test_sweep_parallel_records_materialised``
+adds reading every collected record back as a dict.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ def test_sweep_parallel_end_to_end(benchmark):
     """Sweep at ``jobs=2`` (fork workers) through ``Session.sweep``, records collected.
 
     Template groups go out to the workers and record blocks come back; the
-    parent builds the record dicts, which must equal the oracle's.
+    parent keeps the blocks, and the records read from them must equal the
+    oracle's.
     """
     session = Session(jobs=2, mp_context="fork")
     result = benchmark(session.sweep, STORE_GRID)
@@ -229,6 +231,25 @@ def test_sweep_parallel_end_to_end(benchmark):
     print_series(
         f"Parallel sweep, {STORE_GRID.name} ({count} scenarios, jobs=2)",
         [f"  end to end: {count / benchmark.stats.stats.min:10.0f} scenarios/s (best round)"],
+    )
+
+
+def test_sweep_parallel_records_materialised(benchmark):
+    """The same ``jobs=2`` sweep with every record read back as a dict.
+
+    Guards the caller who reads every record: the sweep plus
+    ``list(result.records)`` (one dict built per row from the blocks).
+    """
+    session = Session(jobs=2, mp_context="fork")
+
+    def sweep_and_read():
+        return list(session.sweep(STORE_GRID).records)
+
+    records = benchmark(sweep_and_read)
+    assert records == reference_records(STORE_GRID)
+    print_series(
+        f"Parallel sweep + every record read, {STORE_GRID.name} ({len(records)} scenarios, jobs=2)",
+        [f"  end to end: {len(records) / benchmark.stats.stats.min:10.0f} scenarios/s (best round)"],
     )
 
 

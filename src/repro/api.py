@@ -48,6 +48,7 @@ from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.packaging.registry import spec_from_dict
 from repro.search import SearchResult, SearchSpec, run_search
+from repro.sweep.block import RecordBlock, RecordSequence
 from repro.sweep.engine import (
     Record,
     SweepEngine,
@@ -85,13 +86,19 @@ class SweepResult:
     Attributes:
         spec: The (expanded-from) sweep spec.
         summary: Engine summary — counts, timing, best record.
-        records: Every flattened record, in scenario order (empty when the
-            sweep ran with ``collect_records=False``).
+        records: Every flattened record, in scenario order, as a read-only
+            sequence (empty when the sweep ran with
+            ``collect_records=False``).  A fresh sweep keeps the engine's
+            record blocks (:class:`~repro.sweep.block.RecordSequence`) and
+            builds a record's dict each time it is read, so setting a key
+            of a record read from it changes nothing held here; a resumed
+            sweep holds the store's records as loaded.  It compares equal
+            to a tuple of the same records.
     """
 
     spec: SweepSpec
     summary: SweepSummary
-    records: Tuple[Record, ...] = ()
+    records: Sequence[Record] = ()
 
     @property
     def best(self) -> Optional[Record]:
@@ -346,7 +353,8 @@ class Session:
         if resume and out is None:
             raise ValueError("resume=True needs an out file to resume into")
 
-        records: List[Record] = []
+        spec.count(self.table)  # a bad spec fails before the store opens
+        blocks: List[RecordBlock] = []
         store = open_store(out, append=resume) if out is not None else None
         try:
             summary = self.engine.run(
@@ -354,20 +362,19 @@ class Session:
                 store=store,
                 progress=progress,
                 resume=(out if resume else None),
-                on_record=records.append if collect_records else None,
+                on_block=blocks.append if collect_records else None,
             )
         finally:
             if store is not None:
                 store.close()
+        records: Sequence[Record] = ()
         if collect_records and resume:
             # A resumed run only computed the tail; the full record set —
             # old and new, in scenario order on disk — lives in the store.
-            records = load_records(out)
-        return SweepResult(
-            spec=spec,
-            summary=summary,
-            records=tuple(records) if collect_records else (),
-        )
+            records = tuple(load_records(out))
+        elif collect_records:
+            records = RecordSequence(blocks)
+        return SweepResult(spec=spec, summary=summary, records=records)
 
     # -- search -----------------------------------------------------------------------
     def search(

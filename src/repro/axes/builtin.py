@@ -30,9 +30,16 @@ from repro.technology.carbon_sources import carbon_intensity
 _ROUTER_FIELDS = frozenset(field.name for field in dataclasses.fields(RouterSpec))
 
 
+def _number(label: str, value: Any) -> float:
+    """``value`` as a float; a boolean (JSON ``true``) is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_positive(label: str):
     def validate(value: Any) -> None:
-        number = float(value)
+        number = _number(label, value)
         if not (math.isfinite(number) and number > 0):
             raise ValueError(f"{label} must be positive and finite, got {value!r}")
 
@@ -41,7 +48,7 @@ def _require_positive(label: str):
 
 def _require_fraction(label: str):
     def validate(value: Any) -> None:
-        number = float(value)
+        number = _number(label, value)
         if not 0.0 <= number <= 1.0:
             raise ValueError(f"{label} must be in [0, 1], got {value!r}")
 

@@ -346,7 +346,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         EXIT_SPEC_ERROR,
         format_error_text,
     )
-    from repro.sweep.engine import SweepEngine, prepare_resume
+    from repro.sweep.engine import NUMERIC_COLUMNS, SweepEngine, prepare_resume
     from repro.sweep.spec import PRESETS, SweepSpec, load_spec_dict, preset_dict
     from repro.sweep.store import open_store, rows_from_records
 
@@ -372,6 +372,23 @@ def _sweep_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC_ERROR
+    objectives: List[str] = []
+    if args.pareto is not None:
+        objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
+        known = [
+            name for name in NUMERIC_COLUMNS if name != "cost_usd" or not args.no_cost
+        ]
+        unknown = [name for name in objectives if name not in known]
+        if unknown or not objectives:
+            reason = f"unknown objectives {unknown}" if unknown else "no objectives given"
+            print(
+                format_error_text(
+                    "invalid-spec",
+                    f"--pareto: {reason}; known numeric record columns: {known}",
+                ),
+                file=sys.stderr,
+            )
+            return EXIT_SPEC_ERROR
     if args.retries is not None and args.retries < 0:
         print(
             format_error_text(
@@ -510,25 +527,26 @@ def _sweep_main(argv: Sequence[str]) -> int:
         if pareto_records is not None:
             pareto_records.append(record)
 
-    def track(record):
+    def track(block):
         nonlocal sequence
-        total_g = record.get("total_carbon_g")
-        if total_g is None:
-            # A contained failure (--retries/--on-error record): the
-            # row holds a structured error payload, not metrics.
-            return
-        sequence += 1
-        if top_n > 0:
-            heapq.heappush(top_heap, (-total_g, sequence, record))
-            if len(top_heap) > top_n:
-                heapq.heappop(top_heap)
-        if pareto_records is not None:
-            pareto_records.append(record)
+        for record in block.records():
+            total_g = record.get("total_carbon_g")
+            if total_g is None:
+                # A contained failure (--retries/--on-error record): the
+                # row holds a structured error payload, not metrics.
+                continue
+            sequence += 1
+            if top_n > 0:
+                heapq.heappush(top_heap, (-total_g, sequence, record))
+                if len(top_heap) > top_n:
+                    heapq.heappop(top_heap)
+            if pareto_records is not None:
+                pareto_records.append(record)
 
     # Row dicts are only built when the top-N table or the front needs them.
-    on_record = track if top_n > 0 or pareto_records is not None else None
+    on_block = track if top_n > 0 or pareto_records is not None else None
     try:
-        summary = engine.run(spec, store=store, on_record=on_record, skip=done_ids)
+        summary = engine.run(spec, store=store, on_block=on_block, skip=done_ids)
     except OSError as exc:
         print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
         return EXIT_RUNTIME_ERROR
@@ -578,7 +596,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             )
 
     if pareto_records is not None:
-        objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
         try:
             front = pareto_front(rows_from_records(pareto_records), objectives)
         except KeyError as exc:

@@ -137,7 +137,7 @@ def run_search(
     """
     if resume and out is None:
         raise ValueError("resume=True needs an out file to resume from")
-    space = GridSpace(spec.space)
+    space = GridSpace(spec.space, engine.table)
     strategy = get_strategy(spec.strategy)
     context = SearchContext(spec, space)
     budget = min(spec.budget, space.size)
@@ -189,8 +189,8 @@ def run_search(
                 engine.run(
                     [space.scenario(index) for index in fresh],
                     store=store,
-                    on_record=lambda record: batch_records.__setitem__(
-                        int(record["scenario"]), record
+                    on_block=lambda block: batch_records.update(
+                        (int(record["scenario"]), record) for record in block.records()
                     ),
                     annotate={"search_round": context.round},
                 )

@@ -29,6 +29,7 @@ import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sweep.spec import Scenario, SweepSpec
+from repro.technology.nodes import TechnologyTable
 
 __all__ = ["GridSpace"]
 
@@ -107,10 +108,11 @@ class GridSpace:
     digit order per base mirrors ``expand()``'s nested products exactly:
     node digits (one per chiplet, or one explicit-config digit), packaging,
     override axes (name-sorted, last varying fastest), carbon source,
-    lifetime, volume.
+    lifetime, volume.  ``table`` is the technology table the spec's node
+    values are checked against (``None``: the built-in table).
     """
 
-    def __init__(self, spec: SweepSpec):
+    def __init__(self, spec: SweepSpec, table: Optional[TechnologyTable] = None):
         self.spec = spec
         self._blocks: List[_Block] = []
         self._offsets: List[int] = []
@@ -121,7 +123,7 @@ class GridSpace:
         self._override_names = [name for name, _ in spec.overrides]
 
         offset = 0
-        for base_kind, base_ref, chiplets in spec.bases():
+        for base_kind, base_ref, chiplets in spec.bases(table):
             digits: List[_Digit] = []
             if spec.node_configs:
                 digits.append(

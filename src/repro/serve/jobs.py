@@ -79,6 +79,7 @@ class Job:
         client: str,
         payload: Mapping[str, Any],
         spec: SweepSpec,
+        scenario_count: int,
         store_path: Path,
         submitted_at: float,
     ):
@@ -87,7 +88,7 @@ class Job:
         self.payload = dict(payload)
         self.spec = spec
         self.store_path = store_path
-        self.scenario_count = spec.count()
+        self.scenario_count = scenario_count
         self.state = "queued"
         self.done = 0
         self.error: Optional[Dict[str, str]] = None
@@ -293,7 +294,9 @@ class JobManager:
         spec_dict = dict(spec_dict)
         try:
             spec = SweepSpec.from_dict(spec_dict)
-            count = spec.count()  # also checks node configs against the bases
+            # Also checks testcases, nodes and node configs against the
+            # registry, the table and the bases.
+            count = spec.count(self.table)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(error_message(exc)) from exc
         if count == 0:
@@ -309,6 +312,7 @@ class JobManager:
             client,
             spec_dict,
             spec,
+            count,
             self.store_dir / f"{job_id}.jsonl",
             time.time(),
         )
@@ -424,6 +428,7 @@ class JobManager:
                     str(meta.get("client", "anonymous")),
                     spec_dict,
                     spec,
+                    spec.count(self.table),
                     self.store_dir / f"{job_id}.jsonl",
                     submitted_at,
                 )

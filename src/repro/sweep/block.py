@@ -12,13 +12,18 @@ order, values and types — to the ones the per-record path produced: a copy
 of ``shared`` updated with the row (an update keeps the key order).
 
 Blocks are plain data (picklable, no references into the kernel), so pool
-workers ship them to the parent instead of per-record dicts.
+workers ship them to the parent instead of per-record dicts.  A
+:class:`RecordSequence` holds the blocks of a whole sweep and reads as one
+flat sequence of records, building a row's dict only when it is read.
 """
 
 from __future__ import annotations
 
+import collections.abc
+from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 Record = Dict[str, Any]
 
@@ -114,3 +119,61 @@ class RecordBlock:
             {**self.shared, **extra}, self.varying, self.rows, self.lists + lists
         )
 
+
+class RecordSequence(collections.abc.Sequence):
+    """The records of consecutive blocks as one read-only flat sequence.
+
+    Supports ``len``, int (negative too) and slice indexing, iteration and
+    ``==``.  A row's dict is built from its block on every read, so a read
+    returns a fresh dict: setting or deleting its keys changes nothing held
+    here.  A slice is a tuple of records, and the sequence compares equal
+    to a tuple (or another :class:`RecordSequence`) holding equal records
+    in the same order, as a tuple of the records would.
+
+    Args:
+        blocks: The blocks, in row order.
+    """
+
+    __slots__ = ("_blocks", "_starts", "_size")
+
+    def __init__(self, blocks: Iterable[RecordBlock] = ()):
+        self._blocks: List[RecordBlock] = []
+        self._starts: List[int] = []  # the flat index of each block's first row
+        size = 0
+        for block in blocks:
+            if block.rows:
+                self._blocks.append(block)
+                self._starts.append(size)
+                size += len(block.rows)
+        self._size = size
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RecordSequence({self._size} rows in {len(self._blocks)} blocks)"
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if isinstance(index, slice):
+            return tuple(map(self._record, range(*index.indices(self._size))))
+        index = index.__index__()
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError("record index out of range")
+        return self._record(index)
+
+    def _record(self, index: int) -> Record:
+        """The record at flat position ``0 <= index < len(self)``."""
+        position = bisect_right(self._starts, index) - 1
+        return self._blocks[position].record(index - self._starts[position])
+
+    def __iter__(self) -> Iterator[Record]:
+        return chain.from_iterable(map(RecordBlock.records, self._blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RecordSequence, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )

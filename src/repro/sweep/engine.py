@@ -116,6 +116,26 @@ def derive_scenario_config(
     return apply_config_overrides(config, overrides)
 
 
+#: The numeric columns of an evaluated record, in record order: the
+#: metrics :func:`make_record` writes, plus ``cost_usd`` when the sweep
+#: includes cost.  These are the names a Pareto front can be taken over.
+NUMERIC_COLUMNS = (
+    "scenario",
+    "lifetime_years",
+    "system_volume",
+    "total_carbon_g",
+    "embodied_carbon_g",
+    "manufacturing_carbon_g",
+    "design_carbon_g",
+    "hi_carbon_g",
+    "operational_carbon_g",
+    "silicon_area_mm2",
+    "package_area_mm2",
+    "power_w",
+    "cost_usd",
+)
+
+
 def make_record(
     scenario: Scenario,
     system: ChipletSystem,
@@ -173,7 +193,7 @@ def reference_records(
     from repro.cost.model import ChipletCostModel
 
     if isinstance(scenarios, SweepSpec):
-        scenarios = scenarios.expand()
+        scenarios = scenarios.expand(table)
     base_config = config if config is not None else EstimatorConfig()
     records: List[Record] = []
     for scenario in scenarios:
@@ -235,7 +255,9 @@ PlacedBlock = Tuple[Sequence[int], RecordBlock]
 
 
 def _one_row(position: int, record: Record) -> PlacedBlock:
-    return [position], RecordBlock.from_records([record])
+    # Every value shared: each read copies the record's lists, as a read of
+    # a kernel block copies ``nodes``.
+    return [position], RecordBlock(record, (), [()])
 
 
 #: ``(positions, group)``: a template group and the input positions of its rows.
@@ -323,7 +345,9 @@ def shard(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
 
 
 def _placed_groups(
-    sweep: Union[SweepSpec, Iterable[Scenario]], skip: Collection[int]
+    sweep: Union[SweepSpec, Iterable[Scenario]],
+    skip: Collection[int],
+    table: Optional[TechnologyTable],
 ) -> Iterator[PlacedGroup]:
     """The template groups of ``sweep`` with their input positions, in order.
 
@@ -331,6 +355,8 @@ def _placed_groups(
     and in grid order; a scenario list is grouped by
     :func:`repro.fastpath.group_scenarios`.  Rows whose scenario ids are in
     ``skip`` are left out, and positions count the rows that remain.
+    ``table`` is the technology table a spec's node values are checked
+    against.
     """
     if not isinstance(sweep, SweepSpec):
         # Imported at call time, so layer tracers can patch the package.
@@ -339,7 +365,7 @@ def _placed_groups(
         yield from group_scenarios([s for s in sweep if s.index not in skip])
         return
     start = 0
-    for group in sweep.template_groups():
+    for group in sweep.template_groups(table):
         if skip:
             group = group._replace(rows=[row for row in group.rows if row[0] not in skip])
         if group.rows:
@@ -347,10 +373,14 @@ def _placed_groups(
             start += len(group.rows)
 
 
-def _covered(sweep: Union[SweepSpec, Sequence[Scenario]], ids: Collection[int]) -> int:
+def _covered(
+    sweep: Union[SweepSpec, Sequence[Scenario]],
+    ids: Collection[int],
+    table: Optional[TechnologyTable],
+) -> int:
     """How many of ``sweep``'s scenarios have their id in ``ids``."""
     if isinstance(sweep, SweepSpec):
-        count = sweep.count()  # a spec's ids are exactly range(count)
+        count = sweep.count(table)  # a spec's ids are exactly range(count)
         return sum(1 for index in ids if 0 <= index < count)
     return sum(1 for scenario in sweep if scenario.index in ids)
 
@@ -358,11 +388,13 @@ def _covered(sweep: Union[SweepSpec, Sequence[Scenario]], ids: Collection[int]) 
 def prepare_resume(
     sweep: Union[SweepSpec, Sequence[Scenario]],
     resume: Union[ResultStore, str, "Path"],
+    table: Optional[TechnologyTable] = None,
 ) -> Tuple[Set[int], int, List[Record], bool]:
     """Shared resume preparation for :meth:`SweepEngine.run` and the CLI.
 
     Repairs a torn store tail left by a crash and loads the records already
-    on disk.
+    on disk.  ``table`` is the technology table a spec's node values are
+    checked against (``None``: the built-in table).
 
     Returns:
         ``(done_ids, skipped_count, existing_records, repaired)``:
@@ -382,7 +414,7 @@ def prepare_resume(
         for record in existing
         if record.get("scenario") is not None
     }
-    return done_ids, _covered(sweep, done_ids), existing, repaired
+    return done_ids, _covered(sweep, done_ids, table), existing, repaired
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +739,7 @@ class SweepEngine:
 
         self.last_retry_count = 0
         policy = self._containment_policy()
-        groups = _placed_groups(sweep, skip)
+        groups = _placed_groups(sweep, skip, self.table)
         in_order = _InOrder()
         if self.jobs == 1:
             # A shared estimator (repro.serve) keeps its compiled templates
@@ -774,7 +806,7 @@ class SweepEngine:
         store: Optional[ResultStore] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         resume: Optional[Union[ResultStore, str, "Path"]] = None,
-        on_record: Optional[Callable[[Record], None]] = None,
+        on_block: Optional[Callable[[RecordBlock], None]] = None,
         annotate: Optional[Mapping[str, Any]] = None,
         skip: Collection[int] = (),
     ) -> SweepSummary:
@@ -795,11 +827,12 @@ class SweepEngine:
                 summary covers the whole sweep.  Usually the same file as
                 ``store``, opened with ``append=True`` so old and new
                 records accumulate together.
-            on_record: Optional callback invoked with every record as soon
-                as it is computed (after the ``store`` append).  Used by
+            on_block: Optional callback invoked with every
+                :class:`~repro.sweep.block.RecordBlock` as soon as it is
+                computed (after the ``annotate`` columns and the ``store``
+                append), in scenario order.  Used by
                 :class:`repro.api.Session` to collect records without
-                round-tripping through a file; record dicts are only built
-                when it is given.
+                round-tripping through a file or building a dict per row.
             annotate: Constant extra columns merged into every record of
                 this run before it reaches the store and callbacks (e.g.
                 the ``search_round`` column :mod:`repro.search` stamps on
@@ -816,10 +849,10 @@ class SweepEngine:
         if not isinstance(sweep, SweepSpec):
             sweep = list(sweep)
         annotations = dict(annotate) if annotate else None
-        skipped = _covered(sweep, skip) if skip else 0
+        skipped = _covered(sweep, skip, self.table) if skip else 0
         best: Optional[Record] = None
         if resume is not None:
-            skip, skipped, existing, _ = prepare_resume(sweep, resume)
+            skip, skipped, existing, _ = prepare_resume(sweep, resume, self.table)
             for record in existing:
                 total_g = record.get("total_carbon_g")
                 if total_g is not None and (
@@ -830,7 +863,9 @@ class SweepEngine:
         # index (the dict is built once, at the end).
         best_total = best["total_carbon_g"] if best is not None else None
         best_row: Optional[Tuple[RecordBlock, int]] = None
-        total = (sweep.count() if isinstance(sweep, SweepSpec) else len(sweep)) - skipped
+        total = (
+            sweep.count(self.table) if isinstance(sweep, SweepSpec) else len(sweep)
+        ) - skipped
         done = 0
         error_count = 0
         error_codes: Dict[str, int] = {}
@@ -846,7 +881,8 @@ class SweepEngine:
                 block = block.with_constants(annotations)
             if store is not None:
                 store.append_block(block)
-            records = block.records() if on_record is not None else None
+            if on_block is not None:
+                on_block(block)
             errors = block.column(ERROR_KEY) if ERROR_KEY in block.shared else None
             totals = (
                 block.column("total_carbon_g")
@@ -854,8 +890,6 @@ class SweepEngine:
                 else None
             )
             for index in range(len(block.rows)):
-                if records is not None:
-                    on_record(records[index])
                 if errors is not None and errors[index]:
                     error_count += 1
                     code = (error_info(block.record(index)) or {}).get(

@@ -41,6 +41,7 @@ from repro.packaging.registry import (
     spec_from_dict,
 )
 from repro.technology.carbon_sources import carbon_intensity
+from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
 from repro.testcases.registry import get_testcase, testcase_key
 from repro.yamlish import parse_yamlish
 
@@ -377,11 +378,12 @@ class SweepSpec:
             raise ValueError("a sweep spec needs at least one testcase or design_dir")
         if self.nodes and self.node_configs:
             raise ValueError("'nodes' and 'node_configs' are mutually exclusive")
+        # A boolean (JSON true) is an int to Python, but not a lifetime.
         for value in self.lifetimes:
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"lifetimes must be positive and finite, got {value}")
         for value in self.system_volumes:
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"system volumes must be positive and finite, got {value}")
         # Per-architecture parameter axes (packaging entries with a "params"
         # key) expand into one concrete config per value combination; the
@@ -478,6 +480,13 @@ class SweepSpec:
                 return list(value)
             return [value]
 
+        def numbers(key: str) -> Tuple[Any, ...]:
+            # Booleans pass through unconverted for the checks to reject.
+            return tuple(
+                value if isinstance(value, bool) else float(value)
+                for value in listify(config.get(key))
+            )
+
         design_dirs = []
         for entry in listify(config.get("design_dirs")):
             path = Path(str(entry))
@@ -513,8 +522,8 @@ class SweepSpec:
             node_configs=node_configs,
             packaging=tuple(packaging),
             carbon_sources=tuple(str(s) for s in listify(config.get("carbon_sources"))),
-            lifetimes=tuple(float(v) for v in listify(config.get("lifetimes"))),
-            system_volumes=tuple(float(v) for v in listify(config.get("system_volumes"))),
+            lifetimes=numbers("lifetimes"),
+            system_volumes=numbers("system_volumes"),
             overrides=overrides,
         )
 
@@ -530,16 +539,36 @@ class SweepSpec:
         return cls.from_dict(preset_dict(name))
 
     # -- expansion ------------------------------------------------------------------
-    def bases(self) -> List[Tuple[str, str, Optional[int]]]:
+    def bases(
+        self, table: Optional[TechnologyTable] = None
+    ) -> List[Tuple[str, str, Optional[int]]]:
         """``(base kind, base ref, chiplet count)`` per base system, in grid order.
 
-        Every testcase name is checked against the registry, the chiplet
-        count is resolved only when a node axis needs it (``None``
-        otherwise), and explicit ``node_configs`` are checked against it
-        here, so :meth:`count`, :meth:`template_groups` and
-        :class:`repro.search.space.GridSpace` reject a bad spec alike,
-        before anything runs.
+        Every testcase name is checked against the registry, every node
+        value against ``table`` (the technology table the estimator uses;
+        ``None`` is the built-in table), the chiplet count is resolved only
+        when a node axis needs it (``None`` otherwise), and explicit
+        ``node_configs`` are checked against it here, so :meth:`count`,
+        :meth:`template_groups` and :class:`repro.search.space.GridSpace`
+        reject a bad spec alike, before anything runs.
+
+        Raises:
+            KeyError: an unknown testcase name.
+            ValueError: a node the table cannot resolve, or a node config
+                whose length is not the base's chiplet count.
         """
+        if table is None:
+            table = DEFAULT_TECHNOLOGY_TABLE
+        for node in dict.fromkeys(itertools.chain(self.nodes, *self.node_configs)):
+            try:
+                table.get(node)
+            except (KeyError, ValueError):
+                sizes = table.feature_sizes
+                raise ValueError(
+                    f"node {node} is not in the technology table, which "
+                    f"covers {sizes[0]:g}-{sizes[-1]:g} nm (register a node "
+                    f"in the table to sweep it)"
+                ) from None
         bases: List[Tuple[str, str]] = [(BASE_TESTCASE, t) for t in self.testcases]
         bases += [(BASE_DESIGN_DIR, d) for d in self.design_dirs]
         resolved: List[Tuple[str, str, Optional[int]]] = []
@@ -558,7 +587,9 @@ class SweepSpec:
             resolved.append((base_kind, base_ref, chiplets))
         return resolved
 
-    def template_groups(self) -> Iterator[TemplateGroup]:
+    def template_groups(
+        self, table: Optional[TechnologyTable] = None
+    ) -> Iterator[TemplateGroup]:
         """The grid as template groups, lazily, in :meth:`expand` order.
 
         Template-defining axes (base, nodes, packaging, overrides) are the
@@ -567,7 +598,8 @@ class SweepSpec:
         lifetimes and volumes.  The groups of one call share the spec's
         packaging dicts, one dict per override combination and one
         :class:`GroupKey` per (packaging, overrides) pair, so the batch
-        engine hashes no dict per group.
+        engine hashes no dict per group.  ``table`` is the technology table
+        :meth:`bases` checks the node values against.
         """
         packaging_axis: Sequence[Optional[Mapping[str, Any]]] = self.packaging or (None,)
         override_axis: Sequence[Optional[Mapping[str, Any]]] = (None,)
@@ -589,7 +621,7 @@ class SweepSpec:
             )
         )
         index = 0
-        for base_kind, base_ref, chiplets in self.bases():
+        for base_kind, base_ref, chiplets in self.bases(table):
             node_axis: Sequence[Optional[Tuple[float, ...]]] = (None,)
             if self.node_configs:
                 node_axis = self.node_configs
@@ -602,16 +634,17 @@ class SweepSpec:
                 index += len(rows)
                 yield TemplateGroup(base_kind, base_ref, nodes, packaging, overrides, rows, key)
 
-    def expand(self) -> List[Scenario]:
+    def expand(self, table: Optional[TechnologyTable] = None) -> List[Scenario]:
         """The flat list of scenarios: every :meth:`template_groups` row."""
-        return [s for group in self.template_groups() for s in group.scenarios()]
+        return [s for group in self.template_groups(table) for s in group.scenarios()]
 
-    def count(self) -> int:
+    def count(self, table: Optional[TechnologyTable] = None) -> int:
         """Number of scenarios the spec expands into.
 
         Computed arithmetically from the axis lengths after the same base
-        checks :meth:`expand` makes (:meth:`bases`) — no scenario objects
-        are allocated, so sizing a huge grid stays cheap.
+        and node checks :meth:`expand` makes (:meth:`bases`, against
+        ``table``) — no scenario objects are allocated, so sizing a huge
+        grid stays cheap.
         """
         other_axes = (
             max(1, len(self.packaging))
@@ -623,7 +656,7 @@ class SweepSpec:
             other_axes *= len(values)
         node_counts = [
             len(self.node_configs) or (len(self.nodes) ** chiplets if self.nodes else 1)
-            for _, _, chiplets in self.bases()
+            for _, _, chiplets in self.bases(table)
         ]
         return sum(node_counts) * other_axes
 

@@ -91,6 +91,27 @@ class TestErrorRecordParity:
             json.dumps(r, sort_keys=True) for r in expected
         ]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_collected_records_equal_the_oracle_with_error_rows(self, jobs, tmp_path):
+        # The one-row blocks of contained scenarios read back through the
+        # record sequence like the kernel's blocks, at every jobs count.
+        result = _session(jobs, tmp_path).sweep(CHAOS_SPEC)
+        faulted = {fault.scenario for fault in FAULTS}
+        expected = tuple(
+            error_record(scenario, InjectedFault("injected fault"))
+            if scenario.index in faulted
+            else reference
+            for scenario, reference in zip(
+                SweepSpec.from_dict(CHAOS_SPEC).expand(), baseline_records()
+            )
+        )
+        assert result.records == expected
+        result.records[0]["nodes"].append(0.0)  # a read owns its lists
+        assert result.records[0] == expected[0]
+        assert [result.records[index] for index in sorted(faulted)] == [
+            expected[index] for index in sorted(faulted)
+        ]
+
     def test_error_payload_shape(self):
         result = Session(resilience=CONTAIN, chaos=_chaos()).sweep(CHAOS_SPEC)
         error = next(r for r in result.records if is_error_record(r))

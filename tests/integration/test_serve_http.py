@@ -245,6 +245,19 @@ class TestServeErrors:
         assert payload["error"]["code"] == "invalid-spec"
         assert payload["error"]["message"].startswith("unknown testcase 'nope'; ")
 
+    @pytest.mark.parametrize(
+        "axes",
+        [{"nodes": [2, 7]}, {"lifetimes": [True]}, {"system_volumes": [True]}],
+        ids=["untabulated-node", "bool-lifetime", "bool-volume"],
+    )
+    def test_spec_errors_found_before_running_are_400(self, server, axes):
+        _, base = server
+        status, payload, _ = request(
+            "POST", f"{base}/v1/sweeps", {"testcases": ["ga102-3chiplet"], **axes}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-spec"
+
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server
         _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)

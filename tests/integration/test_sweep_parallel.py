@@ -133,6 +133,47 @@ class TestSweepCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axes",
+        [{"nodes": [2, 7]}, {"node_configs": [[7, 7, 70]]}],
+        ids=["nodes", "node-configs"],
+    )
+    def test_untabulated_node_fails_before_the_store_opens(self, tmp_path, capsys, axes):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"], **axes}))
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [invalid-spec] node ")
+        assert "is not in the technology table, which covers 3-65 nm" in err
+        assert not out.exists()
+
+    def test_unknown_pareto_objective_fails_before_the_store_opens(self, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        code = main(
+            [
+                "sweep", "--preset", "ga102-quick", "--out", str(out),
+                "--pareto", "total_carbon_g,nope",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] --pareto: unknown objectives ['nope']; "
+        )
+        assert not out.exists()
+
+    def test_pareto_on_cost_needs_the_cost_column(self, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        code = main(
+            [
+                "sweep", "--preset", "ga102-quick", "--out", str(out), "--no-cost",
+                "--pareto", "total_carbon_g,cost_usd",
+            ]
+        )
+        assert code == 2
+        assert "unknown objectives ['cost_usd']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_testcase_fails_before_the_store_opens(self, tmp_path, capsys):
         # No node axis: the name is still checked before anything runs.
         spec_path = tmp_path / "spec.json"
@@ -151,8 +192,15 @@ class TestSweepCli:
             ({"system_volumes": [float("inf")]}, [], "system volumes must be positive and finite"),
             ({"wafer_diameter_mm": [float("nan")]}, [], "wafer diameter must be positive and finite"),
             ({}, ["--set", "defect_density_scale=nan"], "defect-density scale must be positive"),
+            ({"lifetimes": [True]}, [], "lifetimes must be positive and finite, got True"),
+            ({"system_volumes": [True]}, [], "system volumes must be positive and finite, got True"),
+            ({"defect_density_scale": [True]}, [], "defect-density scale must be a number, got True"),
+            ({}, ["--set", "wafer_diameter_mm=true"], "wafer diameter must be a number, got True"),
         ],
-        ids=["nan-lifetime", "inf-volume", "nan-wafer", "nan-defect-scale-set"],
+        ids=[
+            "nan-lifetime", "inf-volume", "nan-wafer", "nan-defect-scale-set",
+            "bool-lifetime", "bool-volume", "bool-defect-scale", "bool-wafer-set",
+        ],
     )
     def test_non_finite_axis_values_fail(self, tmp_path, capsys, axes, extra_args, message):
         spec_path = tmp_path / "spec.json"

@@ -190,6 +190,77 @@ class TestSweep:
         assert list(by_dict.records) == list(by_file.records)
 
 
+class TestSweepRecords:
+    """``SweepResult.records`` is a read-only view over the engine's blocks."""
+
+    #: Several template groups of several rows each.
+    SPEC = {
+        "testcases": ["emr-2chiplet"],
+        "nodes": [7, 14],
+        "packaging": ["rdl_fanout", "silicon_bridge"],
+        "lifetimes": [2.0, 6.0],
+        "system_volumes": [1000, 100000],
+    }
+
+    @staticmethod
+    def oracle():
+        from repro.sweep.engine import reference_records
+        from repro.sweep.spec import SweepSpec
+
+        return reference_records(SweepSpec.from_dict(TestSweepRecords.SPEC))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_records_equal_the_oracle(self, jobs):
+        from repro.sweep.block import RecordSequence
+
+        records = Session(jobs=jobs, mp_context="fork").sweep(self.SPEC).records
+        expected = self.oracle()
+        assert isinstance(records, RecordSequence)
+        assert records == tuple(expected)
+        assert list(records) == expected
+        assert [records[i] for i in range(-len(expected), 0)] == expected
+        assert list(records[3:11:2]) == expected[3:11:2]
+
+    def test_resumed_records_equal_the_oracle(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        Session().sweep(self.SPEC, out=out, collect_records=False)
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:5]))
+        result = Session().sweep(self.SPEC, out=out, resume=True)
+        assert result.summary.skipped_count == 5
+        assert result.records == tuple(self.oracle())
+
+    def test_each_read_builds_a_fresh_record(self):
+        records = Session().sweep(self.SPEC).records
+        first = records[0]
+        first["total_carbon_g"] = -1.0
+        first["nodes"].append(3.0)
+        assert records[0] == self.oracle()[0]
+        assert records[0] is not records[0]
+
+    def test_untabulated_node_raises_before_the_store_opens(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(ValueError, match="node 2.0 is not in the technology table"):
+            Session().sweep({"testcases": ["emr-2chiplet"], "nodes": [2, 7]}, out=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_node_registered_in_the_session_table_sweeps(self, jobs):
+        import dataclasses as dc
+
+        from repro.sweep.engine import reference_records
+        from repro.sweep.spec import SweepSpec
+        from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
+
+        two_nm = dc.replace(DEFAULT_TECHNOLOGY_TABLE.get(3), feature_nm=2.0)
+        custom = TechnologyTable(list(DEFAULT_TECHNOLOGY_TABLE) + [two_nm])
+        spec = {"testcases": ["emr-2chiplet"], "nodes": [2, 7]}
+        result = Session(table=custom, jobs=jobs, mp_context="fork").sweep(spec)
+        assert result.records == tuple(
+            reference_records(SweepSpec.from_dict(spec), table=custom)
+        )
+
+
 class TestCustomTable:
     def test_sweep_honours_the_session_table_on_both_backends(self):
         import dataclasses as dc

@@ -63,6 +63,16 @@ class TestArgumentErrors:
         )
         assert not out.exists()
 
+    def test_untabulated_node_fails_before_the_store_opens(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SPEC, "space": {**SPEC["space"], "nodes": [2, 7]}}))
+        out = tmp_path / "s.jsonl"
+        assert main(["search", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [invalid-spec] node 2.0 is not in the technology table"
+        )
+        assert not out.exists()
+
     def test_unknown_strategy_flag(self, spec_path, capsys):
         assert (
             main(["search", "--spec", str(spec_path), "--strategy", "warp"]) == 2

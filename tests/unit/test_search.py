@@ -424,7 +424,7 @@ class TestEngineAnnotate:
         collected = []
         SweepEngine().run(
             scenarios,
-            on_record=collected.append,
+            on_block=lambda block: collected.extend(block.records()),
             annotate={"search_round": 9, "tag": "x"},
         )
         assert len(collected) == 3

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.sweep.engine import (
+    NUMERIC_COLUMNS,
     SweepEngine,
     make_record,
     reference_records,
@@ -29,6 +30,16 @@ class TestSerialEngine:
         assert summary.best is not None
         assert summary.best["total_carbon_g"] > 0
         assert store.count == summary.scenario_count
+
+    def test_numeric_columns_are_the_records_numeric_values(self):
+        # The names eco-chip sweep --pareto accepts, in record order.
+        [record] = reference_records(QUICK.expand()[:1])
+        numeric = [
+            key
+            for key, value in record.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        ]
+        assert tuple(numeric) == NUMERIC_COLUMNS
 
     def test_reference_oracle_omits_cost_on_request(self):
         [record] = reference_records(QUICK.expand()[:1], include_cost=False)
