@@ -25,27 +25,36 @@ Additional conveniences:
   grid instead of enumerating it, streaming every evaluated point to the
   crash-safe store with its ``search_round``.
 
-Exit codes: ``2`` means the request itself was invalid (bad spec, unknown
-preset/axis/format, bad flag values), ``3`` a runtime failure (I/O,
-evaluation, port in use) — the same split, with the same structured error
-text, the HTTP API reports.
+Errors take one path.  Every front-end (estimate, ``sweep``, ``search``,
+``serve``) raises :class:`~repro.serve.errors.SpecError` when the request
+itself is invalid (bad spec, unknown testcase/preset/axis/format, bad flag
+values) and :class:`~repro.serve.errors.RuntimeJobError` when a valid
+request fails at run time (I/O, evaluation, port in use); :func:`main`
+alone prints them, as ``error: [code] message``, and exits ``2`` or ``3``
+— the same split, with the same structured error text, the HTTP API
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import heapq
+import math
 import os
 import sys
-from typing import Collection, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.axes import get_axis
 from repro.core.disaggregation import iter_node_configurations
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.io.loaders import load_design_directory
 from repro.io.writers import write_report
-from repro.serve.errors import error_message
+from repro.serve.errors import RuntimeJobError, ServeError, SpecError, error_message
+from repro.technology.carbon_sources import carbon_intensity
 from repro.testcases.registry import get_testcase, list_testcases
 
 
@@ -131,7 +140,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _raise_as(error: type, *caught: type, prefix: str = "") -> Iterator[None]:
+    """Re-raise any ``caught`` exception of the block as the structured
+    ``error`` (:class:`SpecError` or :class:`RuntimeJobError`), keeping
+    its message after ``prefix``."""
+    try:
+        yield
+    except caught as exc:
+        raise error(prefix + error_message(exc)) from exc
+
+
 def _estimator_from_args(args: argparse.Namespace) -> EcoChip:
+    # The same checks a sweep spec's carbon_sources and wafer_diameter_mm make.
+    for flag, check, value in (
+        ("--fab-source", carbon_intensity, args.fab_source),
+        ("--wafer-diameter-mm", get_axis("wafer_diameter_mm").validate, args.wafer_diameter_mm),
+    ):
+        with _raise_as(SpecError, KeyError, ValueError, prefix=f"{flag}: "):
+            check(value)
     config = EstimatorConfig(
         fab_carbon_source=args.fab_source,
         package_carbon_source=args.fab_source,
@@ -305,7 +332,6 @@ def _parse_axis_sets(entries: Sequence[str]) -> "dict":
         ValueError: malformed ``NAME=...`` syntax, an empty value list, a
             repeated axis, or a value the axis's validator rejects.
     """
-    from repro.axes import get_axis
     from repro.yamlish import split_inline
 
     axes: dict = {}
@@ -336,18 +362,62 @@ def _parse_axis_sets(entries: Sequence[str]) -> "dict":
     return axes
 
 
+def _spec_config(
+    spec_file: Optional[str],
+    preset: Optional[str],
+    axis_sets: Sequence[str],
+    space: Optional[str] = None,
+) -> Tuple[Dict[str, Any], Any]:
+    """The spec mapping of a ``--spec`` file or a preset, with the ``--set``
+    axes merged in; returns ``(config, base_dir)``.
+
+    Sweeps merge the axes into the top level.  Searches name the ``space``
+    key holding their sweep-spec mapping: the preset becomes that mapping
+    and the axes go into it.
+
+    Raises:
+        OSError, KeyError, TypeError, ValueError: an unreadable spec file,
+            an unknown preset or axis, a bad ``--set`` value, or an axis the
+            spec already sweeps.
+    """
+    from repro.sweep.spec import load_spec_dict, preset_dict
+
+    axes = _parse_axis_sets(axis_sets)
+    if preset:
+        config, base_dir = preset_dict(preset), None
+        if space is not None:
+            config = {space: config}
+    else:
+        config, base_dir = load_spec_dict(spec_file)
+    target = config.get(space) if space is not None else config
+    if axes and not isinstance(target, dict):
+        raise ValueError(
+            f"--set needs the spec's {space!r} to be a sweep-spec mapping to "
+            f"merge axes into"
+        )
+    for name, values in axes.items():
+        if name in target:
+            raise ValueError(
+                f"--set {name} conflicts with the {space or 'spec'}'s own "
+                f"{name!r} axis; drop one of the two"
+            )
+        target[name] = values
+    return config, base_dir
+
+
+def _store_path(args: argparse.Namespace, resume_does: str) -> Optional[str]:
+    """The store a sweep or search writes: ``--resume FILE`` implies
+    ``--out FILE``, and the two may not name different files."""
+    if args.resume and args.out and Path(args.out).resolve() != Path(args.resume).resolve():
+        raise SpecError(f"--resume {resume_does}; drop --out or pass the same path")
+    return args.resume or args.out
+
+
 def _sweep_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip sweep``; returns a process exit code."""
-    from pathlib import Path
-
     from repro.core.explorer import pareto_front
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
     from repro.sweep.engine import NUMERIC_COLUMNS, SweepEngine, prepare_resume
-    from repro.sweep.spec import PRESETS, SweepSpec, load_spec_dict, preset_dict
+    from repro.sweep.spec import PRESETS, SweepSpec
     from repro.sweep.store import open_store, rows_from_records
 
     parser = build_sweep_parser()
@@ -361,17 +431,9 @@ def _sweep_main(argv: Sequence[str]) -> int:
         parser.print_help()
         return 1
     if args.jobs < 1:
-        print(
-            format_error_text("invalid-spec", f"--jobs must be >= 1, got {args.jobs}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--jobs must be >= 1, got {args.jobs}")
     if args.top < 0:
-        print(
-            format_error_text("invalid-spec", f"--top must be >= 0, got {args.top}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--top must be >= 0, got {args.top}")
     objectives: List[str] = []
     if args.pareto is not None:
         objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
@@ -381,101 +443,41 @@ def _sweep_main(argv: Sequence[str]) -> int:
         unknown = [name for name in objectives if name not in known]
         if unknown or not objectives:
             reason = f"unknown objectives {unknown}" if unknown else "no objectives given"
-            print(
-                format_error_text(
-                    "invalid-spec",
-                    f"--pareto: {reason}; known numeric record columns: {known}",
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
+            raise SpecError(f"--pareto: {reason}; known numeric record columns: {known}")
     if args.retries is not None and args.retries < 0:
-        print(
-            format_error_text(
-                "invalid-spec", f"--retries must be >= 0, got {args.retries}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
-    if args.scenario_timeout is not None and args.scenario_timeout <= 0:
-        print(
-            format_error_text(
-                "invalid-spec",
-                f"--scenario-timeout must be > 0, got {args.scenario_timeout}",
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--retries must be >= 0, got {args.retries}")
+    timeout = args.scenario_timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise SpecError(f"--scenario-timeout must be > 0, got {timeout}")
     resilience = None
-    if (
-        args.retries is not None
-        or args.scenario_timeout is not None
-        or args.on_error is not None
-    ):
+    if args.retries is not None or timeout is not None or args.on_error is not None:
         from repro.resilience import ResiliencePolicy, RetryPolicy
 
         resilience = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=(args.retries or 0) + 1),
             on_error=args.on_error or "record",
-            scenario_timeout_s=args.scenario_timeout,
+            scenario_timeout_s=timeout,
         )
-    compile_cache = resolve_compile_cache(args.compile_cache)
 
-    try:
-        axis_sets = _parse_axis_sets(args.axis_sets)
-        if args.preset:
-            config, base_dir = preset_dict(args.preset), None
-        else:
-            config, base_dir = load_spec_dict(args.spec)
-        for name, values in axis_sets.items():
-            if name in config:
-                raise ValueError(
-                    f"--set {name} conflicts with the spec's own {name!r} "
-                    f"axis; drop one of the two"
-                )
-            config[name] = values
+    with _raise_as(SpecError, OSError, KeyError, TypeError, ValueError):
+        config, base_dir = _spec_config(args.spec, args.preset, args.axis_sets)
         spec = SweepSpec.from_dict(config, base_dir=base_dir)
         count = spec.count()
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
     if not count:
-        print(
-            format_error_text("invalid-spec", "the spec expands into zero scenarios"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError("the spec expands into zero scenarios")
 
-    out_path = args.out
-    append = False
+    out_path = _store_path(args, "writes into the resumed file")
     skipped = 0
     done_ids: Collection[int] = ()
     existing_records: List = []
     if args.resume:
-        if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
-            print(
-                format_error_text(
-                    "invalid-spec",
-                    "--resume writes into the resumed file; drop --out or "
-                    "pass the same path",
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-        out_path = args.resume
-        append = True
-        try:
+        with _raise_as(
+            RuntimeJobError, OSError, ValueError,
+            prefix=f"cannot read resume file {args.resume}: ",
+        ):
             done_ids, skipped, existing_records, repaired = prepare_resume(
                 spec, args.resume
             )
-        except (OSError, ValueError) as exc:
-            print(
-                format_error_text(
-                    "runtime", f"cannot read resume file {args.resume}: {exc}"
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME_ERROR
         if repaired:
             print(f"repaired torn tail of {args.resume} (crashed run)")
         if skipped:
@@ -486,23 +488,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
 
     store = None
     if out_path:
-        try:
-            store = open_store(out_path, append=append)
-        except ValueError as exc:
-            # Unknown format: the request itself is wrong.
-            print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
-            return EXIT_SPEC_ERROR
-        except (OSError, RuntimeError) as exc:
-            # I/O failure or a live writer holding the store lock.
-            print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
-            return EXIT_RUNTIME_ERROR
+        # An unknown format is a bad request; an I/O failure or a live
+        # writer holding the store lock is a runtime failure.
+        with _raise_as(RuntimeJobError, OSError, RuntimeError), _raise_as(SpecError, ValueError):
+            store = open_store(out_path, append=bool(args.resume))
 
-    engine = SweepEngine(
-        jobs=args.jobs,
-        include_cost=not args.no_cost,
-        compile_cache=compile_cache,
-        resilience=resilience,
-    )
     # Stream with bounded memory: the engine tracks the best new record and
     # a callback keeps a top-N heap; records are only accumulated when
     # --pareto needs the full set.
@@ -511,30 +501,19 @@ def _sweep_main(argv: Sequence[str]) -> int:
     pareto_records: Optional[List] = [] if args.pareto else None
     best = None
     sequence = 0
-    # Records already in a resumed store compete in best/top/Pareto so a
-    # resumed run summarises the whole sweep, not just the new tail.
-    for record in existing_records:
-        total_g = record.get("total_carbon_g")
-        if total_g is None:
-            continue
-        if best is None or total_g < best["total_carbon_g"]:
-            best = record
-        if top_n > 0:
-            sequence += 1
-            heapq.heappush(top_heap, (-total_g, sequence, record))
-            if len(top_heap) > top_n:
-                heapq.heappop(top_heap)
-        if pareto_records is not None:
-            pareto_records.append(record)
 
-    def track(block):
-        nonlocal sequence
-        for record in block.records():
+    def fold(records) -> None:
+        """Fold records into the best record, the top-N heap and the
+        Pareto candidates."""
+        nonlocal best, sequence
+        for record in records:
             total_g = record.get("total_carbon_g")
             if total_g is None:
                 # A contained failure (--retries/--on-error record): the
                 # row holds a structured error payload, not metrics.
                 continue
+            if best is None or total_g < best["total_carbon_g"]:
+                best = record
             sequence += 1
             if top_n > 0:
                 heapq.heappush(top_heap, (-total_g, sequence, record))
@@ -543,38 +522,42 @@ def _sweep_main(argv: Sequence[str]) -> int:
             if pareto_records is not None:
                 pareto_records.append(record)
 
+    # Records already in a resumed store compete in best/top/Pareto so a
+    # resumed run summarises the whole sweep, not just the new tail.
+    fold(existing_records)
     # Row dicts are only built when the top-N table or the front needs them.
-    on_block = track if top_n > 0 or pareto_records is not None else None
+    on_block = (
+        (lambda block: fold(block.records()))
+        if top_n > 0 or pareto_records is not None
+        else None
+    )
     try:
-        summary = engine.run(spec, store=store, on_block=on_block, skip=done_ids)
-    except OSError as exc:
-        print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+        with _raise_as(RuntimeJobError, OSError):
+            engine = SweepEngine(
+                jobs=args.jobs,
+                include_cost=not args.no_cost,
+                compile_cache=resolve_compile_cache(args.compile_cache),
+                resilience=resilience,
+            )
+            summary = engine.run(spec, store=store, on_block=on_block, skip=done_ids)
     finally:
         if store is not None:
             store.close()
-    count = summary.scenario_count
-    error_count = summary.error_count
-    new_best = summary.best
-    if new_best is not None and (
-        best is None or new_best["total_carbon_g"] < best["total_carbon_g"]
-    ):
-        best = new_best
+    if on_block is None and summary.best is not None:
+        fold([summary.best])  # the new rows were not folded, only their best
 
     skip_note = f" ({skipped} resumed)" if skipped else ""
-    error_note = f", {error_count} failed" if error_count else ""
-    if best is None:
-        print(
-            f"sweep {spec.name!r}: {count} scenarios{skip_note}{error_note}, "
-            f"jobs={args.jobs}, no successful scenarios"
-        )
-    else:
-        print(
-            f"sweep {spec.name!r}: {count} scenarios{skip_note}{error_note}, "
-            f"jobs={args.jobs}, "
-            f"best Ctot = {best['total_carbon_g'] / 1000.0:.2f} kg "
-            f"({best['base']} nodes={best['nodes']} {best['packaging']}/{best['fab_source']})"
-        )
+    error_note = f", {summary.error_count} failed" if summary.error_count else ""
+    best_note = (
+        "no successful scenarios"
+        if best is None
+        else f"best Ctot = {best['total_carbon_g'] / 1000.0:.2f} kg "
+        f"({best['base']} nodes={best['nodes']} {best['packaging']}/{best['fab_source']})"
+    )
+    print(
+        f"sweep {spec.name!r}: {summary.scenario_count} scenarios{skip_note}{error_note}, "
+        f"jobs={args.jobs}, {best_note}"
+    )
     if store is not None:
         print(f"results written to {store.path}")
 
@@ -596,11 +579,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
             )
 
     if pareto_records is not None:
-        try:
+        with _raise_as(SpecError, KeyError):
             front = pareto_front(rows_from_records(pareto_records), objectives)
-        except KeyError as exc:
-            print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
-            return EXIT_SPEC_ERROR
         print(f"\nPareto front under {objectives} ({len(front)} points):")
         for row in front:
             values = ", ".join(f"{name}={row.objective(name):.4g}" for name in objectives)
@@ -703,16 +683,8 @@ def build_search_parser() -> argparse.ArgumentParser:
 
 def _search_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip search``; returns a process exit code."""
-    from pathlib import Path
-
-    from repro.search import SearchSpec, run_search
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
-    from repro.sweep.engine import SweepEngine
-    from repro.sweep.spec import load_spec_dict, preset_dict
+    from repro.api import Session
+    from repro.search import SearchSpec
     from repro.sweep.store import SweepRow
 
     parser = build_search_parser()
@@ -722,33 +694,12 @@ def _search_main(argv: Sequence[str]) -> int:
         parser.print_help()
         return 1
     if args.jobs < 1:
-        print(
-            format_error_text("invalid-spec", f"--jobs must be >= 1, got {args.jobs}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
-    compile_cache = resolve_compile_cache(args.compile_cache)
+        raise SpecError(f"--jobs must be >= 1, got {args.jobs}")
 
-    try:
-        axis_sets = _parse_axis_sets(args.axis_sets)
-        if args.space_preset:
-            config, base_dir = {"space": preset_dict(args.space_preset)}, None
-        else:
-            config, base_dir = load_spec_dict(args.spec)
-        if axis_sets:
-            space = config.get("space")
-            if not isinstance(space, dict):
-                raise ValueError(
-                    "--set needs the spec's 'space' to be a sweep-spec "
-                    "mapping to merge axes into"
-                )
-            for name, values in axis_sets.items():
-                if name in space:
-                    raise ValueError(
-                        f"--set {name} conflicts with the space's own "
-                        f"{name!r} axis; drop one of the two"
-                    )
-                space[name] = values
+    with _raise_as(SpecError, OSError, KeyError, TypeError, ValueError):
+        config, base_dir = _spec_config(
+            args.spec, args.space_preset, args.axis_sets, space="space"
+        )
         for key, value in (
             ("budget", args.budget),
             ("strategy", args.strategy),
@@ -759,39 +710,16 @@ def _search_main(argv: Sequence[str]) -> int:
                 config[key] = value
         spec = SearchSpec.from_dict(config, base_dir=base_dir)
         spec.space.count()  # checks testcase names and node configs up front
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
 
-    out_path = args.out
-    resume = False
-    if args.resume:
-        if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
-            print(
-                format_error_text(
-                    "invalid-spec",
-                    "--resume replays and extends the resumed file; drop "
-                    "--out or pass the same path",
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-        out_path = args.resume
-        resume = True
-
-    engine = SweepEngine(
-        jobs=args.jobs,
-        include_cost=not args.no_cost,
-        compile_cache=compile_cache,
-    )
-    try:
-        result = run_search(spec, engine, out=out_path, resume=resume)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", error_message(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except (OSError, RuntimeError) as exc:
-        print(format_error_text("runtime", error_message(exc)), file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    out_path = _store_path(args, "replays and extends the resumed file")
+    # A bad resume store is a bad request; I/O failures, a live writer
+    # holding the store lock and an unusable compile cache are runtime ones.
+    with _raise_as(RuntimeJobError, OSError, RuntimeError), _raise_as(SpecError, ValueError):
+        result = Session(
+            jobs=args.jobs,
+            include_cost=not args.no_cost,
+            compile_cache=resolve_compile_cache(args.compile_cache),
+        ).search(spec, out=out_path, resume=bool(args.resume))
 
     fraction = 100.0 * result.evaluated_fraction
     print(
@@ -926,14 +854,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def _serve_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip serve``; returns a process exit code."""
-    from pathlib import Path
-
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
-
     parser = build_serve_parser()
     args = parser.parse_args(argv)
 
@@ -944,35 +864,17 @@ def _serve_main(argv: Sequence[str]) -> int:
         ("--quota", args.quota, 1),
     ):
         if value is not None and value < minimum:
-            print(
-                format_error_text(
-                    "invalid-spec", f"{flag} must be >= {minimum}, got {value}"
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-    if args.grace < 0:
-        print(
-            format_error_text(
-                "invalid-spec", f"--grace must be >= 0, got {args.grace}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+            raise SpecError(f"{flag} must be >= {minimum}, got {value}")
+    if not (math.isfinite(args.grace) and args.grace >= 0):
+        raise SpecError(f"--grace must be >= 0, got {args.grace}")
     if not 0 <= args.port <= 65535:
-        print(
-            format_error_text("invalid-spec", f"--port must be 0..65535, got {args.port}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--port must be 0..65535, got {args.port}")
 
     from repro.serve.app import create_server
     from repro.serve.quota import QuotaTracker
 
-    compile_cache_dir = resolve_compile_cache(args.compile_cache)
-
     quota = QuotaTracker(args.quota) if args.quota is not None else None
-    try:
+    with _raise_as(RuntimeJobError, OSError, prefix=f"cannot serve on {args.host}:{args.port}: "):
         server = create_server(
             args.host,
             args.port,
@@ -982,18 +884,10 @@ def _serve_main(argv: Sequence[str]) -> int:
             jobs=args.jobs,
             include_cost=not args.no_cost,
             quota=quota,
-            compile_cache_dir=compile_cache_dir,
+            compile_cache_dir=resolve_compile_cache(args.compile_cache),
             breaker=False if args.no_breaker else None,
             verbose=args.verbose,
         )
-    except OSError as exc:
-        print(
-            format_error_text(
-                "runtime", f"cannot serve on {args.host}:{args.port}: {exc}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_RUNTIME_ERROR
     host, port = server.server_address[:2]
     print(
         f"serving sweeps on http://{host}:{port} "
@@ -1024,17 +918,11 @@ def _serve_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "sweep":
-        return _sweep_main(arguments[1:])
-    if arguments and arguments[0] == "serve":
-        return _serve_main(arguments[1:])
-    if arguments and arguments[0] == "search":
-        return _search_main(arguments[1:])
+def _estimate_main(argv: Sequence[str]) -> int:
+    """Implementation of the plain ``eco-chip`` estimate; returns a process
+    exit code."""
     parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = parser.parse_args(argv)
 
     if args.list_testcases or args.list_packaging or args.list_axes:
         if args.list_testcases:
@@ -1056,19 +944,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     node_sweep: List[float] = []
     if args.design_dir:
-        try:
+        with _raise_as(SpecError, FileNotFoundError, KeyError, ValueError):
             design = load_design_directory(args.design_dir)
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            print(f"error: {error_message(exc)}", file=sys.stderr)
-            return 2
         system = design.system
         node_sweep = design.node_sweep
     elif args.testcase:
-        try:
+        with _raise_as(SpecError, KeyError):
             system = get_testcase(args.testcase)
-        except KeyError as exc:
-            print(f"error: {error_message(exc)}", file=sys.stderr)
-            return 2
     else:
         parser.print_help()
         return 1
@@ -1077,11 +959,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(report.summary())
 
     if args.output:
-        try:
+        with _raise_as(RuntimeJobError, OSError, prefix=f"cannot write report to {args.output}: "):
             path = write_report(report, args.output)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
-            return 2
         print(f"\nreport written to {path}")
 
     if args.sweep_nodes:
@@ -1094,6 +973,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_sweep(system, node_sweep, estimator)
 
     return 0
+
+
+_SUBCOMMANDS = {"sweep": _sweep_main, "search": _search_main, "serve": _serve_main}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code.
+
+    The one place an error is printed: a front-end raises
+    :class:`~repro.serve.errors.SpecError` or
+    :class:`~repro.serve.errors.RuntimeJobError`, and this prints it as
+    ``error: [code] message`` and returns its exit code.
+    """
+    arguments = list(argv) if argv is not None else sys.argv[1:]
+    command = _SUBCOMMANDS.get(arguments[0]) if arguments else None
+    try:
+        if command is not None:
+            return command(arguments[1:])
+        return _estimate_main(arguments)
+    except ServeError as exc:
+        print(exc.text(), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -63,8 +63,10 @@ class WaferModel:
         wafer_diameter_mm: float = DEFAULT_WAFER_DIAMETER_MM,
         edge_exclusion_mm: float = 0.0,
     ):
-        if wafer_diameter_mm <= 0:
-            raise ValueError(f"wafer diameter must be positive, got {wafer_diameter_mm}")
+        if not (math.isfinite(wafer_diameter_mm) and wafer_diameter_mm > 0):
+            raise ValueError(
+                f"wafer diameter must be positive and finite, got {wafer_diameter_mm}"
+            )
         if edge_exclusion_mm < 0:
             raise ValueError(f"edge exclusion must be non-negative, got {edge_exclusion_mm}")
         if 2 * edge_exclusion_mm >= wafer_diameter_mm:

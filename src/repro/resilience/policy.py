@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from typing import Optional, Tuple, Type
 
 
@@ -155,10 +156,9 @@ class ResiliencePolicy:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_MODES}, got {self.on_error!r}"
             )
-        if self.scenario_timeout_s is not None and self.scenario_timeout_s <= 0:
-            raise ValueError(
-                f"scenario_timeout_s must be > 0, got {self.scenario_timeout_s}"
-            )
+        timeout = self.scenario_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"scenario_timeout_s must be > 0 and finite, got {timeout}")
         if self.max_pool_respawns < 0:
             raise ValueError(
                 f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"

@@ -1,11 +1,14 @@
 """Structured errors shared by the HTTP API and the CLI.
 
-Every failure the server reports — and every failure ``eco-chip sweep`` /
-``eco-chip serve`` print — goes through one vocabulary: a short machine
+Every failure the server reports — and every failure the CLI's four
+front-ends (the plain estimate, ``eco-chip sweep``, ``eco-chip search``,
+``eco-chip serve``) print — goes through one vocabulary: a short machine
 error ``code`` plus a human message.  Over HTTP that renders as a JSON
 body (:meth:`ServeError.payload`) with the matching status; on a terminal
-it renders as one line (:func:`format_error_text`), so scripts can match
-the same codes in both places.
+it renders as one line (:meth:`ServeError.text`), so scripts can match
+the same codes in both places.  The front-ends raise :class:`SpecError`
+or :class:`RuntimeJobError`; :func:`repro.cli.main` is the single mapper
+that prints the line and exits with the error's :attr:`~ServeError.exit_code`.
 
 Exit codes split the two failure classes the CLI can hit:
 
@@ -135,7 +138,13 @@ class JobStateError(ServeError):
 
 
 class RuntimeJobError(ServeError):
-    """A job failed while evaluating (captured in the job's error field)."""
+    """A valid request failed at run time.
+
+    A server job that fails while evaluating records it in the job's
+    error field; the CLI raises it for I/O and evaluation failures (an
+    unwritable store or report, a locked store, a port in use), which
+    :func:`repro.cli.main` prints and exits ``3`` with.
+    """
 
     code = "runtime"
     http_status = 500

@@ -294,7 +294,7 @@ class TechnologyTable:
     # -- interpolation -------------------------------------------------------
     def _interpolate(self, feature_nm: float) -> TechnologyNode:
         sizes = self.feature_sizes
-        if feature_nm < sizes[0] or feature_nm > sizes[-1]:
+        if not sizes[0] <= feature_nm <= sizes[-1]:  # NaN included
             raise KeyError(
                 f"node {feature_nm}nm outside tabulated range "
                 f"[{sizes[0]}nm, {sizes[-1]}nm]; register it explicitly"

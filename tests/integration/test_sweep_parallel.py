@@ -196,10 +196,13 @@ class TestSweepCli:
             ({"system_volumes": [True]}, [], "system volumes must be positive and finite, got True"),
             ({"defect_density_scale": [True]}, [], "defect-density scale must be a number, got True"),
             ({}, ["--set", "wafer_diameter_mm=true"], "wafer diameter must be a number, got True"),
+            ({}, ["--scenario-timeout", "nan"], "--scenario-timeout must be > 0, got nan"),
+            ({}, ["--scenario-timeout", "inf"], "--scenario-timeout must be > 0, got inf"),
         ],
         ids=[
             "nan-lifetime", "inf-volume", "nan-wafer", "nan-defect-scale-set",
             "bool-lifetime", "bool-volume", "bool-defect-scale", "bool-wafer-set",
+            "nan-timeout", "inf-timeout",
         ],
     )
     def test_non_finite_axis_values_fail(self, tmp_path, capsys, axes, extra_args, message):

@@ -200,10 +200,32 @@ class TestCli:
 
 class TestCliErrorPaths:
     def test_output_write_failure_returns_error_code(self, tmp_path, capsys):
-        # Pointing --output at an existing directory makes the write fail.
+        # Pointing --output at an existing directory makes the write fail: a
+        # valid request that fails at run time.
         code = main(["--testcase", "a15-monolithic", "--output", str(tmp_path)])
-        assert code == 2
-        assert "cannot write report" in capsys.readouterr().err
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: [runtime] cannot write report")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fab-source", "nope"], "--fab-source: unknown carbon source: 'nope'"),
+            (
+                ["--wafer-diameter-mm", "nan"],
+                "--wafer-diameter-mm: wafer diameter must be positive and finite, got nan",
+            ),
+            (
+                ["--wafer-diameter-mm", "-300"],
+                "--wafer-diameter-mm: wafer diameter must be positive and finite, got -300.0",
+            ),
+        ],
+        ids=["unknown-fab-source", "nan-wafer", "negative-wafer"],
+    )
+    def test_bad_estimator_flags_are_spec_errors(self, capsys, flags, message):
+        assert main(["--testcase", "a15-monolithic", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [invalid-spec] {message}\n"
+        assert captured.out == ""
 
     def test_output_into_readonly_directory(self, tmp_path, capsys):
         target = tmp_path / "locked"
@@ -217,7 +239,7 @@ class TestCliErrorPaths:
             target.chmod(0o700)
         if code == 0:  # pragma: no cover - running as root bypasses permissions
             pytest.skip("filesystem permissions not enforced (running as root)")
-        assert code == 2
+        assert code == 3
 
     def test_unknown_testcase_lists_alternatives(self, capsys):
         assert main(["--testcase", "not-a-chip"]) == 2

@@ -121,11 +121,10 @@ class TestTechnologyTableLookup:
             <= lo.defect_density_per_cm2
         )
 
-    def test_extrapolation_is_refused(self, table):
-        with pytest.raises(KeyError):
-            table.get(2)
-        with pytest.raises(KeyError):
-            table.get(90)
+    @pytest.mark.parametrize("node", [2, 90, float("nan")])
+    def test_extrapolation_is_refused(self, table, node):
+        with pytest.raises(KeyError, match="outside tabulated range"):
+            table.get(node)
 
     def test_add_and_replace(self, table):
         custom = TechnologyTable(list(table))

@@ -101,8 +101,9 @@ class TestResiliencePolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResiliencePolicy(on_error="explode")
-        with pytest.raises(ValueError):
-            ResiliencePolicy(scenario_timeout_s=0)
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scenario_timeout_s"):
+                ResiliencePolicy(scenario_timeout_s=timeout)
         with pytest.raises(ValueError):
             ResiliencePolicy(max_pool_respawns=-1)
         with pytest.raises(ValueError):

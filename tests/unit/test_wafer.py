@@ -10,11 +10,10 @@ from repro.manufacturing.wafer import WaferModel
 
 
 class TestWaferModelConstruction:
-    def test_invalid_diameter(self):
-        with pytest.raises(ValueError):
-            WaferModel(wafer_diameter_mm=0)
-        with pytest.raises(ValueError):
-            WaferModel(wafer_diameter_mm=-300)
+    @pytest.mark.parametrize("diameter", [0, -300, float("nan"), float("inf")])
+    def test_invalid_diameter(self, diameter):
+        with pytest.raises(ValueError, match="positive and finite"):
+            WaferModel(wafer_diameter_mm=diameter)
 
     def test_invalid_edge_exclusion(self):
         with pytest.raises(ValueError):
