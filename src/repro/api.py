@@ -326,7 +326,9 @@ class Session:
             spec_file: Path of a ``.json``/``.yaml`` spec file.
             out: Stream records to this JSONL/CSV file as they compute.
             resume: Skip scenarios whose ids are already in ``out`` and
-                append only the missing tail (requires ``out``).
+                append only the missing tail (requires ``out``).  A store
+                written with the other ``include_cost`` setting raises
+                :class:`ValueError` before any scenario is evaluated.
             progress: Optional ``(done, total)`` callback per record.
             collect_records: Keep every record in the returned result
                 (disable for huge grids streamed to ``out``).

@@ -416,7 +416,12 @@ def _store_path(args: argparse.Namespace, resume_does: str) -> Optional[str]:
 def _sweep_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip sweep``; returns a process exit code."""
     from repro.core.explorer import pareto_front
-    from repro.sweep.engine import NUMERIC_COLUMNS, SweepEngine, prepare_resume
+    from repro.sweep.engine import (
+        NUMERIC_COLUMNS,
+        SweepEngine,
+        check_resume_columns,
+        prepare_resume,
+    )
     from repro.sweep.spec import PRESETS, SweepSpec
     from repro.sweep.store import open_store, rows_from_records
 
@@ -480,6 +485,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
             )
         if repaired:
             print(f"repaired torn tail of {args.resume} (crashed run)")
+        with _raise_as(SpecError, ValueError, prefix=f"cannot resume {args.resume}: "):
+            check_resume_columns(existing_records, include_cost=not args.no_cost)
         if skipped:
             print(f"resuming {args.resume}: {skipped} scenarios already evaluated")
         if skipped == count:

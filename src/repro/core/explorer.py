@@ -207,6 +207,27 @@ def _skyline_2d_numpy(matrix) -> List[int]:
     return [int(index) for index in order[keep]]
 
 
+def _objective_columns(
+    points: Sequence[Any], objectives: Sequence[str]
+) -> Sequence[Sequence[float]]:
+    """One column of objective values per name, each in input order.
+
+    A point class may offer a batch form, ``objective_columns(points,
+    names)`` (:class:`repro.sweep.store.SweepRow` reads its record dicts in
+    one pass per column); it returns the values :meth:`objective` would or
+    ``None`` to decline.  Otherwise every point is asked :meth:`objective`
+    per name, point by point, so the first failing point raises.
+    """
+    for first in points:
+        batch = getattr(type(first), "objective_columns", None)
+        columns = batch(points, objectives) if batch is not None else None
+        if columns is not None:
+            return columns
+        break
+    vectors = [tuple(point.objective(name) for name in objectives) for point in points]
+    return list(zip(*vectors)) if vectors else [() for _ in objectives]
+
+
 def pareto_front(
     points: Sequence["DesignPoint"],
     objectives: Sequence[str],
@@ -215,7 +236,8 @@ def pareto_front(
     """The non-dominated subset of ``points`` under the named objectives.
 
     Accepts any objects exposing ``objective(name) -> float`` (both
-    :class:`DesignPoint` and :class:`repro.sweep.store.SweepRow`).  Uses a
+    :class:`DesignPoint` and :class:`repro.sweep.store.SweepRow`; the
+    latter's values are read from the records a column at a time).  Uses a
     sort-based skyline: O(n log n) for two objectives, divide and conquer
     (vectorised with numpy on large inputs) otherwise.  The result preserves
     input order.
@@ -233,30 +255,32 @@ def pareto_front(
         raise ValueError("at least one objective is required")
     if on_nan not in ("exclude", "raise"):
         raise ValueError(f"on_nan must be 'exclude' or 'raise', got {on_nan!r}")
-    all_vectors = [tuple(point.objective(name) for name in objectives) for point in points]
+    columns = _objective_columns(points, objectives)
+    count = len(columns[0])
     # Large multi-objective inputs go through numpy end to end: the NaN
     # screen and the skyline share one matrix instead of re-walking python
     # tuples (the culling skyline is k-agnostic, so k == 2 qualifies too).
-    vectorised = _np is not None and len(objectives) >= 2 and len(all_vectors) >= _NUMPY_MIN_POINTS
+    vectorised = _np is not None and len(objectives) >= 2 and count >= _NUMPY_MIN_POINTS
     if vectorised:
-        matrix = _np.asarray(all_vectors, dtype=float)
+        matrix = _np.array(columns, dtype=float).T
         index_map = _np.flatnonzero(~_np.isnan(matrix).any(axis=1))
-        dropped = len(all_vectors) - len(index_map)
+        dropped = count - len(index_map)
     else:
+        all_vectors = list(zip(*columns))
         indexes = [
             index
             for index, vector in enumerate(all_vectors)
             if not any(value != value for value in vector)
         ]
-        dropped = len(all_vectors) - len(indexes)
+        dropped = count - len(indexes)
     if dropped:
         if on_nan == "raise":
             raise ValueError(
-                f"{dropped} of {len(all_vectors)} points have NaN values under "
+                f"{dropped} of {count} points have NaN values under "
                 f"objectives {list(objectives)}"
             )
         warnings.warn(
-            f"pareto_front: excluding {dropped} of {len(all_vectors)} points "
+            f"pareto_front: excluding {dropped} of {count} points "
             f"with NaN objective values",
             RuntimeWarning,
             stacklevel=2,

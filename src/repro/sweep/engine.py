@@ -417,6 +417,32 @@ def prepare_resume(
     return done_ids, _covered(sweep, done_ids, table), existing, repaired
 
 
+def check_resume_columns(existing: Iterable[Record], include_cost: bool) -> None:
+    """Refuse to resume a store whose rows disagree with ``include_cost``.
+
+    A resumed run appends rows next to the stored ones, so a store written
+    without ``cost_usd`` (``--no-cost``) resumed with cost, or the other
+    way round, would end up mixing two schemas.  Contained-failure rows
+    carry no metrics and are not checked.  Callers run this right after
+    :func:`prepare_resume`, before any scenario is evaluated.
+
+    Raises:
+        ValueError: naming the first stored scenario whose ``cost_usd``
+            column disagrees.
+    """
+    for record in existing:
+        scenario_id = record.get("scenario")
+        if scenario_id is None or record.get(ERROR_KEY):
+            continue
+        if ("cost_usd" in record) != include_cost:
+            stored, run = ("without", "adds") if include_cost else ("with", "omits")
+            raise ValueError(
+                f"stored scenario {scenario_id} was written {stored} the cost_usd "
+                f"column and this run {run} it; resume with the cost setting the "
+                f"store was written with (--no-cost / include_cost)"
+            )
+
+
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -826,7 +852,10 @@ class SweepEngine:
                 stored records compete for :attr:`SweepSummary.best` so the
                 summary covers the whole sweep.  Usually the same file as
                 ``store``, opened with ``append=True`` so old and new
-                records accumulate together.
+                records accumulate together.  Stored rows written with the
+                other ``include_cost`` setting raise :class:`ValueError`
+                before any scenario is evaluated
+                (:func:`check_resume_columns`).
             on_block: Optional callback invoked with every
                 :class:`~repro.sweep.block.RecordBlock` as soon as it is
                 computed (after the ``annotate`` columns and the ``store``
@@ -853,6 +882,7 @@ class SweepEngine:
         best: Optional[Record] = None
         if resume is not None:
             skip, skipped, existing, _ = prepare_resume(sweep, resume, self.table)
+            check_resume_columns(existing, self.include_cost)
             for record in existing:
                 total_g = record.get("total_carbon_g")
                 if total_g is not None and (

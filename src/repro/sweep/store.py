@@ -12,7 +12,17 @@ Reloading turns records back into :class:`SweepRow` objects that expose the
 same ``objective(name)`` protocol as
 :class:`repro.core.explorer.DesignPoint`, so the existing
 :func:`repro.core.explorer.pareto_front` and summary tooling work on stored
-sweep results unchanged.
+sweep results unchanged.  A row wraps its record dict without copying it,
+and ``pareto_front`` reads the objective columns of such rows straight from
+the dicts.
+
+Every JSONL reader decodes a line with one strict decoder: the JSON C
+scanner called directly, which must consume the whole (stripped) line;
+on any failure ``json.loads`` runs to raise its exact error.  The resume
+scan (:func:`completed_scenario_ids`) validates every line with the same
+scanner but builds no float and keeps no record: only the ``scenario`` id
+is read, and a line whose id is not a plain int or ``null`` is decoded in
+full to convert it exactly as a record's id is.
 
 Three properties make the stores safe for a multi-job server
 (:mod:`repro.serve`) where several sweeps stream to sibling files at once,
@@ -51,8 +61,21 @@ import math
 import os
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.sweep.block import RecordBlock
 
@@ -417,6 +440,86 @@ def _revive_csv_value(value: str) -> Any:
     return _revive_scalar(value)
 
 
+#: The C scanner of the default decoder: ``json.loads`` minus its wrapper.
+_scan_value = json.JSONDecoder().scan_once
+#: The same scanner with float text kept as text: the resume scan reads one
+#: int per line, and float construction is most of a record's decode.
+_scan_id_only = json.JSONDecoder(parse_float=str).scan_once
+#: What a scan raises on a line ``json.loads`` rejects: ``StopIteration``
+#: where no value starts, ``JSONDecodeError`` (a ``ValueError``), the
+#: ``ValueError`` of an int beyond the digit limit, ``RecursionError``.
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError)
+
+
+def _jsonl_lines(path: Path) -> Iterator[str]:
+    """The stripped, non-blank lines of a JSONL file, streamed."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                yield line
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)`` of a stripped line, at the scanner's speed.
+
+    The scan must end at the end of the line; on any failure
+    :func:`json.loads` runs on the line to raise its exact error.
+    """
+    try:
+        value, end = _scan_value(line, 0)
+    except _SCAN_ERRORS:
+        return json.loads(line)
+    if end != len(line):
+        return json.loads(line)  # raises "Extra data"
+    return value
+
+
+def _scenario_of(record: Mapping[str, Any]) -> Optional[int]:
+    """The ``scenario`` id of a record as an int (``None``: no id)."""
+    scenario_id = record.get("scenario")
+    return None if scenario_id is None else int(scenario_id)
+
+
+def _scenario_id_of_line(line: str) -> Optional[int]:
+    """``_scenario_of(_decode_line(line))``, building no float.
+
+    The line is fully validated by the scanner, with float text kept as
+    text.  An id that scans as anything but an int or ``null`` (a float, a
+    bool, a string or a nested value) falls back to the full decode, as
+    does any line the fast scan does not take whole.
+    """
+    try:
+        record, end = _scan_id_only(line, 0)
+    except _SCAN_ERRORS:
+        end = -1
+    if end == len(line) and type(record) is dict:
+        scenario_id = record.get("scenario")
+        if scenario_id is None or type(scenario_id) is int:
+            return scenario_id
+    return _scenario_of(_decode_line(line))
+
+
+def _decode_tolerating_torn_tail(path: Path, decode: Callable[[str], Any]) -> Iterator[Any]:
+    """``decode`` of every JSONL line, dropping an undecodable last line.
+
+    Streams with one line of lookahead (constant memory): a line is only
+    decoded strictly once a later non-blank line proves it is not the
+    tail.  Only a :class:`json.JSONDecodeError` of the tail is forgiven.
+    """
+    previous: Optional[str] = None
+    for line in _jsonl_lines(path):
+        if previous is not None:
+            yield decode(previous)  # strict: not the last line
+        previous = line
+    if previous is not None:
+        try:
+            value = decode(previous)
+        except json.JSONDecodeError:
+            return  # torn tail of a crashed run: treat as unwritten
+        yield value
+
+
 def iter_records(path: PathLike) -> Iterator[Dict[str, Any]]:
     """Stream records back from a JSONL or CSV store file."""
     target = Path(path)
@@ -425,16 +528,20 @@ def iter_records(path: PathLike) -> Iterator[Dict[str, Any]]:
             for row in csv.DictReader(handle):
                 yield {key: _revive_csv_value(value) for key, value in row.items()}
         return
-    with open(target, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    yield from map(_decode_line, _jsonl_lines(target))
 
 
 def load_records(path: PathLike) -> List[Dict[str, Any]]:
     """All records of a store file as a list of dicts."""
     return list(iter_records(path))
+
+
+def _nonempty_store(source: Union["ResultStore", PathLike]) -> Optional[Path]:
+    """The path of ``source``, or ``None`` when it is missing or empty."""
+    path = source.path if isinstance(source, ResultStore) else Path(source)
+    if not path.is_file() or path.stat().st_size == 0:
+        return None
+    return path
 
 
 def completed_scenario_ids(source: Union["ResultStore", PathLike]) -> Set[int]:
@@ -448,19 +555,17 @@ def completed_scenario_ids(source: Union["ResultStore", PathLike]) -> Set[int]:
     since resume exists to rescue exactly such runs, an undecodable final
     line is treated as not-yet-evaluated rather than an error.  A torn line
     anywhere else still raises — that is real corruption, not a crash tail.
+    Every JSONL line is validated in full, but no record is built: only
+    the id is read (:func:`_scenario_id_of_line`).
     """
-    path = source.path if isinstance(source, ResultStore) else Path(source)
-    ids: Set[int] = set()
-    if not path.is_file() or path.stat().st_size == 0:
-        return ids
+    path = _nonempty_store(source)
+    if path is None:
+        return set()
     if path.suffix.lower() == ".csv":
-        records: Iterator[Dict[str, Any]] = _iter_csv_tolerating_torn_row(path)
+        ids = set(map(_scenario_of, _iter_csv_tolerating_torn_row(path)))
     else:
-        records = _iter_jsonl_tolerating_torn_tail(path)
-    for record in records:
-        scenario_id = record.get("scenario")
-        if scenario_id is not None:
-            ids.add(int(scenario_id))
+        ids = set(_decode_tolerating_torn_tail(path, _scenario_id_of_line))
+    ids.discard(None)
     return ids
 
 
@@ -477,41 +582,19 @@ def records_by_scenario(
     one a sequential reader (and therefore a resumed byte-compare) sees.
     Records without a ``scenario`` field are skipped.
     """
-    path = source.path if isinstance(source, ResultStore) else Path(source)
+    path = _nonempty_store(source)
     records: Dict[int, Dict[str, Any]] = {}
-    if not path.is_file() or path.stat().st_size == 0:
+    if path is None:
         return records
     if path.suffix.lower() == ".csv":
         stream: Iterator[Dict[str, Any]] = _iter_csv_tolerating_torn_row(path)
     else:
-        stream = _iter_jsonl_tolerating_torn_tail(path)
+        stream = _decode_tolerating_torn_tail(path, _decode_line)
     for record in stream:
-        scenario_id = record.get("scenario")
+        scenario_id = _scenario_of(record)
         if scenario_id is not None:
-            records.setdefault(int(scenario_id), record)
+            records.setdefault(scenario_id, record)
     return records
-
-
-def _iter_jsonl_tolerating_torn_tail(path: Path) -> Iterator[Dict[str, Any]]:
-    """Like :func:`iter_records` for JSONL, but drop an undecodable last line.
-
-    Streams with one line of lookahead (constant memory): a line is only
-    parsed strictly once a later non-empty line proves it is not the tail.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        previous: Optional[str] = None
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if previous is not None:
-                yield json.loads(previous)  # strict: not the last line
-            previous = line
-        if previous is not None:
-            try:
-                yield json.loads(previous)
-            except json.JSONDecodeError:
-                return  # torn tail of a crashed run: treat as unwritten
 
 
 def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
@@ -523,7 +606,7 @@ def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
     not-yet-evaluated.  A bad row anywhere else raises — that is real
     corruption, not a crash tail.  Rows are parsed line by line (store
     writers never emit embedded newlines), mirroring
-    :func:`_iter_jsonl_tolerating_torn_tail` with one line of lookahead
+    :func:`_decode_tolerating_torn_tail` with one line of lookahead
     (constant memory).
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -674,13 +757,14 @@ class SweepRow:
     Sweep records store their metrics under the same names as
     :data:`repro.core.explorer.OBJECTIVES`, so rows can be fed straight into
     :func:`repro.core.explorer.pareto_front` and
-    :meth:`repro.core.explorer.DesignSpaceExplorer.best`.
+    :meth:`repro.core.explorer.DesignSpaceExplorer.best`.  A row wraps its
+    record without copying it: ``row.record`` is the mapping it was given.
     """
 
     __slots__ = ("record",)
 
     def __init__(self, record: Mapping[str, Any]):
-        self.record = dict(record)
+        self.record = record
 
     @property
     def label(self) -> str:
@@ -710,13 +794,40 @@ class SweepRow:
             )
         return float(value)
 
+    @staticmethod
+    def objective_columns(
+        rows: Sequence[Any], names: Sequence[str]
+    ) -> Optional[List[List[float]]]:
+        """``[[row.objective(name) for row in rows] for name in names]``,
+        read straight from the record dicts.
+
+        :func:`repro.core.explorer.pareto_front` asks the points' class for
+        this batch form.  It answers only when every row is a plain
+        ``SweepRow`` over a ``dict`` and every value is a ``float`` (for
+        which :meth:`objective` is the identity); otherwise it returns
+        ``None`` and the caller takes :meth:`objective` row by row, which
+        converts the value or raises its error.
+        """
+        if set(map(type, rows)) - {SweepRow}:
+            return None
+        records = [row.record for row in rows]
+        if set(map(type, records)) - {dict}:
+            return None
+        try:
+            columns = [list(map(itemgetter(name), records)) for name in names]
+        except (KeyError, TypeError):
+            return None
+        if any(set(map(type, column)) - {float} for column in columns):
+            return None
+        return columns
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepRow({self.record.get('scenario')}, {self.label})"
 
 
-def rows_from_records(records: Sequence[Mapping[str, Any]]) -> List[SweepRow]:
-    """Wrap raw record dicts into :class:`SweepRow` objects."""
-    return [SweepRow(record) for record in records]
+def rows_from_records(records: Iterable[Mapping[str, Any]]) -> List[SweepRow]:
+    """Wrap record mappings into :class:`SweepRow` objects (no copies)."""
+    return list(map(SweepRow, records))
 
 
 def load_rows(path: PathLike) -> List[SweepRow]:

@@ -7,9 +7,11 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.axes import registry as axis_registry
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.manufacturing.chip import ChipManufacturingModel
 from repro.manufacturing.yield_model import YieldModel
+from repro.packaging import registry as packaging_registry
 from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
 from repro.technology.scaling import AreaScalingModel
 from repro.testcases import a15, arvr, emr, ga102
@@ -28,6 +30,43 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+# -- registry isolation ----------------------------------------------------------
+#: The extension registries' module-level tables (reset in place, since
+#: other modules hold references to the dict objects).
+_REGISTRY_TABLES = (
+    axis_registry._AXES,
+    packaging_registry._ENTRIES,
+    packaging_registry._PLUGIN_MODULES,
+    packaging_registry._MODEL_FOR_SPEC,
+    packaging_registry.PACKAGING_SPECS,
+    packaging_registry._CANONICAL_NAMES,
+)
+#: The tables as importing ``repro`` leaves them: the built-ins only.
+_BUILTIN_REGISTRIES = [dict(table) for table in _REGISTRY_TABLES]
+_BUILTIN_ENTRY_POINTS_LOADED = packaging_registry._entry_points_loaded
+
+
+def _reset_registries() -> None:
+    for table, builtin in zip(_REGISTRY_TABLES, _BUILTIN_REGISTRIES):
+        table.clear()
+        table.update(builtin)
+    packaging_registry._entry_points_loaded = _BUILTIN_ENTRY_POINTS_LOADED
+
+
+@pytest.fixture(autouse=True)
+def builtin_registries():
+    """Start and end every test with only the built-in axes and packaging.
+
+    Temporary axes a test registers, plugin modules it loads, and the
+    test-only axes a module registers while it is collected would otherwise
+    leak into later tests (they show up in unknown-axis messages).  A test
+    that needs a plugin asks for its fixture, which registers it again.
+    """
+    _reset_registries()
+    yield
+    _reset_registries()
 
 
 @pytest.fixture(scope="session")
@@ -115,51 +154,52 @@ def arvr_large():
     return arvr.system("3D-1K-8MB")
 
 
-# -- out-of-tree packaging plugin ----------------------------------------------
-@pytest.fixture(scope="session")
+# -- out-of-tree plugins -------------------------------------------------------
+#: Plugin module name -> the registry entries its import added, per table.
+_PLUGIN_ENTRIES = {}
+
+
+def _load_plugin(name: str, filename: str):
+    """``examples/<filename>`` imported once as an out-of-tree plugin.
+
+    Loaded from its file path under a stable module name (so every use
+    shares one module and one set of class objects instead of re-executing
+    the file), exactly like a real plugin module that is not on
+    ``sys.path``.  The registry entries the first import added are recorded
+    and put back on every later use, since each test starts from the
+    built-in registries.
+    """
+    import importlib.util
+    import pathlib
+    import sys
+
+    if name in sys.modules:
+        for table, entries in zip(_REGISTRY_TABLES, _PLUGIN_ENTRIES[name]):
+            table.update(entries)
+        return sys.modules[name]
+    before = [dict(table) for table in _REGISTRY_TABLES]
+    path = pathlib.Path(__file__).resolve().parents[1] / "examples" / filename
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # registered classes and callables resolve __module__
+    spec.loader.exec_module(module)
+    _PLUGIN_ENTRIES[name] = [
+        {key: value for key, value in table.items() if key not in saved}
+        for table, saved in zip(_REGISTRY_TABLES, before)
+    ]
+    return module
+
+
+@pytest.fixture
 def custom_packaging():
-    """``examples/custom_packaging.py`` imported once as an out-of-tree plugin.
-
-    Loaded from its file path under a stable module name (so repeated use
-    across test modules hits the registry's idempotent re-registration path
-    instead of re-executing the file with fresh class objects), exactly like
-    a real plugin module that is not on ``sys.path``.
-    """
-    import importlib.util
-    import pathlib
-    import sys
-
-    name = "custom_packaging_example"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = pathlib.Path(__file__).resolve().parents[1] / "examples" / "custom_packaging.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # registered dataclasses resolve cls.__module__
-    spec.loader.exec_module(module)
-    return module
+    """``examples/custom_packaging.py``, registered as an out-of-tree plugin."""
+    return _load_plugin("custom_packaging_example", "custom_packaging.py")
 
 
-# -- out-of-tree sweep-axis plugin ---------------------------------------------
-@pytest.fixture(scope="session")
+@pytest.fixture
 def custom_axis():
-    """``examples/custom_axis.py`` imported once as an out-of-tree axis plugin.
+    """``examples/custom_axis.py``, registered as an out-of-tree axis plugin.
 
-    Same file-path loading pattern as ``custom_packaging``: a stable module
-    name so repeated imports hit the axis registry's idempotent
-    re-registration path, and a recorded source file so worker processes can
-    re-import the module by path.
+    Worker processes re-import the module by its recorded source file.
     """
-    import importlib.util
-    import pathlib
-    import sys
-
-    name = "custom_axis_example"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = pathlib.Path(__file__).resolve().parents[1] / "examples" / "custom_axis.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # registered callables resolve __module__
-    spec.loader.exec_module(module)
-    return module
+    return _load_plugin("custom_axis_example", "custom_axis.py")

@@ -331,6 +331,27 @@ class TestResume:
         assert main(["sweep", "--preset", "ga102-quick", "--resume", str(path)]) == 0
         assert "nothing to do" in capsys.readouterr().out
 
+    def test_cli_resume_with_the_other_cost_setting_fails_before_any_row(
+        self, tmp_path, capsys
+    ):
+        # A --no-cost store resumed with cost would append rows of another
+        # schema: the run must stop before evaluating, store untouched.
+        path = tmp_path / "nc.jsonl"
+        sweep = ["sweep", "--preset", "ga102-quick", "--quiet"]
+        assert main(sweep + ["--no-cost", "--out", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        code = main(
+            sweep + ["--set", "wafer_diameter_mm=300,450", "--resume", str(path),
+                     "--pareto", "total_carbon_g,cost_usd"]
+        )
+        assert code == 2
+        assert "error: [invalid-spec]" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        grown = sweep + ["--no-cost", "--set", "wafer_diameter_mm=300,450"]
+        assert main(grown + ["--resume", str(path)]) == 0
+        assert len(load_records(path)) == 2 * len(before.splitlines())
+
     def test_cli_resume_conflicting_out_fails(self, tmp_path, capsys):
         code = main(
             ["sweep", "--preset", "ga102-quick",

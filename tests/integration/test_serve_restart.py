@@ -17,6 +17,7 @@ import sys
 import time
 import urllib.request
 
+import pytest
 
 from repro.axes.registry import register_axis
 from repro.serve.jobs import JobManager
@@ -41,12 +42,15 @@ def _delay_system(system, value):
     return system
 
 
-register_axis(
-    "serve_restart_delay",
-    "system",
-    apply=_delay_system,
-    description="test-only axis: sleep per scenario to survive interruption",
-)
+@pytest.fixture(autouse=True)
+def delay_axis():
+    """The test-only delay axis (every test starts from the built-in axes)."""
+    register_axis(
+        "serve_restart_delay",
+        "system",
+        apply=_delay_system,
+        description="test-only axis: sleep per scenario to survive interruption",
+    )
 
 
 def wait_for(predicate, timeout=60.0):

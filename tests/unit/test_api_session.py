@@ -162,6 +162,21 @@ class TestSweep:
         assert again.summary.skipped_count == 4
         assert list(again.records) == list(first.records)
 
+    @pytest.mark.parametrize("stored_cost", [False, True])
+    def test_resume_with_the_other_cost_setting_fails_before_any_row(
+        self, tmp_path, stored_cost
+    ):
+        out = tmp_path / "r.jsonl"
+        spec = dict(SMALL_SPEC, nodes=[7, 10, 14])
+        Session(include_cost=stored_cost).sweep(SMALL_SPEC, out=out)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="cost_usd"):
+            Session(include_cost=not stored_cost).sweep(spec, out=out, resume=True)
+        assert out.read_bytes() == before
+        resumed = Session(include_cost=stored_cost).sweep(spec, out=out, resume=True)
+        assert resumed.summary.skipped_count == 4
+        assert all(("cost_usd" in r) == stored_cost for r in load_records(out))
+
     def test_pareto_rows_from_records(self):
         result = Session().sweep(SMALL_SPEC)
         front = result.pareto(["total_carbon_g", "power_w"])

@@ -12,9 +12,9 @@ invocation per error branch of the CLI: bad flag values, bad specs and
 ``--set`` axes, store and resume failures (exit 3), and the ``serve`` flag
 checks (the server itself is never started).  The one guard no case
 reaches is the sweep's "expands into zero scenarios" check: every spec
-that validates has at least one scenario.  No case names an unknown axis:
-that message lists the axis registry, which plugins and other tests in
-the same process extend.
+that validates has at least one scenario.  The unknown-axis message lists
+the axis registry; ``tests/conftest.py`` resets it to the built-ins for
+every test, so the case reads the same alone and in the full suite.
 
 Regenerate the golden file after an intended change, and review its diff
 like any other code change::
@@ -98,6 +98,7 @@ CASES: Dict[str, List[List[str]]] = {
     "sweep/missing-spec": [["sweep", "--spec", "missing.json"]],
     "sweep/bad-nodes": [["sweep", "--spec", "nodes.json"]],
     "sweep/set-malformed": [SWEEP + ["--set", "nope"]],
+    "sweep/set-unknown-axis": [SWEEP + ["--set", "nope=1"]],
     "sweep/set-bad-value": [SWEEP + ["--set", "wafer_diameter_mm=true"]],
     "sweep/set-repeated": [
         SWEEP + ["--set", "wafer_diameter_mm=300", "--set", "wafer_diameter_mm=450"]
@@ -112,6 +113,9 @@ CASES: Dict[str, List[List[str]]] = {
     "sweep/out-device-full": [SWEEP + ["--out", "full.jsonl", "--quiet"]],
     "sweep/compile-cache-file": [SWEEP + ["--compile-cache", "afile", "--quiet"]],
     "sweep/pareto-missing-column": [
+        SWEEP + ["--resume", "old.jsonl", "--pareto", "total_carbon_g,power_w", "--quiet"]
+    ],
+    "sweep/resume-cost-mismatch": [
         SWEEP + ["--no-cost", "--out", "nc.jsonl", "--quiet"],
         SWEEP
         + [
@@ -162,6 +166,10 @@ def populate(directory: Path) -> None:
         (directory / name).write_text(json.dumps(content), encoding="utf-8")
     (directory / "afile").write_text("not a directory\n", encoding="utf-8")
     (directory / "dir.jsonl").mkdir()
+    # A stored row (of a store another version wrote) lacking power_w.
+    (directory / "old.jsonl").write_text(
+        '{"cost_usd": 1.0, "scenario": 0, "total_carbon_g": 1e12}\n', encoding="utf-8"
+    )
     # A corrupt line before an intact one (not a torn tail to repair).
     (directory / "garbage.jsonl").write_text('garbage\n{"scenario": 1}\n', encoding="utf-8")
     # pid 1 always exists, so the store lock reads as held by a live writer.
