@@ -8,8 +8,9 @@ with the library behind typed results:
   :class:`~repro.core.results.SystemCarbonReport`;
 * :meth:`Session.sweep` — a declarative scenario grid, evaluated on the
   compiled batch engine, returning a :class:`SweepResult`;
-* :meth:`Session.explore` — exhaustive design-space search with a Pareto
-  front, returning an :class:`ExploreResult`.
+* :meth:`Session.explore` — exhaustive node (× packaging) search with a
+  Pareto front, returning an :class:`ExploreResult`; it is a sweep over
+  one base system, so its rows are sweep records.
 
 Every call accepts registered-axis ``overrides`` (:mod:`repro.axes`), so
 any estimator knob — wafer diameter, defect density, router spec, operating
@@ -43,16 +44,16 @@ from repro.axes import (
     validate_overrides,
 )
 from repro.core.estimator import EcoChip, EstimatorConfig
-from repro.core.explorer import DesignPoint, DesignSpaceExplorer, pareto_front
+from repro.core.explorer import pareto_front
 from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
-from repro.packaging.registry import spec_from_dict
 from repro.search import SearchResult, SearchSpec, run_search
 from repro.sweep.block import RecordBlock, RecordSequence
 from repro.sweep.engine import (
     Record,
     SweepEngine,
     SweepSummary,
+    check_objectives,
     derive_scenario_config,
 )
 from repro.sweep.spec import SweepSpec
@@ -74,8 +75,8 @@ __all__ = [
 ]
 
 
-#: What :meth:`Session.estimate` / :meth:`Session.explore` accept as a
-#: system: a built system, a testcase name, or a design-directory path.
+#: What :meth:`Session.estimate` accepts as a system: a built system, a
+#: testcase name, or a design-directory path.
 SystemLike = Union[ChipletSystem, str, Path]
 
 
@@ -127,17 +128,21 @@ class ExploreResult:
     """Typed outcome of :meth:`Session.explore`.
 
     Attributes:
-        points: Every evaluated candidate, in enumeration order.
-        front: Pareto-optimal subset under ``objectives``.
+        points: One row per evaluated candidate, in enumeration order: the
+            sweep records behind the :class:`~repro.sweep.store.SweepRow`
+            objective protocol.  For a candidate's full
+            :class:`~repro.core.results.SystemCarbonReport`, call
+            :meth:`Session.estimate`.
+        front: Pareto-optimal subset of ``points`` under ``objectives``.
         objectives: Objectives the front was computed under.
     """
 
-    points: Tuple[DesignPoint, ...]
-    front: Tuple[DesignPoint, ...]
+    points: Tuple[SweepRow, ...]
+    front: Tuple[SweepRow, ...]
     objectives: Tuple[str, ...]
 
     @property
-    def best(self) -> DesignPoint:
+    def best(self) -> SweepRow:
         """Single best point under the first objective.
 
         Ties resolve by point label (not enumeration order), so equal-valued
@@ -179,8 +184,7 @@ class Session:
         jobs: Worker processes for sweeps and exploration (``1`` = serial).
         backend: Deprecated and ignored; ``"scalar"`` warns
             (:func:`check_backend`).
-        include_cost: Add ``cost_usd`` to sweep records and cost reports to
-            explore points.
+        include_cost: Add ``cost_usd`` to sweep and explore records.
         mp_context: Multiprocessing start method for worker pools.
         batch_estimator: Optional shared
             :class:`repro.fastpath.BatchEstimator` (``jobs=1`` only) so a
@@ -435,48 +439,59 @@ class Session:
     # -- explore ----------------------------------------------------------------------
     def explore(
         self,
-        system: SystemLike,
+        system: Union[str, Path],
         node_choices: Sequence[float],
         *,
-        packaging: Optional[Sequence[Any]] = None,
+        packaging: Optional[Sequence[Union[str, Mapping[str, Any]]]] = None,
         objectives: Sequence[str] = ("total_carbon_g", "power_w"),
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> ExploreResult:
         """Exhaustive node (× packaging) design-space search + Pareto front.
 
+        A sweep of one base system (:meth:`sweep`): every node assignment
+        of ``node_choices``, times every packaging choice, under the
+        ``overrides``, on this session's engine and jobs.
+
         Args:
-            system: Built system, testcase name or design directory.
+            system: Testcase name or design directory.
             node_choices: Nodes each chiplet may be retargeted to.
-            packaging: Optional packaging choices — registered names,
-                config dicts (``{"type": ..., ...}``) or spec objects.
-            objectives: Record metrics the Pareto front minimises.
+            packaging: Optional packaging choices — registered names or
+                config dicts (``{"type": ..., ...}``, a ``params`` key
+                included).
+            objectives: Numeric record columns the Pareto front minimises.
             overrides: Registered-axis overrides applied to every candidate
-                (system-target axes transform the base system before
-                enumeration, config-target axes the estimator config).
+                (a one-value sweep axis each).
+
+        Raises:
+            KeyError: an objective that is not a numeric column of this
+                session's records, before anything is evaluated.
+            TypeError: a built system or packaging spec object.
         """
-        if not objectives:
-            raise ValueError("at least one objective is required")
+        objectives = tuple(objectives)
+        check_objectives(objectives, self.include_cost)
+        if not node_choices:
+            raise ValueError("at least one node choice is required")
+        if packaging is not None and not packaging:
+            raise ValueError("packaging was given but empty")
+        if isinstance(system, Path) or (isinstance(system, str) and Path(system).is_dir()):
+            base = {"design_dirs": [str(system)]}
+        elif isinstance(system, str):
+            base = {"testcases": [system]}
+        else:
+            raise TypeError(
+                f"explore takes a testcase name or a design directory, got "
+                f"{type(system).__name__}; estimate a built system with "
+                f"Session.estimate"
+            )
         validate_overrides(overrides)
-        resolved = apply_system_overrides(self.system(system), overrides)
-        packagings = None
-        if packaging is not None:
-            packagings = []
-            for entry in packaging:
-                if isinstance(entry, str):
-                    packagings.append(spec_from_dict({"type": entry}))
-                elif isinstance(entry, Mapping):
-                    packagings.append(spec_from_dict(dict(entry)))
-                else:
-                    packagings.append(entry)
-        explorer = DesignSpaceExplorer(
-            estimator=self._estimator(None, overrides), include_cost=self.include_cost
+        config: Dict[str, Any] = {name: [value] for name, value in (overrides or {}).items()}
+        config.update(
+            base, name="explore", nodes=list(node_choices), packaging=list(packaging or ())
         )
-        points = explorer.explore(
-            resolved, node_choices, packaging_choices=packagings, jobs=self.jobs
-        )
-        front = pareto_front(points, list(objectives))
+        spec = SweepSpec.from_dict(config)
+        points = tuple(rows_from_records(self.sweep(spec).records))
         return ExploreResult(
-            points=tuple(points),
-            front=tuple(front),
-            objectives=tuple(objectives),
+            points=points,
+            front=tuple(pareto_front(points, objectives)),
+            objectives=objectives,
         )

@@ -417,8 +417,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip sweep``; returns a process exit code."""
     from repro.core.explorer import pareto_front
     from repro.sweep.engine import (
-        NUMERIC_COLUMNS,
         SweepEngine,
+        check_objectives,
         check_resume_columns,
         prepare_resume,
     )
@@ -442,13 +442,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
     objectives: List[str] = []
     if args.pareto is not None:
         objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
-        known = [
-            name for name in NUMERIC_COLUMNS if name != "cost_usd" or not args.no_cost
-        ]
-        unknown = [name for name in objectives if name not in known]
-        if unknown or not objectives:
-            reason = f"unknown objectives {unknown}" if unknown else "no objectives given"
-            raise SpecError(f"--pareto: {reason}; known numeric record columns: {known}")
+        with _raise_as(SpecError, KeyError, ValueError, prefix="--pareto: "):
+            check_objectives(objectives, include_cost=not args.no_cost)
     if args.retries is not None and args.retries < 0:
         raise SpecError(f"--retries must be >= 0, got {args.retries}")
     timeout = args.scenario_timeout

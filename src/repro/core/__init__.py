@@ -31,13 +31,11 @@ from repro.core.disaggregation import (
     split_block,
 )
 from repro.core.estimator import EcoChip, EstimatorConfig
-from repro.core.explorer import DesignPoint, DesignSpaceExplorer, pareto_front
+from repro.core.explorer import pareto_front
 from repro.core.results import ChipletCarbonReport, SystemCarbonReport
 from repro.core.system import ChipletSystem
 
 __all__ = [
-    "DesignPoint",
-    "DesignSpaceExplorer",
     "pareto_front",
     "Chiplet",
     "ChipletSystem",

@@ -1,74 +1,38 @@
-"""Carbon-aware design-space exploration (Section VI of the paper).
+"""Pareto fronts for carbon-aware design-space exploration (Section VI).
 
 The paper's closing argument is that carbon should be a *first-order
-optimisation metric* alongside performance, power, area and cost.  This
-module provides the search machinery for that: enumerate candidate designs
-(node assignments and/or packaging architectures), evaluate each with the
-ECO-CHIP estimator (and optionally the dollar-cost model), and extract the
-Pareto-optimal set under user-selected objectives.
+optimisation metric* alongside performance, power, area and cost.  The
+candidates of an exploration are evaluated by the sweep engine
+(:meth:`repro.api.Session.explore` is a sweep); this module extracts the
+Pareto-optimal set of the resulting records under user-selected objectives
+and tracks how a front moves between snapshots.
+
+NumPy vectorises large fronts but is imported at the first vectorised call,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
-try:  # optional: vectorises pareto_front on large inputs (the [fast] extra)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the reference env
-    _np = None
+_NOT_LOADED = object()
 
-from repro.core.disaggregation import all_node_configurations
-from repro.core.estimator import EcoChip
-from repro.core.results import SystemCarbonReport
-from repro.core.system import ChipletSystem
-from repro.cost.model import ChipletCostModel, CostReport
-from repro.packaging.registry import PackagingSpec
-
-#: Objective extractors available by name.  Every objective is minimised.
-OBJECTIVES: Dict[str, Callable[["DesignPoint"], float]] = {
-    "total_carbon_g": lambda p: p.carbon.total_cfp_g,
-    "embodied_carbon_g": lambda p: p.carbon.embodied_cfp_g,
-    "manufacturing_carbon_g": lambda p: p.carbon.manufacturing_cfp_g,
-    "operational_carbon_g": lambda p: p.carbon.operational_cfp_g,
-    "silicon_area_mm2": lambda p: p.carbon.total_silicon_area_mm2,
-    "package_area_mm2": lambda p: p.carbon.packaging.package_area_mm2,
-    "power_w": lambda p: p.carbon.operational.energy.total_power_w,
-    "cost_usd": lambda p: p.cost.total_cost_usd if p.cost is not None else float("inf"),
-}
+#: NumPy once loaded, ``None`` when it is not installed; :func:`_numpy`
+#: replaces the sentinel at the first vectorised call.
+_np: Any = _NOT_LOADED
 
 
-@dataclasses.dataclass(frozen=True)
-class DesignPoint:
-    """One evaluated candidate of the design space.
-
-    Attributes:
-        system: The candidate system.
-        carbon: ECO-CHIP carbon report.
-        cost: Optional dollar-cost report (present when the explorer was
-            built with ``include_cost=True``).
-    """
-
-    system: ChipletSystem
-    carbon: SystemCarbonReport
-    cost: Optional[CostReport] = None
-
-    @property
-    def label(self) -> str:
-        """Readable identifier: node tuple + packaging architecture."""
-        nodes = ",".join(f"{int(n)}" for n in self.carbon.node_configuration)
-        return f"({nodes})/{self.carbon.packaging.architecture}"
-
-    def objective(self, name: str) -> float:
-        """Value of the named objective (smaller is better)."""
+def _numpy() -> Any:
+    """The NumPy module (the ``[fast]`` extra), or ``None`` without it."""
+    global _np
+    if _np is _NOT_LOADED:
         try:
-            extractor = OBJECTIVES[name]
-        except KeyError as exc:
-            raise KeyError(
-                f"unknown objective {name!r}; known objectives: {sorted(OBJECTIVES)}"
-            ) from exc
-        return extractor(self)
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is in the reference env
+            numpy = None
+        _np = numpy
+    return _np
 
 
 def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -159,12 +123,13 @@ def _skyline_numpy(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
     strict-< leg: ``ge.all & gt.any`` is exactly :func:`_dominates`, so
     exact duplicates stay mutually non-dominating.
     """
-    matrix = _np.asarray(vectors, dtype=float)
+    np = _numpy()
+    matrix = np.asarray(vectors, dtype=float)
     if matrix.size == 0:  # an empty list collapses to shape (0,): no lexsort keys
         return []
     # lexsort keys run last-to-first; reversed rows of the transpose sort
     # by objective 0 first, matching sorted(tuple) in the python skylines.
-    order = _np.lexsort(matrix.T[::-1])
+    order = np.lexsort(matrix.T[::-1])
     ranked = matrix[order]
     cursor = 0
     while cursor < len(ranked):
@@ -173,8 +138,8 @@ def _skyline_numpy(vectors: Sequence[Tuple[float, ...]]) -> List[int]:
         culled = (tail >= pivot).all(axis=1) & (tail > pivot).any(axis=1)
         if culled.any():
             keep = ~culled
-            ranked = _np.concatenate([ranked[: cursor + 1], tail[keep]])
-            order = _np.concatenate([order[: cursor + 1], order[cursor + 1 :][keep]])
+            ranked = np.concatenate([ranked[: cursor + 1], tail[keep]])
+            order = np.concatenate([order[: cursor + 1], order[cursor + 1 :][keep]])
         cursor += 1
     return [int(index) for index in order]
 
@@ -191,18 +156,19 @@ def _skyline_2d_numpy(matrix) -> List[int]:
     """
     if matrix.size == 0:
         return []
-    order = _np.lexsort((matrix[:, 1], matrix[:, 0]))
+    np = _numpy()
+    order = np.lexsort((matrix[:, 1], matrix[:, 0]))
     x = matrix[order, 0]
     y = matrix[order, 1]
-    starts = _np.empty(len(order), dtype=bool)
+    starts = np.empty(len(order), dtype=bool)
     starts[0] = True
     starts[1:] = x[1:] != x[:-1]
-    run_ids = _np.cumsum(starts) - 1
+    run_ids = np.cumsum(starts) - 1
     run_min = y[starts]  # first y of each equal-x run is its minimum
-    prefix_best = _np.empty(len(run_min))
-    prefix_best[0] = _np.inf
+    prefix_best = np.empty(len(run_min))
+    prefix_best[0] = np.inf
     if len(run_min) > 1:
-        prefix_best[1:] = _np.minimum.accumulate(run_min)[:-1]
+        prefix_best[1:] = np.minimum.accumulate(run_min)[:-1]
     keep = (y == run_min[run_ids]) & (y < prefix_best[run_ids])
     return [int(index) for index in order[keep]]
 
@@ -229,18 +195,17 @@ def _objective_columns(
 
 
 def pareto_front(
-    points: Sequence["DesignPoint"],
+    points: Sequence[Any],
     objectives: Sequence[str],
     on_nan: str = "exclude",
-) -> List["DesignPoint"]:
+) -> List[Any]:
     """The non-dominated subset of ``points`` under the named objectives.
 
-    Accepts any objects exposing ``objective(name) -> float`` (both
-    :class:`DesignPoint` and :class:`repro.sweep.store.SweepRow`; the
-    latter's values are read from the records a column at a time).  Uses a
-    sort-based skyline: O(n log n) for two objectives, divide and conquer
-    (vectorised with numpy on large inputs) otherwise.  The result preserves
-    input order.
+    Accepts any objects exposing ``objective(name) -> float``
+    (:class:`repro.sweep.store.SweepRow` values are read from the records a
+    column at a time).  Uses a sort-based skyline: O(n log n) for two
+    objectives, divide and conquer (vectorised with numpy on large inputs)
+    otherwise.  The result preserves input order.
 
     NaN objective values have no place in a domination order (every NaN
     comparison is false, so a NaN-bearing point both escapes domination and
@@ -260,10 +225,11 @@ def pareto_front(
     # Large multi-objective inputs go through numpy end to end: the NaN
     # screen and the skyline share one matrix instead of re-walking python
     # tuples (the culling skyline is k-agnostic, so k == 2 qualifies too).
-    vectorised = _np is not None and len(objectives) >= 2 and count >= _NUMPY_MIN_POINTS
+    np = _numpy() if len(objectives) >= 2 and count >= _NUMPY_MIN_POINTS else None
+    vectorised = np is not None
     if vectorised:
-        matrix = _np.array(columns, dtype=float).T
-        index_map = _np.flatnonzero(~_np.isnan(matrix).any(axis=1))
+        matrix = np.array(columns, dtype=float).T
+        index_map = np.flatnonzero(~np.isnan(matrix).any(axis=1))
         dropped = count - len(index_map)
     else:
         all_vectors = list(zip(*columns))
@@ -338,137 +304,3 @@ def front_moved(previous: Iterable[Any], current: Iterable[Any]) -> bool:
     """True when the front changed between two snapshots (any churn)."""
     entered, left = front_delta(previous, current)
     return bool(entered or left)
-
-
-class DesignSpaceExplorer:
-    """Enumerates and evaluates chiplet design spaces.
-
-    Args:
-        estimator: ECO-CHIP estimator to use (a default one is built).
-        include_cost: Also evaluate the dollar-cost model for every point.
-    """
-
-    def __init__(
-        self,
-        estimator: Optional[EcoChip] = None,
-        include_cost: bool = False,
-    ):
-        self.estimator = estimator if estimator is not None else EcoChip()
-        self.cost_model = ChipletCostModel(table=self.estimator.table) if include_cost else None
-
-    # -- evaluation -----------------------------------------------------------------
-    def evaluate(self, system: ChipletSystem) -> DesignPoint:
-        """Evaluate one candidate system."""
-        carbon = self.estimator.estimate(system)
-        cost = self.cost_model.estimate(system) if self.cost_model is not None else None
-        return DesignPoint(system=system, carbon=carbon, cost=cost)
-
-    def evaluate_many(
-        self,
-        systems: Sequence[ChipletSystem],
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> List[DesignPoint]:
-        """Evaluate many candidate systems, optionally across processes.
-
-        Delegates to the sweep engine
-        (:func:`repro.sweep.engine.evaluate_systems`): ``jobs=1`` runs
-        serially, ``jobs>1`` shards the candidates over worker processes.  Results are returned
-        in input order and are identical for any ``jobs`` value.
-        """
-        from repro.sweep.engine import evaluate_systems  # deferred: avoids an import cycle
-
-        return evaluate_systems(
-            systems,
-            config=self.estimator.config,
-            table=self.estimator.table,
-            include_cost=self.cost_model is not None,
-            jobs=jobs,
-            chunk_size=chunk_size,
-        )
-
-    def explore(
-        self,
-        system: ChipletSystem,
-        node_choices: Sequence[float],
-        packaging_choices: Optional[Iterable[PackagingSpec]] = None,
-        jobs: int = 1,
-    ) -> List[DesignPoint]:
-        """Evaluate every node assignment (and optionally packaging choice).
-
-        The search is exhaustive: ``len(node_choices) ** chiplet_count``
-        node assignments times the number of packaging choices.  For the
-        paper-scale problems (3 chiplets, 3–4 nodes, 5 packages) this is a
-        few hundred estimator calls and runs in seconds; larger spaces can
-        be fanned out over ``jobs`` worker processes.
-        """
-        if not node_choices:
-            raise ValueError("at least one node choice is required")
-        packagings: List[Optional[PackagingSpec]] = (
-            list(packaging_choices) if packaging_choices is not None else [None]
-        )
-        if not packagings:
-            raise ValueError("packaging_choices was given but empty")
-
-        candidates = []
-        for nodes in all_node_configurations(node_choices, system.chiplet_count):
-            candidate = system.with_nodes(*nodes)
-            for packaging in packagings:
-                candidates.append(
-                    candidate.with_packaging(packaging) if packaging is not None else candidate
-                )
-        if jobs == 1:
-            return [self.evaluate(variant) for variant in candidates]
-        return self.evaluate_many(candidates, jobs=jobs)
-
-    # -- selection -------------------------------------------------------------------
-    def best(
-        self,
-        points: Sequence[DesignPoint],
-        objective: str = "total_carbon_g",
-        constraints: Optional[Dict[str, float]] = None,
-    ) -> DesignPoint:
-        """The single best point under ``objective``, subject to upper-bound
-        ``constraints`` on other objectives (e.g. ``{"power_w": 10.0}``).
-
-        Raises:
-            ValueError: when no point satisfies the constraints.
-        """
-        constraints = constraints or {}
-        feasible = [
-            point
-            for point in points
-            if all(point.objective(name) <= bound for name, bound in constraints.items())
-        ]
-        if not feasible:
-            raise ValueError("no design point satisfies the given constraints")
-        # Ties on the objective resolve by label, not iteration order, so
-        # equal-valued candidates pick the same winner however the caller
-        # enumerated them (pareto_refine seeds its neighbourhood from best).
-        return min(
-            feasible, key=lambda point: (point.objective(objective), point.label)
-        )
-
-    def pareto(
-        self,
-        points: Sequence[DesignPoint],
-        objectives: Sequence[str],
-        on_nan: str = "exclude",
-    ) -> List[DesignPoint]:
-        """Pareto-optimal subset of ``points`` (delegates to :func:`pareto_front`).
-
-        ``on_nan`` has :func:`pareto_front` semantics: ``"exclude"`` drops
-        NaN-bearing points with a warning, ``"raise"`` errors on them.
-        """
-        return pareto_front(points, objectives, on_nan=on_nan)
-
-    def summarise(
-        self, points: Sequence[DesignPoint], objectives: Sequence[str]
-    ) -> List[Tuple[str, Dict[str, float]]]:
-        """(label, {objective: value}) rows, sorted by the first objective."""
-        rows = [
-            (point.label, {name: point.objective(name) for name in objectives})
-            for point in points
-        ]
-        rows.sort(key=lambda row: row[1][objectives[0]])
-        return rows

@@ -21,9 +21,9 @@ import math
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.explorer import OBJECTIVES
 from repro.resilience.records import is_error_record
 from repro.search.strategies import strategy_names
+from repro.sweep.engine import METRIC_COLUMNS
 from repro.sweep.spec import SweepSpec, load_spec_dict
 
 __all__ = ["METRIC_ALIASES", "SearchConstraint", "SearchObjective", "SearchSpec"]
@@ -31,7 +31,7 @@ __all__ = ["METRIC_ALIASES", "SearchConstraint", "SearchObjective", "SearchSpec"
 PathLike = Union[str, Path]
 
 #: Shorthand metric spellings accepted in spec dictionaries, resolved to the
-#: record-column names of :data:`repro.core.explorer.OBJECTIVES`.
+#: record-column names of :data:`repro.sweep.engine.METRIC_COLUMNS`.
 METRIC_ALIASES: Dict[str, str] = {
     "cfp_total": "total_carbon_g",
     "carbon": "total_carbon_g",
@@ -49,10 +49,10 @@ def resolve_metric(name: str) -> str:
     """
     key = str(name).strip()
     key = METRIC_ALIASES.get(key, key)
-    if key not in OBJECTIVES:
+    if key not in METRIC_COLUMNS:
         raise KeyError(
             f"unknown search metric {name!r}; known metrics: "
-            f"{sorted(OBJECTIVES)}; aliases: {sorted(METRIC_ALIASES)}"
+            f"{sorted(METRIC_COLUMNS)}; aliases: {sorted(METRIC_ALIASES)}"
         )
     return key
 

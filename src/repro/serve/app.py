@@ -42,7 +42,7 @@ __all__ = ["ServeServer", "create_server"]
 _JOB_ROUTE = re.compile(r"^/v1/sweeps/(?P<id>[0-9a-f]+)(?P<tail>/results|/pareto)?$")
 
 #: Default Pareto objectives when the query names none.
-_DEFAULT_OBJECTIVES = ("total_carbon_g", "power_w")
+_DEFAULT_FRONT_METRICS = ("total_carbon_g", "power_w")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -183,7 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.sweep.store import load_rows
 
         job = self.manager.get(job_id)
-        names = query.get("objectives", [",".join(_DEFAULT_OBJECTIVES)])[0]
+        names = query.get("objectives", [",".join(_DEFAULT_FRONT_METRICS)])[0]
         objectives = [name.strip() for name in names.split(",") if name.strip()]
         if not objectives:
             raise SpecError("objectives must name at least one record metric")

@@ -17,7 +17,9 @@ provides the scale-out machinery for that:
     oracle whose records the engine reproduces bit for bit.
 :mod:`repro.sweep.store`
     Streaming JSONL/CSV result stores (crash-safe, constant memory) and
-    row adapters feeding :func:`repro.core.explorer.pareto_front`.
+    the :class:`~repro.sweep.store.SweepRow` adapter that
+    :func:`repro.core.explorer.pareto_front` and
+    :meth:`repro.api.Session.explore` read records through.
 """
 
 from repro.sweep.engine import (

@@ -116,13 +116,9 @@ def derive_scenario_config(
     return apply_config_overrides(config, overrides)
 
 
-#: The numeric columns of an evaluated record, in record order: the
-#: metrics :func:`make_record` writes, plus ``cost_usd`` when the sweep
-#: includes cost.  These are the names a Pareto front can be taken over.
-NUMERIC_COLUMNS = (
-    "scenario",
-    "lifetime_years",
-    "system_volume",
+#: The metric columns of an evaluated record, in record order: what
+#: :func:`make_record` writes, plus ``cost_usd`` when the sweep includes cost.
+METRIC_COLUMNS = (
     "total_carbon_g",
     "embodied_carbon_g",
     "manufacturing_carbon_g",
@@ -135,6 +131,34 @@ NUMERIC_COLUMNS = (
     "cost_usd",
 )
 
+#: The numeric columns of an evaluated record, in record order: the names a
+#: Pareto front can be taken over.
+NUMERIC_COLUMNS = ("scenario", "lifetime_years", "system_volume") + METRIC_COLUMNS
+
+
+def _run_columns(columns: Sequence[str], include_cost: bool) -> List[str]:
+    """``columns`` as the records of a run carry them: without
+    ``cost_usd`` unless the run includes cost."""
+    return [name for name in columns if include_cost or name != "cost_usd"]
+
+
+def check_objectives(objectives: Sequence[str], include_cost: bool) -> None:
+    """Refuse objectives that are not numeric columns of a run's records.
+
+    The rule of ``eco-chip sweep --pareto`` and
+    :meth:`repro.api.Session.explore`, checked before anything is evaluated.
+
+    Raises:
+        ValueError: no objective is given.
+        KeyError: naming the unknown objectives and the known columns.
+    """
+    known = _run_columns(NUMERIC_COLUMNS, include_cost)
+    if not objectives:
+        raise ValueError(f"no objectives given; known numeric record columns: {known}")
+    unknown = [name for name in objectives if name not in known]
+    if unknown:
+        raise KeyError(f"unknown objectives {unknown}; known numeric record columns: {known}")
+
 
 def make_record(
     scenario: Scenario,
@@ -145,10 +169,10 @@ def make_record(
 ) -> Record:
     """Flatten one evaluated scenario into a JSON/CSV-friendly record.
 
-    Metric keys deliberately match :data:`repro.core.explorer.OBJECTIVES`
-    so reloaded records plug into the Pareto tooling unchanged.  The batch
-    engine (:meth:`repro.fastpath.batch.BatchEstimator.evaluate_block`)
-    emits the same keys in the same order — keep the two in sync.
+    The numeric keys are :data:`NUMERIC_COLUMNS`, the names the Pareto
+    tooling and search metrics read.  The batch engine
+    (:meth:`repro.fastpath.batch.BatchEstimator.evaluate_block`) emits the
+    same keys in the same order — keep the two in sync.
     """
     record = scenario.to_record()
     record.update(
@@ -418,18 +442,20 @@ def prepare_resume(
 
 
 def check_resume_columns(existing: Iterable[Record], include_cost: bool) -> None:
-    """Refuse to resume a store whose rows disagree with ``include_cost``.
+    """Refuse to resume a store whose rows lack the run's metric columns.
 
     A resumed run appends rows next to the stored ones, so a store written
     without ``cost_usd`` (``--no-cost``) resumed with cost, or the other
-    way round, would end up mixing two schemas.  Contained-failure rows
-    carry no metrics and are not checked.  Callers run this right after
-    :func:`prepare_resume`, before any scenario is evaluated.
+    way round, would end up mixing two schemas; so would a stored row that
+    lacks any other of the run's :data:`METRIC_COLUMNS`.  Contained-failure
+    rows carry no metrics and are not checked.  Callers run this right
+    after :func:`prepare_resume`, before any scenario is evaluated.
 
     Raises:
         ValueError: naming the first stored scenario whose ``cost_usd``
-            column disagrees.
+            column disagrees or that lacks a metric column.
     """
+    metrics = _run_columns(METRIC_COLUMNS, include_cost)
     for record in existing:
         scenario_id = record.get("scenario")
         if scenario_id is None or record.get(ERROR_KEY):
@@ -440,6 +466,12 @@ def check_resume_columns(existing: Iterable[Record], include_cost: bool) -> None
                 f"stored scenario {scenario_id} was written {stored} the cost_usd "
                 f"column and this run {run} it; resume with the cost setting the "
                 f"store was written with (--no-cost / include_cost)"
+            )
+        missing = [name for name in metrics if name not in record]
+        if missing:
+            raise ValueError(
+                f"stored scenario {scenario_id} lacks the metric columns {missing} "
+                f"this run writes; resume only a store written by the same sweep"
             )
 
 
@@ -948,85 +980,3 @@ class SweepEngine:
             retry_count=self.last_retry_count,
             error_codes=tuple(sorted(error_codes.items())),
         )
-
-
-# ---------------------------------------------------------------------------
-# System-level fan-out for DesignSpaceExplorer.evaluate_many
-# ---------------------------------------------------------------------------
-class _SystemEvaluator:
-    """Per-process evaluator for pre-built :class:`ChipletSystem` objects."""
-
-    def __init__(
-        self,
-        config: Optional[EstimatorConfig],
-        table: Optional[TechnologyTable],
-        include_cost: bool,
-    ):
-        from repro.core.explorer import DesignPoint  # deferred: explorer imports us lazily
-        from repro.cost.model import ChipletCostModel
-
-        self._point_cls = DesignPoint
-        self.estimator = EcoChip(config=config, table=table)
-        self.cost_model = (
-            ChipletCostModel(table=self.estimator.table) if include_cost else None
-        )
-
-    def evaluate(self, system: ChipletSystem):
-        carbon = self.estimator.estimate(system)
-        cost = self.cost_model.estimate(system) if self.cost_model is not None else None
-        return self._point_cls(system=system, carbon=carbon, cost=cost)
-
-
-_SYSTEM_EVALUATOR: Optional[_SystemEvaluator] = None
-
-
-def _init_system_worker(
-    config: Optional[EstimatorConfig],
-    table: Optional[TechnologyTable],
-    include_cost: bool,
-    plugins: PluginModules = (),
-) -> None:
-    global _SYSTEM_EVALUATOR
-    import_plugin_modules(plugins)
-    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost)
-
-
-def _evaluate_system_chunk(systems: Sequence[ChipletSystem]) -> List[Any]:
-    assert _SYSTEM_EVALUATOR is not None, "worker initializer did not run"
-    return [_SYSTEM_EVALUATOR.evaluate(system) for system in systems]
-
-
-def evaluate_systems(
-    systems: Sequence[ChipletSystem],
-    config: Optional[EstimatorConfig] = None,
-    table: Optional[TechnologyTable] = None,
-    include_cost: bool = False,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> List[Any]:
-    """Evaluate many systems into ``DesignPoint``s, optionally in parallel.
-
-    This is the implementation of
-    :meth:`repro.core.explorer.DesignSpaceExplorer.evaluate_many`; results
-    are returned in input order for any ``jobs`` value.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    systems = list(systems)
-    if not systems:
-        return []
-    if jobs == 1:
-        evaluator = _SystemEvaluator(config, table, include_cost)
-        return [evaluator.evaluate(system) for system in systems]
-    if chunk_size is None:
-        chunk_size = max(1, min(256, -(-len(systems) // (jobs * 8))))
-    chunks = shard(systems, chunk_size)
-    points: List[Any] = []
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(chunks)),
-        initializer=_init_system_worker,
-        initargs=(config, table, include_cost, plugin_modules()),
-    ) as pool:
-        for chunk_points in pool.map(_evaluate_system_chunk, chunks):
-            points.extend(chunk_points)
-    return points

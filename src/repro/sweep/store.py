@@ -8,13 +8,11 @@ the rows of one template group (:meth:`ResultStore.append_block`) — is
 rendered to complete lines/rows and written in one ``os.write``, so memory
 stays bounded by the largest group regardless of sweep size.
 
-Reloading turns records back into :class:`SweepRow` objects that expose the
-same ``objective(name)`` protocol as
-:class:`repro.core.explorer.DesignPoint`, so the existing
-:func:`repro.core.explorer.pareto_front` and summary tooling work on stored
-sweep results unchanged.  A row wraps its record dict without copying it,
-and ``pareto_front`` reads the objective columns of such rows straight from
-the dicts.
+Reloaded records wrap into :class:`SweepRow` objects, the
+``objective(name)`` protocol :func:`repro.core.explorer.pareto_front` reads
+and the points of :meth:`repro.api.Session.explore`.  A row wraps its
+record dict without copying it, and ``pareto_front`` reads the objective
+columns of such rows straight from the dicts.
 
 Every JSONL reader decodes a line with one strict decoder: the JSON C
 scanner called directly, which must consume the whole (stripped) line;
@@ -752,13 +750,13 @@ def _repair_csv_tail(path: Path, size: int) -> bool:
 # Row adapter for Pareto / summary analysis
 # ---------------------------------------------------------------------------
 class SweepRow:
-    """A stored sweep record exposing the ``DesignPoint`` objective protocol.
+    """A sweep record behind the ``objective(name)`` protocol.
 
-    Sweep records store their metrics under the same names as
-    :data:`repro.core.explorer.OBJECTIVES`, so rows can be fed straight into
-    :func:`repro.core.explorer.pareto_front` and
-    :meth:`repro.core.explorer.DesignSpaceExplorer.best`.  A row wraps its
-    record without copying it: ``row.record`` is the mapping it was given.
+    The objective names are the record's numeric columns
+    (:data:`repro.sweep.engine.NUMERIC_COLUMNS`), so rows feed straight into
+    :func:`repro.core.explorer.pareto_front`; they are also the points of
+    :class:`repro.api.ExploreResult`.  A row wraps its record without
+    copying it: ``row.record`` is the mapping it was given.
     """
 
     __slots__ = ("record",)

@@ -14,12 +14,11 @@ import json
 
 import pytest
 
+from repro import Session
 from repro.cli import main
-from repro.core.explorer import DesignSpaceExplorer
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import load_records
-from repro.testcases import ga102
 
 GRID = SweepSpec.preset("ga102-grid")
 
@@ -46,24 +45,16 @@ class TestParallelEngine:
         assert summary.scenario_count == 40
         assert len(load_records(tmp_path / "out.jsonl")) == 40
 
-    def test_evaluate_many_matches_explore(self):
-        explorer = DesignSpaceExplorer()
-        system = ga102.three_chiplet((7, 14, 10))
-        points = explorer.explore(system, node_choices=[7, 14])
-        candidates = [p.system for p in points]
-        serial = explorer.evaluate_many(candidates, jobs=1)
-        parallel = explorer.evaluate_many(candidates, jobs=2)
-        assert [p.carbon for p in serial] == [p.carbon for p in points]
-        assert parallel == serial
+    def test_explore_records_match_the_oracle(self):
+        grid = SweepSpec(testcases=("ga102-3chiplet",), nodes=(7.0, 14.0))
+        parallel = Session(jobs=2).explore("ga102-3chiplet", [7, 14])
+        assert [p.record for p in parallel.points] == reference_records(grid)
 
     def test_explore_with_jobs_matches_serial(self):
-        explorer = DesignSpaceExplorer()
-        system = ga102.three_chiplet((7, 14, 10))
-        serial = explorer.explore(system, node_choices=[7, 14])
-        parallel = explorer.explore(system, node_choices=[7, 14], jobs=2)
-        assert [p.carbon.total_cfp_g for p in parallel] == [
-            p.carbon.total_cfp_g for p in serial
-        ]
+        serial = Session().explore("ga102-3chiplet", [7, 14])
+        parallel = Session(jobs=2).explore("ga102-3chiplet", [7, 14])
+        assert [p.record for p in parallel.points] == [p.record for p in serial.points]
+        assert [p.label for p in parallel.front] == [p.label for p in serial.front]
 
 
 class TestSweepCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import pytest
@@ -176,6 +177,18 @@ class TestSweep:
         resumed = Session(include_cost=stored_cost).sweep(spec, out=out, resume=True)
         assert resumed.summary.skipped_count == 4
         assert all(("cost_usd" in r) == stored_cost for r in load_records(out))
+
+    def test_resume_of_a_row_without_a_metric_fails_before_any_row(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        Session().sweep(SMALL_SPEC, out=out)
+        lines = out.read_text().splitlines()
+        stored = json.loads(lines[0])
+        del stored["power_w"]
+        out.write_text("\n".join([json.dumps(stored, sort_keys=True)] + lines[1:]) + "\n")
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match=r"stored scenario 0 lacks the metric columns \['power_w'\]"):
+            Session().sweep(dict(SMALL_SPEC, nodes=[7, 10, 14]), out=out, resume=True)
+        assert out.read_bytes() == before
 
     def test_pareto_rows_from_records(self):
         result = Session().sweep(SMALL_SPEC)

@@ -1,48 +1,35 @@
-"""Unit tests for repro.core.explorer (carbon-aware DSE)."""
+"""Unit tests for carbon-aware DSE: ``Session.explore`` and repro.core.explorer."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.core.chiplet import Chiplet
-from repro.core.explorer import (
-    OBJECTIVES,
-    DesignSpaceExplorer,
-    front_delta,
-    front_moved,
-    pareto_front,
-)
-from repro.core.system import ChipletSystem
-from repro.operational.energy import OperatingSpec
-from repro.packaging.bridge import SiliconBridgeSpec
-from repro.packaging.rdl import RDLFanoutSpec
+from repro import Session
+from repro.api import ExploreResult
+from repro.core.explorer import front_delta, front_moved, pareto_front
+from repro.sweep.engine import METRIC_COLUMNS
+from repro.sweep.store import rows_from_records
+from repro.testcases.registry import get_testcase
+
+PACKAGING = ["rdl_fanout", "silicon_bridge"]
 
 
 @pytest.fixture(scope="module")
-def base_system():
-    return ChipletSystem(
-        name="dse",
-        chiplets=(
-            Chiplet("digital", "logic", 7, area_mm2=150.0, area_reference_node=7),
-            Chiplet("memory", "memory", 7, area_mm2=60.0, area_reference_node=7),
-        ),
-        packaging=RDLFanoutSpec(),
-        operating=OperatingSpec(lifetime_years=2, duty_cycle=0.2, average_power_w=25.0),
+def result():
+    return Session().explore(
+        "emr-2chiplet",
+        [7, 14],
+        packaging=PACKAGING,
+        objectives=["total_carbon_g", "cost_usd"],
     )
 
 
 @pytest.fixture(scope="module")
-def explorer():
-    return DesignSpaceExplorer(include_cost=True)
-
-
-@pytest.fixture(scope="module")
-def points(explorer, base_system):
-    return explorer.explore(
-        base_system,
-        node_choices=[7, 14],
-        packaging_choices=[RDLFanoutSpec(), SiliconBridgeSpec()],
-    )
+def points(result):
+    return list(result.points)
 
 
 class TestExploration:
@@ -53,62 +40,71 @@ class TestExploration:
 
     def test_every_point_has_carbon_and_cost(self, points):
         for point in points:
-            assert point.carbon.total_cfp_g > 0
-            assert point.cost is not None and point.cost.total_cost_usd > 0
+            assert point.objective("total_carbon_g") > 0
+            assert point.objective("cost_usd") > 0
 
     def test_objective_lookup(self, points):
         point = points[0]
-        for name in OBJECTIVES:
+        for name in METRIC_COLUMNS:
             assert point.objective(name) >= 0
         with pytest.raises(KeyError):
             point.objective("coolness")
 
-    def test_cost_objective_without_cost_model(self, base_system):
-        explorer = DesignSpaceExplorer(include_cost=False)
-        point = explorer.evaluate(base_system)
-        assert point.cost is None
-        assert point.objective("cost_usd") == float("inf")
+    def test_cost_objective_without_cost_model(self, monkeypatch):
+        # Without cost the records have no cost_usd column: the objective is
+        # refused before any candidate is evaluated, not scored inf.
+        session = Session(include_cost=False)
+        monkeypatch.setattr(session, "sweep", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(KeyError, match=r"unknown objectives \['cost_usd'\]"):
+            session.explore("emr-2chiplet", [7, 14], objectives=["cost_usd", "total_carbon_g"])
 
-    def test_invalid_inputs(self, explorer, base_system):
+    def test_unknown_objective_fails_before_any_evaluation(self, monkeypatch):
+        session = Session()
+        monkeypatch.setattr(session, "sweep", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(KeyError, match="known numeric record columns"):
+            session.explore("emr-2chiplet", [7, 14], objectives=["total_carbon_g", "coolness"])
+
+    def test_every_record_metric_is_an_objective(self):
+        # design_carbon_g and hi_carbon_g included.
+        result = Session().explore("emr-2chiplet", [7], objectives=METRIC_COLUMNS)
+        assert result.front == result.points
+
+    def test_invalid_inputs(self):
+        session = Session()
         with pytest.raises(ValueError):
-            explorer.explore(base_system, node_choices=[])
+            session.explore("emr-2chiplet", node_choices=[])
         with pytest.raises(ValueError):
-            explorer.explore(base_system, node_choices=[7], packaging_choices=[])
+            session.explore("emr-2chiplet", node_choices=[7], packaging=[])
+
+    def test_a_built_system_is_refused(self):
+        with pytest.raises(TypeError, match="testcase name or a design directory"):
+            Session().explore(get_testcase("emr-2chiplet"), [7])
+
+    def test_a_packaging_spec_object_is_refused(self):
+        from repro.packaging.rdl import RDLFanoutSpec
+
+        with pytest.raises(TypeError, match="names or dicts"):
+            Session().explore("emr-2chiplet", [7], packaging=[RDLFanoutSpec()])
 
 
 class TestSelection:
-    def test_best_minimises_the_objective(self, explorer, points):
-        best = explorer.best(points, objective="total_carbon_g")
-        assert best.carbon.total_cfp_g == min(p.carbon.total_cfp_g for p in points)
-
-    def test_constraints_filter_candidates(self, explorer, points):
-        area_bound = sorted(p.objective("silicon_area_mm2") for p in points)[3]
-        constrained = explorer.best(
-            points, objective="total_carbon_g", constraints={"silicon_area_mm2": area_bound}
+    def test_best_minimises_the_objective(self, result, points):
+        assert result.best.objective("total_carbon_g") == min(
+            p.objective("total_carbon_g") for p in points
         )
-        assert constrained.objective("silicon_area_mm2") <= area_bound
 
-    def test_unsatisfiable_constraints_raise(self, explorer, points):
-        with pytest.raises(ValueError):
-            explorer.best(points, constraints={"silicon_area_mm2": 0.001})
-
-    def test_summarise_is_sorted_by_first_objective(self, explorer, points):
-        rows = explorer.summarise(points, ["total_carbon_g", "cost_usd"])
-        values = [row[1]["total_carbon_g"] for row in rows]
-        assert values == sorted(values)
-        assert len(rows) == len(points)
-
-    def test_best_breaks_objective_ties_by_label(self, explorer):
+    def test_best_breaks_objective_ties_by_label(self):
         # Regression: with equal objective values the winner used to be
         # whichever point came first in the input, so reversing the list
         # changed the answer.  The secondary key is the point label.
-        tied = [
+        tied = (
             _LabelledVector("zeta", {"total_carbon_g": 5.0}),
             _LabelledVector("alpha", {"total_carbon_g": 5.0}),
             _LabelledVector("mid", {"total_carbon_g": 7.0}),
-        ]
-        assert explorer.best(tied, "total_carbon_g").label == "alpha"
-        assert explorer.best(list(reversed(tied)), "total_carbon_g").label == "alpha"
+        )
+        for points in (tied, tied[::-1]):
+            result = ExploreResult(points=points, front=points, objectives=("total_carbon_g",))
+            assert result.best.label == "alpha"
 
 
 class TestParetoFront:
@@ -122,22 +118,23 @@ class TestParetoFront:
                     and other.objective("power_w") < candidate.objective("power_w")
                 )
 
-    def test_single_objective_front_is_the_minimum(self, explorer, points):
+    def test_single_objective_front_is_the_minimum(self, result, points):
         front = pareto_front(points, ["total_carbon_g"])
-        best = explorer.best(points, "total_carbon_g")
         assert min(p.objective("total_carbon_g") for p in front) == pytest.approx(
-            best.objective("total_carbon_g")
+            result.best.objective("total_carbon_g")
         )
 
     def test_front_requires_objectives(self, points):
         with pytest.raises(ValueError):
             pareto_front(points, [])
 
-    def test_best_point_is_always_on_the_front(self, explorer, points):
-        objectives = ["total_carbon_g", "cost_usd"]
-        front = pareto_front(points, objectives)
-        best_carbon = explorer.best(points, "total_carbon_g")
-        assert any(p.label == best_carbon.label for p in front)
+    def test_best_point_is_always_on_the_front(self, result):
+        assert any(p is result.best for p in result.front)
+
+
+def test_import_repro_leaves_numpy_unloaded():
+    code = "import sys, repro; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +351,18 @@ class TestSkylineKdDispatch:
 
 
 class TestExplorerParetoNanPlumbing:
-    """`DesignSpaceExplorer.pareto` forwards `on_nan=` to `pareto_front`."""
+    """`pareto_front` over stored rows honours `on_nan=`."""
 
-    NAN_POINTS = [
-        _Vector({"a": float("nan"), "b": 1.0}),
-        _Vector({"a": 1.0, "b": 2.0}),
-    ]
+    NAN_ROWS = rows_from_records([{"a": float("nan"), "b": 1.0}, {"a": 1.0, "b": 2.0}])
 
-    def test_default_excludes_with_a_warning(self, explorer):
+    def test_default_excludes_with_a_warning(self):
         with pytest.warns(RuntimeWarning, match="NaN"):
-            front = explorer.pareto(self.NAN_POINTS, ["a", "b"])
-        assert front == [self.NAN_POINTS[1]]
+            front = pareto_front(self.NAN_ROWS, ["a", "b"])
+        assert front == [self.NAN_ROWS[1]]
 
-    def test_raise_mode_passes_through(self, explorer):
+    def test_raise_mode_passes_through(self):
         with pytest.raises(ValueError, match="NaN"):
-            explorer.pareto(self.NAN_POINTS, ["a", "b"], on_nan="raise")
+            pareto_front(self.NAN_ROWS, ["a", "b"], on_nan="raise")
 
 
 class TestFrontDelta:
@@ -390,35 +384,3 @@ class TestFrontDelta:
         assert front_moved((), (1,))
         assert front_moved((1,), ())
         assert front_moved((1, 2), (1, 3))
-
-
-class TestBestConstraints:
-    def test_unknown_constraint_objective_raises_key_error(self, explorer, points):
-        with pytest.raises(KeyError, match="unknown objective"):
-            explorer.best(points, constraints={"coolness": 1.0})
-
-    def test_multiple_constraints_intersect(self, explorer, points):
-        area_values = sorted(p.objective("silicon_area_mm2") for p in points)
-        power_values = sorted(p.objective("power_w") for p in points)
-        chosen = explorer.best(
-            points,
-            objective="total_carbon_g",
-            constraints={
-                "silicon_area_mm2": area_values[-1],
-                "power_w": power_values[-1],
-            },
-        )
-        assert chosen.objective("total_carbon_g") == min(
-            p.objective("total_carbon_g") for p in points
-        )
-
-    def test_constraint_boundary_is_inclusive(self, explorer, points):
-        bound = min(p.objective("silicon_area_mm2") for p in points)
-        chosen = explorer.best(
-            points, objective="total_carbon_g", constraints={"silicon_area_mm2": bound}
-        )
-        assert chosen.objective("silicon_area_mm2") == bound
-
-    def test_empty_points_raise(self, explorer):
-        with pytest.raises(ValueError):
-            explorer.best([], objective="total_carbon_g")

@@ -46,6 +46,9 @@ class TestMetricResolution:
         assert resolve_metric("area") == "silicon_area_mm2"
         assert resolve_metric("cost") == "cost_usd"
         assert resolve_metric("power_w") == "power_w"
+        # Every record metric column is a search metric.
+        assert resolve_metric("design_carbon_g") == "design_carbon_g"
+        assert resolve_metric("hi_carbon_g") == "hi_carbon_g"
 
     def test_unknown_metric_lists_known_names(self):
         with pytest.raises(KeyError, match="known metrics"):

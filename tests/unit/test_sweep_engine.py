@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.sweep.engine import (
+    METRIC_COLUMNS,
     NUMERIC_COLUMNS,
     SweepEngine,
     make_record,
@@ -92,15 +93,14 @@ class TestSerialEngine:
         assert summary.best is None
 
     def test_record_metric_keys_match_objectives(self):
-        from repro.core.explorer import OBJECTIVES
-
         [record] = list(
             SweepEngine(jobs=1).iter_records(
                 [Scenario(index=0, base_kind="testcase", base_ref="ga102-3chiplet")]
             )
         )
-        for name in OBJECTIVES:
+        for name in METRIC_COLUMNS:
             assert name in record, f"record is missing objective field {name}"
+        assert NUMERIC_COLUMNS[-len(METRIC_COLUMNS):] == METRIC_COLUMNS
 
 
 class TestValidation:
