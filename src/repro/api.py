@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.axes import (
     apply_system_overrides,
@@ -57,12 +57,7 @@ from repro.sweep.engine import (
     derive_scenario_config,
 )
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import (
-    SweepRow,
-    load_records,
-    open_store,
-    rows_from_records,
-)
+from repro.sweep.store import SweepRow, open_store, rows_from_records
 from repro.technology.nodes import TechnologyTable
 from repro.testcases.registry import get_testcase
 
@@ -87,14 +82,15 @@ class SweepResult:
     Attributes:
         spec: The (expanded-from) sweep spec.
         summary: Engine summary — counts, timing, best record.
-        records: Every flattened record, in scenario order, as a read-only
-            sequence (empty when the sweep ran with
-            ``collect_records=False``).  A fresh sweep keeps the engine's
-            record blocks (:class:`~repro.sweep.block.RecordSequence`) and
-            builds a record's dict each time it is read, so setting a key
-            of a record read from it changes nothing held here; a resumed
-            sweep holds the store's records as loaded.  It compares equal
-            to a tuple of the same records.
+        records: Every flattened record as a read-only sequence (empty
+            when the sweep ran with ``collect_records=False``): a resumed
+            store's records first, in store order, then the new ones in
+            scenario order, as the store holds them after the run.  It
+            keeps the engine's record blocks
+            (:class:`~repro.sweep.block.RecordSequence`) and builds a
+            record's dict each time it is read, so setting a key of a
+            record read from it changes nothing held here.  It compares
+            equal to a tuple of the same records.
     """
 
     spec: SweepSpec
@@ -319,6 +315,7 @@ class Session:
         resume: bool = False,
         progress: Optional[Any] = None,
         collect_records: bool = True,
+        on_block: Optional[Callable[[RecordBlock], None]] = None,
     ) -> SweepResult:
         """Evaluate a scenario grid on this session's engine.
 
@@ -330,12 +327,18 @@ class Session:
             spec_file: Path of a ``.json``/``.yaml`` spec file.
             out: Stream records to this JSONL/CSV file as they compute.
             resume: Skip scenarios whose ids are already in ``out`` and
-                append only the missing tail (requires ``out``).  A store
-                written with the other ``include_cost`` setting raises
-                :class:`ValueError` before any scenario is evaluated.
-            progress: Optional ``(done, total)`` callback per record.
+                append only the missing tail (requires ``out``).  The store
+                is read once, by the engine.  A store written with the
+                other ``include_cost`` setting raises :class:`ValueError`
+                before any scenario is evaluated.
+            progress: Optional ``(done, total)`` callback per new record.
             collect_records: Keep every record in the returned result
                 (disable for huge grids streamed to ``out``).
+            on_block: Optional callback invoked with every
+                :class:`~repro.sweep.block.RecordBlock`, in order: a
+                resumed store's records first (one-row blocks, in store
+                order), then the new ones as they are computed.  Lets a
+                caller fold rows (a top-N table, say) without keeping them.
 
         Returns:
             A :class:`SweepResult` with the spec, summary and records.
@@ -361,6 +364,12 @@ class Session:
 
         spec.count(self.table)  # a bad spec fails before the store opens
         blocks: List[RecordBlock] = []
+        if collect_records and on_block is not None:
+            def handler(block: RecordBlock) -> None:
+                blocks.append(block)
+                on_block(block)
+        else:
+            handler = blocks.append if collect_records else on_block
         store = open_store(out, append=resume) if out is not None else None
         try:
             summary = self.engine.run(
@@ -368,18 +377,12 @@ class Session:
                 store=store,
                 progress=progress,
                 resume=(out if resume else None),
-                on_block=blocks.append if collect_records else None,
+                on_block=handler,
             )
         finally:
             if store is not None:
                 store.close()
-        records: Sequence[Record] = ()
-        if collect_records and resume:
-            # A resumed run only computed the tail; the full record set —
-            # old and new, in scenario order on disk — lives in the store.
-            records = tuple(load_records(out))
-        elif collect_records:
-            records = RecordSequence(blocks)
+        records = RecordSequence(blocks) if collect_records else ()
         return SweepResult(spec=spec, summary=summary, records=records)
 
     # -- search -----------------------------------------------------------------------

@@ -5,6 +5,10 @@ entry point: load a design directory, estimate its total carbon footprint,
 optionally sweep the nodes listed in ``node_list.txt`` for each chiplet, and
 print (or write) the results.
 
+Every evaluation runs on :class:`repro.api.Session`: the estimate is
+``Session.estimate``, and ``--sweep-nodes`` and ``eco-chip sweep`` are
+``Session.sweep`` runs whose rows the CLI prints as they arrive.
+
 Additional conveniences:
 
 * ``--testcase <name>`` runs one of the built-in testcases instead of a
@@ -16,7 +20,8 @@ Additional conveniences:
 * ``eco-chip sweep --preset ga102-grid`` evaluates the grid through the
   compiled batch engine (:mod:`repro.fastpath`), and ``--resume
   results.jsonl`` continues an interrupted sweep by skipping the scenario
-  ids already in the file.
+  ids already in the file; the stored rows count in the best record and
+  the ``--top``/``--pareto`` tables.
 * ``eco-chip serve`` runs the sweep-as-a-service HTTP job server
   (:mod:`repro.serve`) with a shared compiled-template cache, quotas and
   a metrics endpoint.
@@ -28,8 +33,9 @@ Additional conveniences:
 Errors take one path.  Every front-end (estimate, ``sweep``, ``search``,
 ``serve``) raises :class:`~repro.serve.errors.SpecError` when the request
 itself is invalid (bad spec, unknown testcase/preset/axis/format, bad flag
-values) and :class:`~repro.serve.errors.RuntimeJobError` when a valid
-request fails at run time (I/O, evaluation, port in use); :func:`main`
+values, a resume store of another schema, a value an evaluation rejects)
+and :class:`~repro.serve.errors.RuntimeJobError` when a valid request
+fails at run time (I/O, a locked store, port in use); :func:`main`
 alone prints them, as ``error: [code] message``, and exits ``2`` or ``3``
 — the same split, with the same structured error text, the HTTP API
 reports.
@@ -40,17 +46,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import heapq
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.api import Session
 from repro.axes import get_axis
-from repro.core.disaggregation import iter_node_configurations
-from repro.core.estimator import EcoChip, EstimatorConfig
+from repro.core.estimator import EstimatorConfig
 from repro.core.results import SystemCarbonReport
-from repro.core.system import ChipletSystem
 from repro.io.loaders import load_design_directory
 from repro.io.writers import write_report
 from repro.serve.errors import RuntimeJobError, ServeError, SpecError, error_message
@@ -151,7 +157,7 @@ def _raise_as(error: type, *caught: type, prefix: str = "") -> Iterator[None]:
         raise error(prefix + error_message(exc)) from exc
 
 
-def _estimator_from_args(args: argparse.Namespace) -> EcoChip:
+def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
     # The same checks a sweep spec's carbon_sources and wafer_diameter_mm make.
     for flag, check, value in (
         ("--fab-source", carbon_intensity, args.fab_source),
@@ -159,7 +165,7 @@ def _estimator_from_args(args: argparse.Namespace) -> EcoChip:
     ):
         with _raise_as(SpecError, KeyError, ValueError, prefix=f"{flag}: "):
             check(value)
-    config = EstimatorConfig(
+    return EstimatorConfig(
         fab_carbon_source=args.fab_source,
         package_carbon_source=args.fab_source,
         design_carbon_source=args.fab_source,
@@ -167,15 +173,14 @@ def _estimator_from_args(args: argparse.Namespace) -> EcoChip:
         include_wafer_waste=not args.no_wafer_waste,
         include_design=not args.no_design_cfp,
     )
-    return EcoChip(config=config)
 
 
-def _print_sweep(system: ChipletSystem, nodes: List[float], estimator: EcoChip) -> None:
-    """Stream one row per node configuration (constant memory, no sort).
+def _print_sweep(session: Session, design_dir: str, nodes: List[float]) -> None:
+    """Stream one row per node configuration of a design directory.
 
-    Rows are printed as soon as they are estimated, in grid order, so huge
-    sweeps start producing output immediately instead of materialising the
-    whole result dictionary first.
+    A sweep of the directory's nodes on ``session``: rows are printed as
+    their template groups are evaluated, in grid order, so huge sweeps
+    start producing output at once and hold no result set in memory.
     """
     header = (
         f"{'configuration':<24} {'packaging':<20} {'Cmfg (kg)':>12} {'Cdes (kg)':>12} "
@@ -183,16 +188,24 @@ def _print_sweep(system: ChipletSystem, nodes: List[float], estimator: EcoChip) 
     )
     print(header)
     print("-" * len(header))
-    for config in iter_node_configurations(nodes, system.chiplet_count):
-        report = estimator.estimate(system.with_nodes(*config))
-        label = "(" + ",".join(f"{int(n)}" for n in config) + ")"
-        print(
-            f"{label:<24} {report.packaging.architecture:<20} "
-            f"{report.manufacturing_cfp_g / 1000.0:>12.2f} "
-            f"{report.design_cfp_g / 1000.0:>12.2f} "
-            f"{report.hi_cfp_g / 1000.0:>12.2f} "
-            f"{report.embodied_cfp_g / 1000.0:>12.2f} "
-            f"{report.total_cfp_g / 1000.0:>12.2f}"
+
+    def print_rows(block) -> None:
+        for record in block.records():
+            label = "(" + ",".join(f"{int(n)}" for n in record["nodes"]) + ")"
+            print(
+                f"{label:<24} {record['packaging']:<20} "
+                f"{record['manufacturing_carbon_g'] / 1000.0:>12.2f} "
+                f"{record['design_carbon_g'] / 1000.0:>12.2f} "
+                f"{record['hi_carbon_g'] / 1000.0:>12.2f} "
+                f"{record['embodied_carbon_g'] / 1000.0:>12.2f} "
+                f"{record['total_carbon_g'] / 1000.0:>12.2f}"
+            )
+
+    with _raise_as(SpecError, KeyError, ValueError):
+        session.sweep(
+            {"design_dirs": [design_dir], "nodes": nodes},
+            collect_records=False,
+            on_block=print_rows,
         )
 
 
@@ -416,14 +429,9 @@ def _store_path(args: argparse.Namespace, resume_does: str) -> Optional[str]:
 def _sweep_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip sweep``; returns a process exit code."""
     from repro.core.explorer import pareto_front
-    from repro.sweep.engine import (
-        SweepEngine,
-        check_objectives,
-        check_resume_columns,
-        prepare_resume,
-    )
+    from repro.sweep.engine import check_objectives
     from repro.sweep.spec import PRESETS, SweepSpec
-    from repro.sweep.store import open_store, rows_from_records
+    from repro.sweep.store import repair_torn_tail, rows_from_records
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
@@ -467,89 +475,62 @@ def _sweep_main(argv: Sequence[str]) -> int:
         raise SpecError("the spec expands into zero scenarios")
 
     out_path = _store_path(args, "writes into the resumed file")
-    skipped = 0
-    done_ids: Collection[int] = ()
-    existing_records: List = []
-    if args.resume:
-        with _raise_as(
-            RuntimeJobError, OSError, ValueError,
-            prefix=f"cannot read resume file {args.resume}: ",
-        ):
-            done_ids, skipped, existing_records, repaired = prepare_resume(
-                spec, args.resume
-            )
-        if repaired:
+    with _raise_as(RuntimeJobError, OSError, prefix=f"cannot read resume file {args.resume}: "):
+        if args.resume and repair_torn_tail(args.resume):
             print(f"repaired torn tail of {args.resume} (crashed run)")
-        with _raise_as(SpecError, ValueError, prefix=f"cannot resume {args.resume}: "):
-            check_resume_columns(existing_records, include_cost=not args.no_cost)
-        if skipped:
-            print(f"resuming {args.resume}: {skipped} scenarios already evaluated")
-        if skipped == count:
-            print(f"nothing to do: all scenarios already in {args.resume}")
-            return 0
 
-    store = None
-    if out_path:
-        # An unknown format is a bad request; an I/O failure or a live
-        # writer holding the store lock is a runtime failure.
-        with _raise_as(RuntimeJobError, OSError, RuntimeError), _raise_as(SpecError, ValueError):
-            store = open_store(out_path, append=bool(args.resume))
-
-    # Stream with bounded memory: the engine tracks the best new record and
-    # a callback keeps a top-N heap; records are only accumulated when
-    # --pareto needs the full set.
+    # Stream with bounded memory: a callback keeps a top-N heap, and
+    # records are only accumulated when --pareto needs the full set.  A
+    # resumed store's records come first, so the tables cover the whole
+    # sweep, not just the new tail.
     top_n = args.top if not args.quiet else 0
     top_heap: List = []  # (-total_carbon_g, sequence, record)
     pareto_records: Optional[List] = [] if args.pareto else None
-    best = None
-    sequence = 0
+    sequence = itertools.count()
 
-    def fold(records) -> None:
-        """Fold records into the best record, the top-N heap and the
-        Pareto candidates."""
-        nonlocal best, sequence
-        for record in records:
+    def fold(block) -> None:
+        """Fold a block's records into the top-N heap and the Pareto
+        candidates."""
+        for record in block.records():
             total_g = record.get("total_carbon_g")
             if total_g is None:
                 # A contained failure (--retries/--on-error record): the
                 # row holds a structured error payload, not metrics.
                 continue
-            if best is None or total_g < best["total_carbon_g"]:
-                best = record
-            sequence += 1
             if top_n > 0:
-                heapq.heappush(top_heap, (-total_g, sequence, record))
+                heapq.heappush(top_heap, (-total_g, next(sequence), record))
                 if len(top_heap) > top_n:
                     heapq.heappop(top_heap)
             if pareto_records is not None:
                 pareto_records.append(record)
 
-    # Records already in a resumed store compete in best/top/Pareto so a
-    # resumed run summarises the whole sweep, not just the new tail.
-    fold(existing_records)
-    # Row dicts are only built when the top-N table or the front needs them.
-    on_block = (
-        (lambda block: fold(block.records()))
-        if top_n > 0 or pareto_records is not None
-        else None
-    )
-    try:
-        with _raise_as(RuntimeJobError, OSError):
-            engine = SweepEngine(
-                jobs=args.jobs,
-                include_cost=not args.no_cost,
-                compile_cache=resolve_compile_cache(args.compile_cache),
-                resilience=resilience,
-            )
-            summary = engine.run(spec, store=store, on_block=on_block, skip=done_ids)
-    finally:
-        if store is not None:
-            store.close()
-    if on_block is None and summary.best is not None:
-        fold([summary.best])  # the new rows were not folded, only their best
+    # A bad request (an unknown store format, a resume store of another
+    # schema, a value an evaluation rejects) is a spec error; I/O failures,
+    # a live writer holding the store lock and an unusable compile cache
+    # are runtime ones.
+    with _raise_as(RuntimeJobError, OSError, RuntimeError), _raise_as(SpecError, ValueError):
+        summary = Session(
+            jobs=args.jobs,
+            include_cost=not args.no_cost,
+            compile_cache=resolve_compile_cache(args.compile_cache),
+            resilience=resilience,
+        ).sweep(
+            spec,
+            out=out_path,
+            resume=bool(args.resume),
+            collect_records=False,
+            on_block=fold if top_n > 0 or pareto_records is not None else None,
+        ).summary
+    skipped = summary.skipped_count
+    if skipped:
+        print(f"resuming {args.resume}: {skipped} scenarios already evaluated")
+    if skipped == count:
+        print(f"nothing to do: all scenarios already in {args.resume}")
+        return 0
 
     skip_note = f" ({skipped} resumed)" if skipped else ""
     error_note = f", {summary.error_count} failed" if summary.error_count else ""
+    best = summary.best
     best_note = (
         "no successful scenarios"
         if best is None
@@ -560,8 +541,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
         f"sweep {spec.name!r}: {summary.scenario_count} scenarios{skip_note}{error_note}, "
         f"jobs={args.jobs}, {best_note}"
     )
-    if store is not None:
-        print(f"results written to {store.path}")
+    if summary.store_path is not None:
+        print(f"results written to {summary.store_path}")
 
     if top_n > 0:
         top_records = sorted(
@@ -685,7 +666,6 @@ def build_search_parser() -> argparse.ArgumentParser:
 
 def _search_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip search``; returns a process exit code."""
-    from repro.api import Session
     from repro.search import SearchSpec
     from repro.sweep.store import SweepRow
 
@@ -942,7 +922,7 @@ def _estimate_main(argv: Sequence[str]) -> int:
                 print(line)
         return 0
 
-    estimator = _estimator_from_args(args)
+    session = Session(_config_from_args(args), include_cost=False)
 
     node_sweep: List[float] = []
     if args.design_dir:
@@ -957,7 +937,7 @@ def _estimate_main(argv: Sequence[str]) -> int:
         parser.print_help()
         return 1
 
-    report: SystemCarbonReport = estimator.estimate(system)
+    report: SystemCarbonReport = session.estimate(system)
     print(report.summary())
 
     if args.output:
@@ -972,7 +952,7 @@ def _estimate_main(argv: Sequence[str]) -> int:
             )
         else:
             print("\nNode mix-and-match sweep:")
-            _print_sweep(system, node_sweep, estimator)
+            _print_sweep(session, args.design_dir, node_sweep)
 
     return 0
 

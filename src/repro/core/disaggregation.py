@@ -15,7 +15,7 @@ These utilities implement the experiments of Sections V and VI:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.chiplet import Chiplet
 from repro.core.estimator import EcoChip
@@ -49,26 +49,13 @@ def node_configuration_sweep(
     return results
 
 
-def iter_node_configurations(
-    node_choices: Sequence[float], chiplet_count: int
-) -> Iterator[NodeConfig]:
-    """Lazily yield every assignment of ``node_choices`` to the chiplets.
-
-    The streaming counterpart of :func:`all_node_configurations` — large
-    sweeps can consume configurations one at a time without materialising
-    the ``len(node_choices) ** chiplet_count`` grid.
-    """
-    if chiplet_count < 1:
-        raise ValueError(f"chiplet count must be >= 1, got {chiplet_count}")
-    for combo in itertools.product(node_choices, repeat=chiplet_count):
-        yield tuple(float(n) for n in combo)
-
-
 def all_node_configurations(
     node_choices: Sequence[float], chiplet_count: int
 ) -> List[NodeConfig]:
     """Every assignment of ``node_choices`` to ``chiplet_count`` chiplets."""
-    return list(iter_node_configurations(node_choices, chiplet_count))
+    if chiplet_count < 1:
+        raise ValueError(f"chiplet count must be >= 1, got {chiplet_count}")
+    return list(itertools.product(map(float, node_choices), repeat=chiplet_count))
 
 
 # ---------------------------------------------------------------------------

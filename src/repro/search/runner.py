@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.search.space import GridSpace
 from repro.search.spec import SearchSpec
 from repro.search.strategies import SearchContext, get_strategy
+from repro.sweep.engine import check_resume_columns
 from repro.sweep.store import open_store, records_by_scenario, repair_torn_tail
 
 __all__ = ["RoundStats", "SearchResult", "run_search"]
@@ -128,7 +129,9 @@ def run_search(
             ``search_round`` column).  Required for ``resume``.
         resume: Replay candidates already present in ``out`` (torn tail
             repaired first) instead of re-evaluating them, then continue
-            the search where it was killed.
+            the search where it was killed.  Stored rows written with the
+            other ``include_cost`` setting raise :class:`ValueError`
+            before the store opens (:func:`check_resume_columns`).
         progress: Optional ``(evaluations so far, budget)`` callback per
             round.
 
@@ -146,6 +149,7 @@ def run_search(
     if resume:
         repair_torn_tail(out)
         stored = records_by_scenario(out)
+        check_resume_columns(stored.values(), engine.include_cost, out)
     store = open_store(out, append=resume) if out is not None else None
 
     # In-process, mount one shared BatchEstimator for the whole search so

@@ -180,13 +180,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_pareto(self, job_id: str, query: Dict[str, list]) -> None:
         from repro.core.explorer import pareto_front
+        from repro.sweep.engine import check_objectives
         from repro.sweep.store import load_rows
 
         job = self.manager.get(job_id)
         names = query.get("objectives", [",".join(_DEFAULT_FRONT_METRICS)])[0]
         objectives = [name.strip() for name in names.split(",") if name.strip()]
-        if not objectives:
-            raise SpecError("objectives must name at least one record metric")
+        # The rule of eco-chip sweep --pareto, checked before the store is read.
+        try:
+            check_objectives(objectives, self.manager.include_cost)
+        except (KeyError, ValueError) as exc:
+            raise SpecError(error_message(exc)) from exc
         if not job.store_path.is_file():
             self._send_json(
                 200, {"id": job.id, "objectives": objectives, "front": []}
@@ -197,7 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
         rows = [row for row in load_rows(job.store_path) if not row.record.get("error")]
         try:
             front = pareto_front(rows, objectives)
-        except KeyError as exc:
+        except KeyError as exc:  # a stored row lacking a known column
             raise SpecError(error_message(exc)) from exc
         self._send_json(
             200,

@@ -99,8 +99,6 @@ class Job:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.elapsed_s: Optional[float] = None
-        #: Recovered jobs resume from their store instead of truncating it.
-        self.resume = False
         self.cancel_event = threading.Event()
         self._quota_released = False
 
@@ -445,7 +443,6 @@ class JobManager:
                 self._jobs[job.id] = job
             if job.state not in TERMINAL_STATES:
                 job.state = "queued"
-                job.resume = True
                 job._quota_released = False
                 if self.quota is not None:
                     # The budget was granted before the crash; re-charge

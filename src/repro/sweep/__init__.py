@@ -22,12 +22,7 @@ provides the scale-out machinery for that:
     :meth:`repro.api.Session.explore` read records through.
 """
 
-from repro.sweep.engine import (
-    SweepEngine,
-    SweepSummary,
-    prepare_resume,
-    reference_records,
-)
+from repro.sweep.engine import SweepEngine, SweepSummary, reference_records
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec, load_spec
 from repro.sweep.store import (
     CsvResultStore,
@@ -44,7 +39,6 @@ from repro.sweep.store import (
 
 __all__ = [
     "completed_scenario_ids",
-    "prepare_resume",
     "repair_torn_tail",
     "SweepSpec",
     "Scenario",

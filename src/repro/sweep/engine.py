@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -397,63 +398,61 @@ def _placed_groups(
             start += len(group.rows)
 
 
-def _covered(
+def _load_resume(
     sweep: Union[SweepSpec, Sequence[Scenario]],
-    ids: Collection[int],
-    table: Optional[TechnologyTable],
-) -> int:
-    """How many of ``sweep``'s scenarios have their id in ``ids``."""
-    if isinstance(sweep, SweepSpec):
-        count = sweep.count(table)  # a spec's ids are exactly range(count)
-        return sum(1 for index in ids if 0 <= index < count)
-    return sum(1 for scenario in sweep if scenario.index in ids)
-
-
-def prepare_resume(
-    sweep: Union[SweepSpec, Sequence[Scenario]],
-    resume: Union[ResultStore, str, "Path"],
+    resume: Optional[Union[ResultStore, str, "Path"]],
+    include_cost: bool,
     table: Optional[TechnologyTable] = None,
-) -> Tuple[Set[int], int, List[Record], bool]:
-    """Shared resume preparation for :meth:`SweepEngine.run` and the CLI.
+) -> Tuple[Set[int], int, List[Record]]:
+    """Read a resume store for :meth:`SweepEngine.run` (nothing without one).
 
-    Repairs a torn store tail left by a crash and loads the records already
-    on disk.  ``table`` is the technology table a spec's node values are
-    checked against (``None``: the built-in table).
+    Repairs a torn store tail left by a crash, loads the records already
+    on disk and checks them against the run's columns
+    (:func:`check_resume_columns`).  ``table`` is the technology table a
+    spec's node values are checked against (``None``: the built-in table).
 
     Returns:
-        ``(done_ids, skipped_count, existing_records, repaired)``:
-        ``done_ids`` are the stored scenario ids (the ``skip`` of
-        :meth:`SweepEngine.run`), ``skipped_count`` how many of ``sweep``'s
-        scenarios they cover, and ``existing_records`` lets callers fold
-        already-computed results into best/top/Pareto summaries so a
-        resumed run reports on the whole sweep, not just the new tail.
+        ``(done_ids, skipped_count, existing_records)``: the stored
+        scenario ids, how many of ``sweep``'s scenarios they cover, and
+        the stored records in store order.
     """
-    repaired = repair_torn_tail(resume)
+    if resume is None:
+        return set(), 0, []
+    repair_torn_tail(resume)
     path = resume.path if isinstance(resume, ResultStore) else Path(resume)
     existing: List[Record] = []
     if path.is_file() and path.stat().st_size > 0:
         existing = list(_iter_store_records(path))
+    check_resume_columns(existing, include_cost, path)
     done_ids = {
         int(record["scenario"])
         for record in existing
         if record.get("scenario") is not None
     }
-    return done_ids, _covered(sweep, done_ids, table), existing, repaired
+    if isinstance(sweep, SweepSpec):
+        count = sweep.count(table)  # a spec's ids are exactly range(count)
+        skipped = sum(1 for index in done_ids if 0 <= index < count)
+    else:
+        skipped = sum(1 for scenario in sweep if scenario.index in done_ids)
+    return done_ids, skipped, existing
 
 
-def check_resume_columns(existing: Iterable[Record], include_cost: bool) -> None:
+def check_resume_columns(
+    existing: Iterable[Record], include_cost: bool, store: Union[str, "Path"]
+) -> None:
     """Refuse to resume a store whose rows lack the run's metric columns.
 
     A resumed run appends rows next to the stored ones, so a store written
     without ``cost_usd`` (``--no-cost``) resumed with cost, or the other
     way round, would end up mixing two schemas; so would a stored row that
     lacks any other of the run's :data:`METRIC_COLUMNS`.  Contained-failure
-    rows carry no metrics and are not checked.  Callers run this right
-    after :func:`prepare_resume`, before any scenario is evaluated.
+    rows carry no metrics and are not checked.  Sweep and search resume
+    run this on the stored records before any scenario is evaluated.
 
     Raises:
-        ValueError: naming the first stored scenario whose ``cost_usd``
-            column disagrees or that lacks a metric column.
+        ValueError: ``cannot resume <store>: …``, naming the first stored
+            scenario whose ``cost_usd`` column disagrees or that lacks a
+            metric column.
     """
     metrics = _run_columns(METRIC_COLUMNS, include_cost)
     for record in existing:
@@ -463,15 +462,16 @@ def check_resume_columns(existing: Iterable[Record], include_cost: bool) -> None
         if ("cost_usd" in record) != include_cost:
             stored, run = ("without", "adds") if include_cost else ("with", "omits")
             raise ValueError(
-                f"stored scenario {scenario_id} was written {stored} the cost_usd "
-                f"column and this run {run} it; resume with the cost setting the "
-                f"store was written with (--no-cost / include_cost)"
+                f"cannot resume {store}: stored scenario {scenario_id} was written "
+                f"{stored} the cost_usd column and this run {run} it; resume with the "
+                f"cost setting the store was written with (--no-cost / include_cost)"
             )
         missing = [name for name in metrics if name not in record]
         if missing:
             raise ValueError(
-                f"stored scenario {scenario_id} lacks the metric columns {missing} "
-                f"this run writes; resume only a store written by the same sweep"
+                f"cannot resume {store}: stored scenario {scenario_id} lacks the "
+                f"metric columns {missing} this run writes; resume only a store "
+                f"written by the same sweep"
             )
 
 
@@ -866,7 +866,6 @@ class SweepEngine:
         resume: Optional[Union[ResultStore, str, "Path"]] = None,
         on_block: Optional[Callable[[RecordBlock], None]] = None,
         annotate: Optional[Mapping[str, Any]] = None,
-        skip: Collection[int] = (),
     ) -> SweepSummary:
         """Evaluate every scenario, streaming records into ``store``.
 
@@ -876,33 +875,32 @@ class SweepEngine:
             store: Streaming result store; the records of each template
                 group are appended (one write) as soon as the group is
                 computed and every earlier scenario has been written.
-            progress: Optional ``(done, total)`` callback per record,
+            progress: Optional ``(done, total)`` callback per new record,
                 called once its record is in ``store``.
             resume: A store (or store path) from a previous run of the same
-                spec: scenarios whose ids already appear in it are skipped
-                (a torn final line from a crash is repaired first), and the
-                stored records compete for :attr:`SweepSummary.best` so the
-                summary covers the whole sweep.  Usually the same file as
-                ``store``, opened with ``append=True`` so old and new
-                records accumulate together.  Stored rows written with the
-                other ``include_cost`` setting raise :class:`ValueError`
-                before any scenario is evaluated
-                (:func:`check_resume_columns`).
+                spec, read once: a torn final line from a crash is
+                repaired, scenarios whose ids appear in it are skipped, and
+                the stored records compete for :attr:`SweepSummary.best`
+                so the summary covers the whole sweep.  Usually the same
+                file as ``store``, opened with ``append=True`` so old and
+                new records accumulate together.  Stored rows written with
+                the other ``include_cost`` setting raise
+                :class:`ValueError` (``cannot resume <store>: …``) before
+                any scenario is evaluated (:func:`check_resume_columns`).
             on_block: Optional callback invoked with every
                 :class:`~repro.sweep.block.RecordBlock` as soon as it is
                 computed (after the ``annotate`` columns and the ``store``
-                append), in scenario order.  Used by
-                :class:`repro.api.Session` to collect records without
-                round-tripping through a file or building a dict per row.
+                append), in scenario order.  With ``resume``, every stored
+                record comes first, as a one-row block, in store order;
+                stored records are not counted, re-appended or annotated.
+                Used by :class:`repro.api.Session` to collect records
+                without building a dict per row.
             annotate: Constant extra columns merged into every record of
                 this run before it reaches the store and callbacks (e.g.
                 the ``search_round`` column :mod:`repro.search` stamps on
                 each evaluation batch).  A key that collides with a record
                 column raises :class:`ValueError` — annotations may never
                 silently overwrite evaluation output.
-            skip: Scenario ids to leave out, for callers that read a
-                resume store themselves (:func:`prepare_resume`); ``resume``
-                replaces it.
 
         Returns:
             A :class:`SweepSummary` with counts, timing and the best record.
@@ -910,17 +908,15 @@ class SweepEngine:
         if not isinstance(sweep, SweepSpec):
             sweep = list(sweep)
         annotations = dict(annotate) if annotate else None
-        skipped = _covered(sweep, skip, self.table) if skip else 0
-        best: Optional[Record] = None
-        if resume is not None:
-            skip, skipped, existing, _ = prepare_resume(sweep, resume, self.table)
-            check_resume_columns(existing, self.include_cost)
+        skip, skipped, existing = _load_resume(sweep, resume, self.include_cost, self.table)
+        best: Optional[Record] = min(
+            (record for record in existing if record.get("total_carbon_g") is not None),
+            key=itemgetter("total_carbon_g"),
+            default=None,
+        )
+        if on_block is not None:
             for record in existing:
-                total_g = record.get("total_carbon_g")
-                if total_g is not None and (
-                    best is None or total_g < best["total_carbon_g"]
-                ):
-                    best = record
+                on_block(RecordBlock(record, (), [()]))
         # The best row so far: its total and, for a new row, its block and
         # index (the dict is built once, at the end).
         best_total = best["total_carbon_g"] if best is not None else None

@@ -16,11 +16,14 @@ columns of such rows straight from the dicts.
 
 Every JSONL reader decodes a line with one strict decoder: the JSON C
 scanner called directly, which must consume the whole (stripped) line;
-on any failure ``json.loads`` runs to raise its exact error.  The resume
+on any failure ``json.loads`` runs to raise its exact error.  The id-only
 scan (:func:`completed_scenario_ids`) validates every line with the same
 scanner but builds no float and keeps no record: only the ``scenario`` id
 is read, and a line whose id is not a plain int or ``null`` is decoded in
-full to convert it exactly as a record's id is.
+full to convert it exactly as a record's id is.  Resume itself reads the
+full records once (:meth:`repro.sweep.engine.SweepEngine.run` with
+``resume=``), since the stored rows are checked against the run's columns
+and fold into the resumed run's summary.
 
 Three properties make the stores safe for a multi-job server
 (:mod:`repro.serve`) where several sweeps stream to sibling files at once,
@@ -322,8 +325,9 @@ class CsvResultStore(ResultStore):
     Numeric lists (e.g. node configurations) are flattened to
     ``;``-separated strings — with a trailing ``;`` marking one-element
     lists — so the file stays one row per scenario and round-trips through
-    :func:`load_records`.  The header — on-disk when appending, otherwise
-    the first record's keys — wins for the life of the store: records are
+    :func:`load_records`.  The header — the one on disk at the first
+    write, otherwise the first record's keys — wins for the life of the
+    store: records are
     written in that column order, and record keys the header does not know
     are dropped — columns can never misalign, and a store written by an
     older version (fewer columns) stays resumable by a newer one, keeping
@@ -332,17 +336,7 @@ class CsvResultStore(ResultStore):
     JSONL is the canonical format for resilient sweeps.)
     """
 
-    def __init__(self, path: PathLike, append: bool = False, exclusive: bool = True):
-        fieldnames: Optional[List[str]] = None
-        self._from_disk_header = False
-        if append:
-            target = Path(path)
-            if target.is_file() and target.stat().st_size > 0:
-                with open(target, "r", encoding="utf-8", newline="") as handle:
-                    fieldnames = next(csv.reader(handle), None)
-                self._from_disk_header = fieldnames is not None
-        super().__init__(path, append=append, exclusive=exclusive)
-        self._fieldnames: Optional[List[str]] = fieldnames or None
+    _fieldnames: Optional[List[str]] = None
 
     @staticmethod
     def _flatten(value: Any) -> Any:
@@ -353,6 +347,11 @@ class CsvResultStore(ResultStore):
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
         flat = {key: self._flatten(value) for key, value in record.items()}
+        if self._fieldnames is None and self.path.stat().st_size:
+            # Read at the first write, not at open: a resume opens the store
+            # before the engine repairs its tail, which may empty the file.
+            with open(self.path, "r", encoding="utf-8", newline="") as handle:
+                self._fieldnames = next(csv.reader(handle), None)
         write_header = self._fieldnames is None
         if write_header:
             self._fieldnames = list(flat)
@@ -710,10 +709,10 @@ def _repair_csv_tail(path: Path, size: int) -> bool:
     A final row with fewer fields than the header is truncated away; a
     complete final row missing its ``\\r\\n`` terminator gets one appended
     (normalising a dangling ``\\r`` torn between the two bytes).  A lone
-    header line is assumed complete — only its terminator is repaired.
+    header line is truncated away, leaving an empty file: a store writes
+    its header and first rows in one append, so a header without rows is
+    a torn first write — possibly torn mid-header — with no row to save.
     """
-    with open(path, "rb") as handle:
-        header_bytes = handle.readline()
     offset, data = _read_tail(path, size)
     stripped = data.rstrip(b"\r\n\t ")
     if not stripped:
@@ -721,21 +720,25 @@ def _repair_csv_tail(path: Path, size: int) -> bool:
     newline_index = stripped.rfind(b"\n")
     if newline_index < 0 and offset > 0:
         return False  # last line longer than the tail window: don't guess
+    if offset == 0 and newline_index < 0:  # a lone header: torn first write
+        with open(path, "rb+") as handle:
+            handle.truncate(0)
+        return True
+    with open(path, "rb") as handle:
+        header_bytes = handle.readline()
     last_line = stripped[newline_index + 1 :]
-    is_header_line = offset == 0 and newline_index < 0
-    if not is_header_line:
-        try:
-            header = next(csv.reader([header_bytes.decode("utf-8")]))
-            fields = next(csv.reader([last_line.decode("utf-8")]))
-        except (UnicodeDecodeError, StopIteration, csv.Error):
-            # csv.Error covers NUL bytes in the torn row (Python <= 3.10
-            # rejects them; it is not a ValueError subclass).
-            fields = header = None
-        if fields is None or len(fields) != len(header):
-            keep = offset + (0 if newline_index < 0 else newline_index + 1)
-            with open(path, "rb+") as handle:
-                handle.truncate(keep)
-            return True
+    try:
+        header = next(csv.reader([header_bytes.decode("utf-8")]))
+        fields = next(csv.reader([last_line.decode("utf-8")]))
+    except (UnicodeDecodeError, StopIteration, csv.Error):
+        # csv.Error covers NUL bytes in the torn row (Python <= 3.10
+        # rejects them; it is not a ValueError subclass).
+        fields = header = None
+    if fields is None or len(fields) != len(header):
+        keep = offset + (0 if newline_index < 0 else newline_index + 1)
+        with open(path, "rb+") as handle:
+            handle.truncate(keep)
+        return True
     if data.endswith(b"\n"):
         return False
     # Complete row, torn terminator: drop any dangling '\r' and re-terminate.
@@ -768,9 +771,10 @@ class SweepRow:
     def label(self) -> str:
         """Readable identifier reconstructed from the record.
 
-        Axis overrides (the ``overrides`` record column, canonical JSON
-        written by every record path) are appended verbatim so rows of a
-        multi-knob sweep stay distinguishable in Pareto/top-N listings.
+        Packaging parameters and axis overrides (the ``packaging_params``
+        and ``overrides`` record columns, canonical JSON written by every
+        record path) are appended verbatim so rows of a multi-knob sweep
+        stay distinguishable in Pareto/top-N listings.
         """
         nodes = self.record.get("nodes")
         if isinstance(nodes, (list, tuple)):
@@ -778,9 +782,10 @@ class SweepRow:
         else:
             node_text = str(self.record.get("base", "?"))
         label = f"{node_text}/{self.record.get('packaging', '?')}"
-        overrides = self.record.get("overrides")
-        if overrides:
-            label = f"{label}/{overrides}"
+        for column in ("packaging_params", "overrides"):
+            text = self.record.get(column)
+            if text:
+                label = f"{label}/{text}"
         return label
 
     def objective(self, name: str) -> float:

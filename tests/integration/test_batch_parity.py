@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from repro.api import Session
 from repro.cli import main
 from repro.core.estimator import EstimatorConfig
 from repro.fastpath import BatchEstimator
@@ -607,9 +608,34 @@ class TestCsvResume:
         assert completed_scenario_ids(empty) == set()
         header_only = tmp_path / "header.csv"
         header_only.write_bytes(b"scenario,total_carbon_g")  # unterminated header
+        # A store writes its header with its first rows: a lone header is a
+        # torn first write, possibly torn mid-header, with no row to save.
         assert repair_torn_tail(header_only) is True
-        assert header_only.read_bytes() == b"scenario,total_carbon_g\r\n"
+        assert header_only.read_bytes() == b""
         assert completed_scenario_ids(header_only) == set()
+
+    @staticmethod
+    def _torn_header_store(tmp_path):
+        path = tmp_path / "torn-header.csv"
+        path.write_bytes(b"scenario,base,nod")  # the first write, torn
+        return path
+
+    def test_cli_resume_of_a_torn_header_equals_a_fresh_run(self, tmp_path, capsys):
+        sweep = ["sweep", "--preset", "ga102-quick", "--quiet"]
+        fresh = tmp_path / "fresh.csv"
+        assert main(sweep + ["--out", str(fresh)]) == 0
+        path = self._torn_header_store(tmp_path)
+        assert main(sweep + ["--resume", str(path)]) == 0
+        assert "repaired torn tail" in capsys.readouterr().out
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_session_resume_of_a_torn_header_equals_a_fresh_run(self, tmp_path):
+        fresh = Session().sweep(preset="ga102-quick", out=tmp_path / "fresh.csv")
+        path = self._torn_header_store(tmp_path)
+        resumed = Session().sweep(preset="ga102-quick", out=path, resume=True)
+        assert resumed.summary.skipped_count == 0
+        assert resumed.records == fresh.records
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestCostRoundTrip:

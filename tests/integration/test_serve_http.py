@@ -19,7 +19,8 @@ import pytest
 
 from repro.api import Session
 from repro.resilience import ChaosPlan, Fault
-from repro.serve.app import create_server
+from repro.serve.app import ServeServer, create_server
+from repro.serve.jobs import JobManager
 from repro.serve.quota import QuotaTracker
 from repro.sweep.engine import reference_records
 from repro.sweep.spec import SweepSpec
@@ -267,6 +268,28 @@ class TestServeErrors:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid-spec"
+
+    def test_unknown_pareto_objective_of_a_queued_job_is_400(self, tmp_path):
+        # No store exists yet: the objective names are still checked, by
+        # the rule of eco-chip sweep --pareto, not answered with an empty
+        # front.
+        srv = ServeServer(("127.0.0.1", 0), JobManager(tmp_path))  # no workers
+        base = "http://{}:{}".format(*srv.server_address[:2])
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)
+            assert job["state"] == "queued"
+            pareto = f"{base}/v1/sweeps/{job['id']}/pareto"
+            status, payload, _ = request("GET", f"{pareto}?objectives=coolness")
+            assert status == 400
+            assert payload["error"]["code"] == "invalid-spec"
+            assert "coolness" in payload["error"]["message"]
+            status, payload, _ = request("GET", pareto)
+            assert (status, payload["front"]) == (200, [])
+        finally:
+            srv.close(drain=False, timeout=10)
+            thread.join(10)
 
     def test_cancel_terminal_job_is_409(self, server):
         _, base = server

@@ -25,6 +25,7 @@ drawn grids reproducible run to run.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import tempfile
@@ -33,10 +34,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.search.space import GridSpace
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore, load_records
+from repro.sweep.store import JsonlResultStore, completed_scenario_ids, load_records
 
 #: chiplet counts of the base systems the strategy draws from.
 _TESTCASES = {"emr-2chiplet": 2, "ga102-3chiplet": 3}
@@ -169,6 +171,57 @@ class TestResumeIdempotence:
             assert summary.scenario_count == 0
             assert summary.skipped_count == len(scenarios)
             assert load_records(path) == before
+
+
+def _torn_cut(data: bytes, fmt: str, fraction: float) -> bytes:
+    """``data`` cut at ``fraction`` of its bytes, as a crash leaves it.
+
+    A JSONL line cut anywhere is detectably torn.  A CSV row cut inside
+    its last field still has the header's field count and reads as a
+    whole row with a shortened value, so a CSV cut there is moved back
+    until the fragment lacks a field.
+    """
+    offset = int(len(data) * fraction)
+    if fmt == "csv":
+        header = next(csv.reader([data.split(b"\r\n", 1)[0].decode()]))
+        start = data.rfind(b"\n", 0, offset) + 1
+        while offset > start and len(
+            next(csv.reader([data[start:offset].decode()]))
+        ) >= len(header):
+            offset -= 1
+    return data[:offset]
+
+
+class TestSessionResume:
+    @given(
+        spec=sweep_specs(),
+        fmt=st.sampled_from(["jsonl", "csv"]),
+        cut_fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=10)
+    def test_a_resumed_session_sweep_returns_the_uninterrupted_records(
+        self, spec, fmt, cut_fraction
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            full_path = Path(tmp) / f"full.{fmt}"
+            full = Session().sweep(spec, out=full_path)
+            path = Path(tmp) / f"cut.{fmt}"
+            path.write_bytes(_torn_cut(full_path.read_bytes(), fmt, cut_fraction))
+            stored = len(completed_scenario_ids(path))
+            seen = []
+            resumed = Session().sweep(
+                spec,
+                out=path,
+                resume=True,
+                on_block=lambda block: seen.extend(block.records()),
+            )
+            assert resumed.summary.skipped_count == stored
+            assert resumed.summary.scenario_count == len(full.records) - stored
+            assert resumed.records == full.records
+            # Every stored row once, first and in store order, then the new rows.
+            assert seen == list(full.records)
+            assert path.read_bytes() == full_path.read_bytes()
+            assert resumed.best == full.best
 
 
 @st.composite

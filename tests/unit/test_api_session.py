@@ -163,6 +163,23 @@ class TestSweep:
         assert again.summary.skipped_count == 4
         assert list(again.records) == list(first.records)
 
+    def test_on_block_sees_stored_rows_first_then_new_ones(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        session = Session()
+        session.sweep(SMALL_SPEC, out=out)
+        grown = dict(SMALL_SPEC, nodes=[7, 10, 14])
+        seen = []
+        resumed = session.sweep(
+            grown, out=out, resume=True, collect_records=False,
+            on_block=lambda block: seen.append([r["scenario"] for r in block.records()]),
+        )
+        assert resumed.records == ()
+        stored = [r["scenario"] for r in load_records(out)][:4]
+        assert seen[:4] == [[scenario] for scenario in stored]  # one-row blocks
+        new = [scenario for block in seen[4:] for scenario in block]
+        assert sorted(stored + new) == list(range(resumed.spec.count()))
+        assert resumed.summary.scenario_count == len(new)
+
     @pytest.mark.parametrize("stored_cost", [False, True])
     def test_resume_with_the_other_cost_setting_fails_before_any_row(
         self, tmp_path, stored_cost
@@ -339,6 +356,17 @@ class TestExplore:
         assert result.best.objective("total_carbon_g") == min(
             p.objective("total_carbon_g") for p in result.points
         )
+
+
+    def test_packaging_params_candidates_get_their_own_labels(self):
+        result = Session().explore(
+            "emr-2chiplet", [7, 14],
+            packaging=[{"type": "silicon_bridge", "params": {"bridge_range_mm": [2, 4]}}],
+        )
+        labels = [point.label for point in result.points]
+        assert len(labels) == 8  # 2^2 node configs x 2 bridge ranges
+        assert len(set(labels)) == 8
+        assert '(7,7)/silicon_bridge/{"bridge_range_mm": 4}' in labels
 
 
 class _TiedPoint:

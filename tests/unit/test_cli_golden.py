@@ -43,6 +43,9 @@ from repro.cli import COMPILE_CACHE_ENV, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cli.json"
 
+#: The first 6 rows of a ``ga102-quick`` store: a sweep cut short.
+CUT_STORE = GOLDEN.with_name("ga102-quick-6.jsonl")
+
 #: A device every write to fails with ENOSPC (store write failures).
 DEV_FULL = "/dev/full"
 
@@ -64,9 +67,29 @@ SPEC_FILES = {
     "search-named-space.json": {"space": "ga102-quick", "objectives": _SEARCH_OBJECTIVES},
 }
 
+#: A design directory with a node list (name -> JSON content or text).
+DESIGN_FILES = {
+    "architecture.json": {
+        "name": "toy-soc",
+        "packaging": {"type": "rdl_fanout", "layers": 5, "technology_nm": 65},
+        "chiplets": [
+            {"name": "digital", "type": "logic", "node": 7, "area_mm2": 120.0},
+            {"name": "memory", "type": "memory", "node": 10, "area_mm2": 60.0},
+            {"name": "analog", "type": "analog", "node": 14, "transistors": 5.0e8,
+             "reused": True},
+        ],
+    },
+    "operationalC.json": {"lifetime_years": 3, "duty_cycle": 0.1, "average_power_w": 15.0},
+    "designC.json": {"system_volume": 50_000, "design_iterations": 50},
+    "node_list.txt": "7\n10\n14\n",
+}
+
 SWEEP = ["sweep", "--preset", "ga102-quick"]
 SEARCH = ["search", "--space-preset", "ga102-quick", "--budget", "4"]
+SEARCH_GRID = ["search", "--space-preset", "ga102-grid", "--quiet"]
 ESTIMATE = ["--testcase", "ga102-3chiplet"]
+SWEEP_NODES = ["--design-dir", "design", "--sweep-nodes"]
+TOP_PARETO = ["--top", "5", "--pareto", "total_carbon_g,cost_usd"]
 
 #: Case name -> invocations (argv lists) run in one working directory.
 CASES: Dict[str, List[List[str]]] = {
@@ -79,6 +102,12 @@ CASES: Dict[str, List[List[str]]] = {
     "estimate/unknown-fab-source": [ESTIMATE + ["--fab-source", "nope"]],
     "estimate/nan-wafer-diameter": [ESTIMATE + ["--wafer-diameter-mm", "nan"]],
     "estimate/zero-wafer-diameter": [ESTIMATE + ["--wafer-diameter-mm", "0"]],
+    "estimate/sweep-nodes": [
+        SWEEP_NODES,
+        SWEEP_NODES + ["--fab-source", "solar"],
+        SWEEP_NODES + ["--no-design-cfp", "--no-wafer-waste"],
+        SWEEP_NODES + ["--wafer-diameter-mm", "200"],
+    ],
     # -- sweep --------------------------------------------------------------------
     "sweep/list-presets": [["sweep", "--list-presets"]],
     "sweep/top-pareto": [SWEEP + ["--top", "3", "--pareto", "total_carbon_g,cost_usd"]],
@@ -123,6 +152,10 @@ CASES: Dict[str, List[List[str]]] = {
             "--pareto", "total_carbon_g,cost_usd", "--quiet",
         ],
     ],
+    "sweep/resume-top-pareto": [
+        SWEEP + TOP_PARETO,
+        SWEEP + ["--resume", "cut.jsonl"] + TOP_PARETO,
+    ],
     # -- search -------------------------------------------------------------------
     "search/seeded": [["search", "--space-preset", "ga102-quick", "--budget", "6", "--seed", "7"]],
     "search/pareto-refine": [
@@ -148,6 +181,10 @@ CASES: Dict[str, List[List[str]]] = {
     "search/out-locked": [SEARCH + ["--out", "locked.jsonl"]],
     "search/out-device-full": [SEARCH + ["--out", "full.jsonl", "--quiet"]],
     "search/compile-cache-file": [SEARCH + ["--compile-cache", "afile", "--quiet"]],
+    "search/resume-cost-mismatch": [
+        SEARCH_GRID + ["--budget", "8", "--no-cost", "--out", "s.jsonl"],
+        SEARCH_GRID + ["--budget", "16", "--resume", "s.jsonl"],
+    ],
     # -- serve (flag checks only; no server starts) ---------------------------------
     "serve/workers-zero": [["serve", "--workers", "0"]],
     "serve/queue-size-zero": [["serve", "--queue-size", "0"]],
@@ -176,6 +213,11 @@ def populate(directory: Path) -> None:
     (directory / "locked.jsonl.lock").write_text("1\n", encoding="utf-8")
     if os.path.exists(DEV_FULL):
         (directory / "full.jsonl").symlink_to(DEV_FULL)
+    (directory / "cut.jsonl").write_bytes(CUT_STORE.read_bytes())
+    (directory / "design").mkdir()
+    for name, content in DESIGN_FILES.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (directory / "design" / name).write_text(text, encoding="utf-8")
 
 
 def invoke(argv: List[str]) -> dict:
@@ -223,6 +265,19 @@ def test_cli_transcript_matches_the_golden_file(name):
     if needs_dev_full(name) and not os.path.exists(DEV_FULL):
         pytest.skip(f"{DEV_FULL} is not available")
     assert run_case(name) == load_golden()[name]
+
+
+def test_a_resumed_sweep_prints_the_uninterrupted_tables():
+    # The resumed run prints a "resuming" line and its own scenario count;
+    # the best record, the top-N table and the Pareto front cover the
+    # stored rows too, so they read as the uninterrupted run's.
+    fresh, resumed = load_golden()["sweep/resume-top-pareto"]
+    assert resumed["stdout"].startswith("resuming cut.jsonl: 6 scenarios already evaluated\n")
+
+    def tables(stdout: str) -> str:
+        return stdout[stdout.index("best Ctot") :].replace("results written to cut.jsonl\n", "")
+
+    assert tables(resumed["stdout"]) == tables(fresh["stdout"])
 
 
 def main_script(argv=None) -> int:

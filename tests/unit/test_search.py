@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -417,6 +418,22 @@ class TestResume:
         assert again.new_evaluations == 0
         assert again.evaluations == first.evaluations
         assert again.best == first.best
+        assert out.read_bytes() == before
+
+
+    @pytest.mark.parametrize("stored_cost", [False, True])
+    def test_resume_with_the_other_cost_setting_fails_before_the_store_opens(
+        self, tmp_path, stored_cost
+    ):
+        spec = small_spec(budget=10)
+        out = tmp_path / "s.jsonl"
+        run_search(spec, SweepEngine(include_cost=stored_cost), out=out)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match=f"cannot resume {re.escape(str(out))}: .*cost_usd"):
+            run_search(
+                small_spec(budget=16), SweepEngine(include_cost=not stored_cost),
+                out=out, resume=True,
+            )
         assert out.read_bytes() == before
 
 
