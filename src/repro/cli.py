@@ -788,7 +788,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="Worker processes per sweep; 1 keeps evaluation in-process "
-             "and shares the compile cache (default: 1)",
+             "and shares compiled templates across jobs; above 1 every "
+             "worker process mounts --compile-cache (default: 1)",
     )
     parser.add_argument(
         "--compile-cache",

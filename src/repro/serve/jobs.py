@@ -140,8 +140,9 @@ class JobManager:
         compile_cache_dir: Directory for the persistent on-disk compile
             cache (``--compile-cache`` /``ECO_CHIP_COMPILE_CACHE``).
             Mounted under the shared estimator so warm templates survive
-            server restarts; ignored when ``jobs > 1`` (worker processes
-            share no in-process templates).
+            server restarts; when ``jobs > 1`` every sweep's worker
+            processes mount it instead (they share no in-process
+            templates).
         resilience: :class:`~repro.resilience.ResiliencePolicy` jobs run
             under.  Defaults to containment (``on_error="record"``, no
             retries): a scenario that raises becomes one error record and
@@ -191,6 +192,7 @@ class JobManager:
         else:
             self.resilience = resilience
         self.chaos = chaos
+        self.compile_cache_dir = compile_cache_dir
         if breaker is False:
             self.breaker: Optional[CircuitBreaker] = None
         elif breaker is None or breaker is True:
@@ -519,6 +521,8 @@ class JobManager:
             jobs=self.jobs,
             include_cost=self.include_cost,
             batch_estimator=self.estimator,
+            # Without a shared estimator the workers mount the disk cache.
+            compile_cache=self.compile_cache_dir if self.estimator is None else None,
             resilience=self.resilience,
             chaos=self.chaos,
         )

@@ -7,10 +7,13 @@ groups directly, without one :class:`Scenario` per row, and an explicit
 scenario list is grouped by template first.  Each template compiles once,
 and every group evaluates as flat arithmetic.
 
-* ``jobs=1`` evaluates in-process (deterministic, no pickling);
-* ``jobs>1`` shards whole template groups over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, so each template
-  compiles in exactly one worker.  Records are re-emitted in input order,
+* ``jobs=1`` runs the one evaluation loop (:func:`_evaluate_groups`)
+  lazily in-process (deterministic, no pickling);
+* ``jobs>1`` runs it in the workers of the one pool driver
+  (:meth:`SweepEngine._run_chunks`) over chunks of whole template groups,
+  so each template compiles in exactly one worker, and streams each
+  chunk's rows as soon as it and every earlier chunk are done, with or
+  without a resilience policy.  Records are re-emitted in input order,
   so the record stream — and therefore every total — is bit-identical to
   the in-process path.
 
@@ -42,6 +45,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import (
@@ -241,10 +245,9 @@ def reference_records(
     return records
 
 
-#: Worker-process batch estimator, one per worker.
+#: Worker-process batch estimator, resilience policy and chaos plan, one
+#: each per worker (the policy and plan are ``None`` without resilience).
 _EVALUATOR: Optional[Any] = None
-
-#: Worker-process resilience policy / chaos plan (supervised pools only).
 _POLICY: Optional[ResiliencePolicy] = None
 _CHAOS: Optional[Any] = None
 
@@ -275,55 +278,59 @@ def _init_worker(
     _CHAOS = chaos
 
 
-#: ``(positions, block)``: a block and the input positions of its rows.
-PlacedBlock = Tuple[Sequence[int], RecordBlock]
+#: ``(positions, block, retries)``: a block, the input positions of its
+#: rows and the retry attempts its evaluation took.
+PlacedBlock = Tuple[Sequence[int], RecordBlock, int]
 
 
-def _one_row(position: int, record: Record) -> PlacedBlock:
+def _one_row(position: int, record: Record, retries: int = 0) -> PlacedBlock:
     # Every value shared: each read copies the record's lists, as a read of
     # a kernel block copies ``nodes``.
-    return [position], RecordBlock(record, (), [()])
+    return [position], RecordBlock(record, (), [()]), retries
 
 
 #: ``(positions, group)``: a template group and the input positions of its rows.
 PlacedGroup = Tuple[Sequence[int], TemplateGroup]
 
 
+def _evaluate_groups(
+    groups: Iterable[PlacedGroup],
+    estimator: Any,
+    policy: Optional[ResiliencePolicy],
+    chaos: Optional[Any] = None,
+    in_worker: bool = False,
+) -> Iterator[PlacedBlock]:
+    """Evaluate placed template groups lazily, in order: the one loop.
+
+    Without a policy each group evaluates at once into one block.  Under a
+    containment policy each scenario evaluates individually through
+    :meth:`BatchEstimator.evaluate_scenario` (same compiled-template cache,
+    bit-identical records) into a one-row block that carries its retries,
+    so one raising scenario costs its group nothing; an error record is a
+    one-row block too.  ``in_worker`` lets chaos ``die`` faults end the
+    worker process instead of raising.
+    """
+    for positions, group in groups:
+        if policy is None:
+            yield positions, estimator.evaluate_block(estimator.compile_for(group), group), 0
+            continue
+        for position, scenario in zip(positions, group.scenarios()):
+            record, retries = evaluate_contained(
+                estimator.evaluate_scenario, scenario, policy, chaos=chaos, in_worker=in_worker
+            )
+            yield _one_row(position, record, retries)
+
+
 def _evaluate_chunk(groups: Sequence[PlacedGroup]) -> List[PlacedBlock]:
-    """Evaluate template groups, returning one placed block per group.
+    """The pool's chunk worker: :func:`_evaluate_groups` over the worker's
+    estimator, policy and chaos plan.
 
     Each worker keeps its :class:`repro.fastpath.BatchEstimator` (and its
     compiled-template caches) alive across chunks, so templates shared by
     chunks mapped to the same worker compile once.
     """
     assert _EVALUATOR is not None, "worker initializer did not run"
-    results: List[PlacedBlock] = []
-    for positions, group in groups:
-        template = _EVALUATOR.compile_for(group)
-        results.append((positions, _EVALUATOR.evaluate_block(template, group)))
-    return results
-
-
-def _evaluate_chunk_contained(groups: Sequence[PlacedGroup]) -> Tuple[List[PlacedBlock], int]:
-    """Contained chunk: per-scenario evaluation through the compiled
-    template cache, so one raising scenario costs its group nothing.
-    Every record (an error record included) is a one-row block."""
-    assert _EVALUATOR is not None, "worker initializer did not run"
-    assert _POLICY is not None, "supervised pool without a resilience policy"
-    results: List[PlacedBlock] = []
-    retries = 0
-    for positions, group in groups:
-        for position, scenario in zip(positions, group.scenarios()):
-            record, attempts_over = evaluate_contained(
-                _EVALUATOR.evaluate_scenario,
-                scenario,
-                _POLICY,
-                chaos=_CHAOS,
-                in_worker=True,
-            )
-            retries += attempts_over
-            results.append(_one_row(position, record))
-    return results, retries
+    return list(_evaluate_groups(groups, _EVALUATOR, _POLICY, _CHAOS, in_worker=True))
 
 
 class _InOrder:
@@ -550,10 +557,11 @@ class SweepEngine:
             When given, a raising scenario is retried per the policy and
             then (``on_error="record"``) captured as a structured error
             record instead of aborting the sweep, and parallel runs are
-            supervised: hung/dead worker pools are detected, their
-            in-flight chunks requeued and the pool respawned (bounded by
-            the policy's respawn budget).  ``None`` keeps the fail-fast
-            behaviour and evaluates whole template groups at once.
+            supervised by the one pool driver: hung/dead worker pools
+            are detected, their in-flight chunks requeued and the pool
+            respawned (bounded by the policy's respawn budget), and rows
+            still reach the store as chunks finish.  ``None`` keeps the
+            fail-fast behaviour and evaluates whole groups at once.
         chaos: Optional :class:`repro.resilience.ChaosPlan` injecting
             deterministic faults before scenario evaluations (test
             harness).  Parallel runs require the plan to carry a
@@ -617,96 +625,77 @@ class SweepEngine:
         #: Per-scenario retry attempts observed by the last iter_records.
         self.last_retry_count: int = 0
 
-    def _pool(
-        self, max_workers: int, initializer: Callable[..., None], initargs: Tuple
-    ) -> ProcessPoolExecutor:
-        """Worker pool with the engine's start method and plugin shipping."""
+    # -- the pool driver ---------------------------------------------------------------
+    def _run_chunks(self, chunks: List[List[PlacedGroup]]) -> Iterator[List[PlacedBlock]]:
+        """Evaluate chunks in a worker pool; yield their payloads in chunk order.
+
+        Every chunk is submitted as its own future.  A chunk's payload is
+        yielded as soon as that chunk and every earlier one are done, and
+        its future is dropped then, so a streamed run holds only the chunks
+        in flight.  Without a resilience policy that is all: a worker's
+        exception, or the :class:`BrokenProcessPool` of a dead pool,
+        propagates as ``pool.map`` would raise it.
+
+        With one, this is the watchdog of resilient runs: each chunk is
+        awaited under a soft deadline of ``scenario_timeout_s x chunk
+        scenarios + grace``.  A deadline miss (hung worker) or a
+        :class:`BrokenProcessPool` (dead worker) kills the whole pool, keeps
+        the chunks that *did* complete, and respawns a fresh pool for the
+        rest — at most ``max_pool_respawns`` times, after which the
+        still-unevaluated chunks become ``worker-lost`` error records (or
+        the loss is raised, per ``on_error``), so a crash-looping plugin
+        degrades the sweep instead of wedging it.
+        """
+        policy = self.resilience
         context = (
             multiprocessing.get_context(self.mp_context)
             if self.mp_context is not None
             else None
         )
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
+        initargs = (
+            self.config, self.include_cost, plugin_modules(), self.table,
+            policy, self.chaos, self.compile_cache,
         )
-
-    # -- worker supervision -----------------------------------------------------------
-    def _run_chunks_supervised(
-        self,
-        chunks: List[Any],
-        worker_fn: Callable[[Any], Tuple[Any, int]],
-        initializer: Callable[..., None],
-        initargs: Tuple,
-        chunk_weight: Callable[[Any], int],
-        lost_payload: Callable[[Any, BaseException], Any],
-    ) -> List[Any]:
-        """Run chunks through a supervised pool; return payloads in order.
-
-        The watchdog of resilient parallel runs: every chunk is submitted
-        as its own future and collected in chunk order under a soft
-        deadline of ``scenario_timeout_s x chunk scenarios + grace``.  A
-        deadline miss (hung worker) or a :class:`BrokenProcessPool` (dead
-        worker) kills the whole pool, harvests the chunks that *did*
-        complete, and respawns a fresh pool for the rest — at most
-        ``max_pool_respawns`` times, after which the still-unevaluated
-        chunks become ``worker-lost`` error records (or the loss is
-        raised, per ``on_error``), so a crash-looping plugin degrades the
-        sweep instead of wedging it.
-
-        Chunk workers return ``(payload, retries)``; payloads land in the
-        returned list at their chunk index, retries accumulate on
-        :attr:`last_retry_count`.
-        """
-        policy = self.resilience
-        assert policy is not None
-        results: List[Any] = [None] * len(chunks)
-        outstanding = set(range(len(chunks)))
-        respawns_left = policy.max_pool_respawns
-        while outstanding:
-            order = sorted(outstanding)
-            pool = self._pool(
-                max_workers=min(self.jobs, len(order)),
-                initializer=initializer,
+        respawns_left = policy.max_pool_respawns if policy is not None else 0
+        # Futures of the chunks not yet yielded; after a pool loss, only
+        # those that completed are kept.
+        futures: Dict[int, Any] = {}
+        next_index = 0
+        while next_index < len(chunks):
+            pending = [i for i in range(next_index, len(chunks)) if i not in futures]
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(pending)),
+                mp_context=context,
+                initializer=_init_worker,
                 initargs=initargs,
             )
-            futures: Dict[int, Any] = {}
-            pool_lost = False
+            lost = False
             try:
-                try:
-                    for index in order:
-                        futures[index] = pool.submit(worker_fn, chunks[index])
-                    for index in order:
-                        timeout = None
-                        if policy.scenario_timeout_s is not None:
-                            timeout = (
-                                policy.scenario_timeout_s
-                                * max(1, chunk_weight(chunks[index]))
-                                + policy.timeout_grace_s
-                            )
-                        payload, retries = futures[index].result(timeout=timeout)
-                        results[index] = payload
-                        self.last_retry_count += retries
-                        outstanding.discard(index)
-                except (_FuturesTimeout, BrokenProcessPool, EOFError):
-                    # Hung or dead worker(s): harvest every chunk that did
-                    # complete, requeue the rest on a fresh pool.
-                    pool_lost = True
-                    for index in sorted(outstanding):
-                        future = futures.get(index)
-                        if future is None or not future.done():
-                            continue
-                        try:
-                            payload, retries = future.result(timeout=0)
-                        except Exception:  # noqa: BLE001 - broken future
-                            continue
-                        results[index] = payload
-                        self.last_retry_count += retries
-                        outstanding.discard(index)
+                for index in pending:
+                    futures[index] = pool.submit(_evaluate_chunk, chunks[index])
+                while next_index < len(chunks):
+                    timeout = None
+                    if policy is not None and policy.scenario_timeout_s is not None:
+                        rows = sum(len(positions) for positions, _ in chunks[next_index])
+                        timeout = policy.scenario_timeout_s * max(1, rows) + policy.timeout_grace_s
+                    try:
+                        payload = futures.pop(next_index).result(timeout=timeout)
+                    except (_FuturesTimeout, BrokenProcessPool, EOFError):
+                        if policy is None:
+                            raise
+                        # Hung or dead worker(s): keep every chunk that did
+                        # complete, requeue the rest on a fresh pool.
+                        lost = True
+                        futures = {
+                            index: future
+                            for index, future in futures.items()
+                            if future.done() and future.exception() is None
+                        }
+                        break
+                    next_index += 1
+                    yield payload
             finally:
-                if pool_lost:
+                if lost:
                     # Hung workers never return; terminate them so shutdown
                     # cannot block behind a stuck evaluation.
                     for process in list(getattr(pool, "_processes", {}).values()):
@@ -714,23 +703,28 @@ class SweepEngine:
                             process.terminate()
                         except Exception:  # noqa: BLE001 - already dead
                             pass
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    pool.shutdown(wait=True, cancel_futures=True)
-            if outstanding and pool_lost:
-                if respawns_left <= 0:
-                    lost = WorkerLostError(
-                        "worker pool lost and respawn budget exhausted; "
-                        "remaining scenarios were not evaluated"
-                    )
-                    if policy.on_error != "record":
-                        raise lost
-                    for index in sorted(outstanding):
-                        results[index] = lost_payload(chunks[index], lost)
-                    outstanding.clear()
-                else:
+                # A failed or abandoned run (a worker's exception, a
+                # closed generator) drops the queued chunks and lets the
+                # live workers finish the ones they hold.
+                pool.shutdown(wait=not lost, cancel_futures=True)
+            if lost:
+                if respawns_left > 0:
                     respawns_left -= 1
-        return results
+                    continue
+                error = WorkerLostError(
+                    "worker pool lost and respawn budget exhausted; "
+                    "remaining scenarios were not evaluated"
+                )
+                if policy.on_error != "record":
+                    raise error
+                for index in range(next_index, len(chunks)):
+                    future = futures.pop(index, None)
+                    yield future.result() if future is not None else [
+                        _one_row(position, error_record(scenario, error))
+                        for positions, group in chunks[index]
+                        for position, scenario in zip(positions, group.scenarios())
+                    ]
+                return
 
     # -- streaming ------------------------------------------------------------------
     def _containment_policy(self) -> Optional[ResiliencePolicy]:
@@ -745,23 +739,6 @@ class SweepEngine:
         if self.chaos is not None:
             return ResiliencePolicy(on_error="raise")
         return None
-
-    def _iter_contained(
-        self,
-        estimator: Any,
-        positions: Sequence[int],
-        group: TemplateGroup,
-        policy: ResiliencePolicy,
-    ) -> Iterator[PlacedBlock]:
-        """Evaluate one group scenario by scenario under ``policy``, lazily,
-        so each record streams out as a one-row block (and a serve shutdown
-        can interrupt at its boundary) as soon as it is evaluated."""
-        for position, scenario in zip(positions, group.scenarios()):
-            record, retries = evaluate_contained(
-                estimator.evaluate_scenario, scenario, policy, chaos=self.chaos
-            )
-            self.last_retry_count += retries
-            yield _one_row(position, record)
 
     def iter_records(self, sweep: Union[SweepSpec, Iterable[Scenario]]) -> Iterator[Record]:
         """Yield one flattened record per scenario, in scenario order.
@@ -787,18 +764,14 @@ class SweepEngine:
         scenarios.  Scenarios whose ids are in ``skip`` are left out.
 
         Under a containment policy each scenario evaluates individually
-        through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
-        template cache, bit-identical records) into a one-row block, so one
-        raising scenario costs its group nothing.  Records — structured
-        error records included — are bit-identical for every ``jobs``
-        value.
+        into a one-row block (:func:`_evaluate_groups`), so one raising
+        scenario costs its group nothing.  Records — structured error
+        records included — are bit-identical for every ``jobs`` value.
         """
         from repro.fastpath import BatchEstimator
 
         self.last_retry_count = 0
-        policy = self._containment_policy()
         groups = _placed_groups(sweep, skip, self.table)
-        in_order = _InOrder()
         if self.jobs == 1:
             # A shared estimator (repro.serve) keeps its compiled templates
             # across runs; otherwise each run builds a fresh one.
@@ -810,52 +783,17 @@ class SweepEngine:
                     include_cost=self.include_cost,
                     persistent_cache=self.compile_cache,
                 )
-            for positions, group in groups:
-                if policy is None:
-                    block = estimator.evaluate_block(estimator.compile_for(group), group)
-                    yield from in_order.add(positions, block)
-                else:
-                    for placed in self._iter_contained(estimator, positions, group, policy):
-                        yield from in_order.add(*placed)
-            return
-        payload = list(groups)
-        if not payload:
-            return
-        # Shard whole groups (not scenarios) so each template compiles in
-        # exactly one worker; chunks keep the group order.
-        chunks = shard(payload, max(1, -(-len(payload) // (self.jobs * 4))))
-        if self.resilience is not None:
-            for chunk_results in self._run_chunks_supervised(
-                chunks,
-                worker_fn=_evaluate_chunk_contained,
-                initializer=_init_worker,
-                initargs=(
-                    self.config, self.include_cost, plugin_modules(), self.table,
-                    self.resilience, self.chaos, self.compile_cache,
-                ),
-                chunk_weight=lambda chunk: sum(
-                    len(positions) for positions, _ in chunk
-                ),
-                lost_payload=lambda chunk, exc: [
-                    _one_row(position, error_record(scenario, exc))
-                    for positions, group in chunk
-                    for position, scenario in zip(positions, group.scenarios())
-                ],
-            ):
-                for positions, block in chunk_results:
-                    yield from in_order.add(positions, block)
-            return
-        with self._pool(
-            max_workers=min(self.jobs, len(chunks)),
-            initializer=_init_worker,
-            initargs=(
-                self.config, self.include_cost, plugin_modules(), self.table,
-                None, None, self.compile_cache,
-            ),
-        ) as pool:
-            for chunk_results in pool.map(_evaluate_chunk, chunks):
-                for positions, block in chunk_results:
-                    yield from in_order.add(positions, block)
+            placed = _evaluate_groups(groups, estimator, self._containment_policy(), self.chaos)
+        else:
+            placed_groups = list(groups)
+            # Shard whole groups (not scenarios) so each template compiles
+            # in exactly one worker; chunks keep the group order.
+            chunks = shard(placed_groups, max(1, -(-len(placed_groups) // (self.jobs * 4))))
+            placed = chain.from_iterable(self._run_chunks(chunks))
+        in_order = _InOrder()
+        for positions, block, retries in placed:
+            self.last_retry_count += retries
+            yield from in_order.add(positions, block)
 
     # -- one-shot -------------------------------------------------------------------
     def run(

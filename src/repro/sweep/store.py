@@ -597,14 +597,15 @@ def records_by_scenario(
 def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
     """Like :func:`iter_records` for CSV, but drop an unparseable final row.
 
-    A crash mid-append can leave a final row with fewer fields than the
-    header — or with garbage such as NUL padding, which the csv module
-    rejects on Python <= 3.10 — torn mid-record; such a row is treated as
-    not-yet-evaluated.  A bad row anywhere else raises — that is real
-    corruption, not a crash tail.  Rows are parsed line by line (store
-    writers never emit embedded newlines), mirroring
-    :func:`_decode_tolerating_torn_tail` with one line of lookahead
-    (constant memory).
+    A crash mid-append can leave a final row torn mid-record: without its
+    line terminator (a row cut inside its last field still has the
+    header's field count), with fewer fields than the header, or with
+    garbage such as NUL padding, which the csv module rejects on Python
+    <= 3.10; such a row is treated as not-yet-evaluated.  A bad row
+    anywhere else raises — that is real corruption, not a crash tail.
+    Rows are parsed line by line (store writers never emit embedded
+    newlines), mirroring :func:`_decode_tolerating_torn_tail` with one
+    line of lookahead (constant memory).
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = (line for line in handle if line.strip())
@@ -627,7 +628,7 @@ def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
             if previous is not None:
                 yield parse_strict(previous)  # strict: not the last line
             previous = line
-        if previous is not None:
+        if previous is not None and previous.endswith(("\n", "\r")):
             try:
                 row = next(csv.reader([previous]))
             except csv.Error:
@@ -636,7 +637,8 @@ def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
                 yield {
                     key: _revive_csv_value(value) for key, value in zip(header, row)
                 }
-            # a short final row is the torn tail of a crashed run: skip it
+            # a short or unterminated final row is the torn tail of a
+            # crashed run: skip it
 
 
 #: How far back repair_torn_tail looks for the final line boundary.
@@ -661,7 +663,8 @@ def repair_torn_tail(source: Union["ResultStore", PathLike]) -> bool:
     handled, both touching only the final line:
 
     * an unparseable final line (torn mid-record: undecodable JSON, or a
-      CSV row with fewer fields than the header) is truncated away;
+      CSV row with fewer fields than the header or without any line
+      terminator) is truncated away;
     * a parseable final line missing its terminating newline (torn between
       the record and the line ending) gets the terminator appended.
 
@@ -706,12 +709,15 @@ def repair_torn_tail(source: Union["ResultStore", PathLike]) -> bool:
 def _repair_csv_tail(path: Path, size: int) -> bool:
     """CSV flavour of :func:`repair_torn_tail`.
 
-    A final row with fewer fields than the header is truncated away; a
-    complete final row missing its ``\\r\\n`` terminator gets one appended
-    (normalising a dangling ``\\r`` torn between the two bytes).  A lone
-    header line is truncated away, leaving an empty file: a store writes
-    its header and first rows in one append, so a header without rows is
-    a torn first write — possibly torn mid-header — with no row to save.
+    A final row is whole only if a ``\\n`` or a dangling ``\\r`` follows
+    it: a row cut inside its last field still has the header's field
+    count, so a final row without a terminator, or with fewer fields than
+    the header, is truncated away; a whole row left with a dangling
+    ``\\r`` (torn between the two bytes of ``\\r\\n``) is re-terminated.
+    A lone header line is truncated away, leaving an empty file: a store
+    writes its header and first rows in one append, so a header without
+    rows is a torn first write — possibly torn mid-header — with no row
+    to save.
     """
     offset, data = _read_tail(path, size)
     stripped = data.rstrip(b"\r\n\t ")
@@ -734,7 +740,8 @@ def _repair_csv_tail(path: Path, size: int) -> bool:
         # csv.Error covers NUL bytes in the torn row (Python <= 3.10
         # rejects them; it is not a ValueError subclass).
         fields = header = None
-    if fields is None or len(fields) != len(header):
+    terminated = data.rstrip(b"\t ").endswith((b"\n", b"\r"))
+    if fields is None or len(fields) != len(header) or not terminated:
         keep = offset + (0 if newline_index < 0 else newline_index + 1)
         with open(path, "rb+") as handle:
             handle.truncate(keep)

@@ -11,6 +11,7 @@ re-fire them; that is what makes these runs deterministic.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from chaos_helpers import (
@@ -97,6 +98,40 @@ class TestHungWorker:
         )
         assert result.summary.error_count == 0
         assert out.read_bytes() == baseline_bytes()
+
+
+class TestStreaming:
+    def test_rows_stream_while_the_last_chunk_is_still_running(self, tmp_path):
+        # The grid spans more chunks than workers and its last scenario
+        # sleeps: the earlier chunks' rows must reach the store, and
+        # progress, before that sleep ends.
+        delay_s = 2.0
+        state_dir = tmp_path / "state"
+        session = Session(
+            jobs=2,
+            mp_context="fork",
+            resilience=ResiliencePolicy(retry=RETRY_ONCE),
+            chaos=ChaosPlan(
+                faults=(Fault(scenario=CHAOS_COUNT - 1, kind="delay", seconds=delay_s),),
+                state_dir=str(state_dir),
+            ),
+        )
+        calls = []
+        out = tmp_path / "out.jsonl"
+        session.sweep(
+            CHAOS_SPEC,
+            out=out,
+            progress=lambda done, total: calls.append(time.time()),
+            collect_records=False,
+        )
+        assert len(calls) == CHAOS_COUNT
+        # The fault claims its firing (a marker-file append) as it starts
+        # to sleep.
+        [marker] = state_dir.iterdir()
+        assert calls[0] < marker.stat().st_mtime + delay_s
+        serial = tmp_path / "serial.jsonl"
+        Session(jobs=1).sweep(CHAOS_SPEC, out=serial, collect_records=False)
+        assert out.read_bytes() == serial.read_bytes()
 
 
 class TestRespawnBudget:

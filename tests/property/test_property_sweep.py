@@ -25,7 +25,6 @@ drawn grids reproducible run to run.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import tempfile
@@ -173,25 +172,6 @@ class TestResumeIdempotence:
             assert load_records(path) == before
 
 
-def _torn_cut(data: bytes, fmt: str, fraction: float) -> bytes:
-    """``data`` cut at ``fraction`` of its bytes, as a crash leaves it.
-
-    A JSONL line cut anywhere is detectably torn.  A CSV row cut inside
-    its last field still has the header's field count and reads as a
-    whole row with a shortened value, so a CSV cut there is moved back
-    until the fragment lacks a field.
-    """
-    offset = int(len(data) * fraction)
-    if fmt == "csv":
-        header = next(csv.reader([data.split(b"\r\n", 1)[0].decode()]))
-        start = data.rfind(b"\n", 0, offset) + 1
-        while offset > start and len(
-            next(csv.reader([data[start:offset].decode()]))
-        ) >= len(header):
-            offset -= 1
-    return data[:offset]
-
-
 class TestSessionResume:
     @given(
         spec=sweep_specs(),
@@ -206,7 +186,8 @@ class TestSessionResume:
             full_path = Path(tmp) / f"full.{fmt}"
             full = Session().sweep(spec, out=full_path)
             path = Path(tmp) / f"cut.{fmt}"
-            path.write_bytes(_torn_cut(full_path.read_bytes(), fmt, cut_fraction))
+            data = full_path.read_bytes()
+            path.write_bytes(data[: int(len(data) * cut_fraction)])
             stored = len(completed_scenario_ids(path))
             seen = []
             resumed = Session().sweep(

@@ -237,6 +237,26 @@ class TestJobManager:
         Session().sweep(SPEC, out=direct, collect_records=False)
         assert job.store_path.read_bytes() == direct.read_bytes()
 
+    def test_worker_processes_mount_the_compile_cache(self, tmp_path):
+        cache_dir = tmp_path / "cc"
+        stores = []
+        for jobs in (1, 2):
+            manager = JobManager(
+                tmp_path / f"jobs-{jobs}",
+                workers=1,
+                jobs=jobs,
+                compile_cache_dir=cache_dir if jobs == 2 else None,
+            )
+            manager.start()
+            try:
+                job = manager.submit(SPEC)
+                assert wait_for(lambda: job.state == "done", timeout=60.0)
+            finally:
+                manager.shutdown()
+            stores.append(job.store_path.read_bytes())
+        assert any(path.is_file() for path in cache_dir.rglob("*"))
+        assert stores[1] == stores[0]
+
     def test_concurrent_jobs_share_the_estimator_safely(self, tmp_path):
         import sys
 

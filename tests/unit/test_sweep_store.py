@@ -129,6 +129,33 @@ class TestCsvStore:
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("scenario,")
 
+    def test_row_cut_inside_its_last_field_is_torn(self, tmp_path):
+        # The cut row keeps the header's field count, with cost_usd
+        # shortened to 1073.612924222: only its missing terminator shows
+        # that the crash tore it.
+        from repro.api import Session
+        from repro.sweep import SweepSpec
+        from repro.sweep.store import completed_scenario_ids, repair_torn_tail
+
+        spec = SweepSpec.preset("ga102-quick")
+        full = tmp_path / "full.csv"
+        Session().sweep(spec, out=full, collect_records=False)
+        data = full.read_bytes()
+        header_and_six_rows = data.split(b"\r\n", 7)[:7]
+        cut_at = len(b"\r\n".join(header_and_six_rows)) - 4  # 4 bytes before row 6 ends
+        assert data[:cut_at].endswith(b",1073.612924222")
+        path = tmp_path / "cut.csv"
+        path.write_bytes(data[:cut_at])
+        assert completed_scenario_ids(path) == set(range(5))
+        assert repair_torn_tail(path) is True
+        assert load_records(path) == load_records(full)[:5]
+
+        path.write_bytes(data[:cut_at])
+        resumed = Session().sweep(spec, out=path, resume=True)
+        assert resumed.summary.skipped_count == 5
+        assert resumed.records[5]["cost_usd"] == 1073.6129242228844
+        assert path.read_bytes() == data
+
 
 class TestOpenStore:
     def test_suffix_dispatch(self, tmp_path):
