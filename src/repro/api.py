@@ -325,7 +325,7 @@ class Session:
                 ``preset`` and ``spec_file`` must be given.
             preset: Name of a built-in preset (``SweepSpec.preset``).
             spec_file: Path of a ``.json``/``.yaml`` spec file.
-            out: Stream records to this JSONL/CSV file as they compute.
+            out: Stream records to this store file as they compute.
             resume: Skip scenarios whose ids are already in ``out`` and
                 append only the missing tail (requires ``out``).  The store
                 is read once, by the engine.  A store written with the
@@ -410,7 +410,7 @@ class Session:
                 Exactly one of ``spec`` and ``spec_file`` must be given.
             spec_file: Path of a ``.json``/``.yaml`` search-spec file.
             out: Stream every evaluated record (with its ``search_round``
-                column) to this JSONL/CSV store.
+                column) to this store.
             resume: Serve candidates already present in ``out`` from their
                 stored rows and continue a killed search without
                 re-spending budget (requires ``out``).

@@ -29,16 +29,18 @@ Additional conveniences:
   runs a goal-driven adaptive search (:mod:`repro.search`) over a sweep
   grid instead of enumerating it, streaming every evaluated point to the
   crash-safe store with its ``search_round``.
+* ``eco-chip export results.jsonl results.csv`` converts a result store
+  (always JSONL) to CSV in one shot.
 
 Errors take one path.  Every front-end (estimate, ``sweep``, ``search``,
-``serve``) raises :class:`~repro.serve.errors.SpecError` when the request
-itself is invalid (bad spec, unknown testcase/preset/axis/format, bad flag
-values, a resume store of another schema, a value an evaluation rejects)
-and :class:`~repro.serve.errors.RuntimeJobError` when a valid request
-fails at run time (I/O, a locked store, port in use); :func:`main`
-alone prints them, as ``error: [code] message``, and exits ``2`` or ``3``
-— the same split, with the same structured error text, the HTTP API
-reports.
+``serve``, ``export``) raises :class:`~repro.serve.errors.SpecError` when
+the request itself is invalid (bad spec, unknown testcase/preset/axis/
+format, bad flag values, a resume store of another schema, a value an
+evaluation rejects) and :class:`~repro.serve.errors.RuntimeJobError`
+when a valid request fails at run time (I/O, a locked store, port in
+use); :func:`main` alone prints them, as ``error: [code] message``, and
+exits ``2`` or ``3`` — the same split, with the same structured error
+text, the HTTP API reports.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from repro.core.results import SystemCarbonReport
 from repro.io.loaders import load_design_directory
 from repro.io.writers import write_report
 from repro.serve.errors import RuntimeJobError, ServeError, SpecError, error_message
+from repro.sweep.store import check_store_suffix, export_csv
 from repro.technology.carbon_sources import carbon_intensity
 from repro.testcases.registry import get_testcase, list_testcases
 
@@ -229,7 +232,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         description=(
             "Evaluate a declarative scenario grid (nodes x packaging x fab "
             "sources x lifetimes x volumes) in parallel, streaming results "
-            "to a JSONL/CSV file.  Packaging entries may sweep "
+            "to a result store.  Packaging entries may sweep "
             "per-architecture parameter axes: "
             "{\"type\": \"bridge\", \"params\": {\"bridge_range_mm\": [2, 4]}} "
             "(see 'eco-chip --list-packaging' for each architecture's axes)."
@@ -268,7 +271,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--out", help="Stream results to this file (.jsonl/.ndjson or .csv)"
+        "--out",
+        help="Stream results to this store (.jsonl/.ndjson; 'eco-chip export' writes CSV)",
     )
     parser.add_argument(
         "--resume",
@@ -420,10 +424,16 @@ def _spec_config(
 
 def _store_path(args: argparse.Namespace, resume_does: str) -> Optional[str]:
     """The store a sweep or search writes: ``--resume FILE`` implies
-    ``--out FILE``, and the two may not name different files."""
+    ``--out FILE``, and the two may not name different files.  A path
+    without a store suffix (a ``.csv`` one, say) is refused before the
+    file is touched."""
     if args.resume and args.out and Path(args.out).resolve() != Path(args.resume).resolve():
         raise SpecError(f"--resume {resume_does}; drop --out or pass the same path")
-    return args.resume or args.out
+    path = args.resume or args.out
+    if path is not None:
+        with _raise_as(SpecError, ValueError):
+            check_store_suffix(path)
+    return path
 
 
 def _sweep_main(argv: Sequence[str]) -> int:
@@ -642,7 +652,11 @@ def build_search_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--out", help="Stream evaluated records to this file (.jsonl/.ndjson or .csv)"
+        "--out",
+        help=(
+            "Stream evaluated records to this store (.jsonl/.ndjson; "
+            "'eco-chip export' writes CSV)"
+        ),
     )
     parser.add_argument(
         "--resume",
@@ -958,7 +972,29 @@ def _estimate_main(argv: Sequence[str]) -> int:
     return 0
 
 
-_SUBCOMMANDS = {"sweep": _sweep_main, "search": _search_main, "serve": _serve_main}
+def _export_main(argv: Sequence[str]) -> int:
+    """Implementation of ``eco-chip export``; returns a process exit code."""
+    parser = argparse.ArgumentParser(
+        prog="eco-chip export",
+        description="Convert a result store to CSV, one sorted column per record key.",
+    )
+    parser.add_argument("store", metavar="STORE", help="The JSONL result store to read")
+    parser.add_argument("out", metavar="OUT", help="The CSV file to write (.csv)")
+    args = parser.parse_args(argv)
+    # A corrupt store or a non-CSV target is a bad request; a store that
+    # cannot be read or a target that cannot be written is a runtime error.
+    with _raise_as(RuntimeJobError, OSError), _raise_as(SpecError, ValueError):
+        count = export_csv(args.store, args.out)
+    print(f"exported {count} records from {args.store} to {args.out}")
+    return 0
+
+
+_SUBCOMMANDS = {
+    "sweep": _sweep_main,
+    "search": _search_main,
+    "serve": _serve_main,
+    "export": _export_main,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

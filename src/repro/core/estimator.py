@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.chiplet import Chiplet
 from repro.core.results import ChipletCarbonReport, SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.design.design_cfp import DesignCarbonModel, SystemDesignResult

@@ -125,7 +125,7 @@ def run_search(
     Args:
         spec: The search specification.
         engine: A configured :class:`repro.sweep.engine.SweepEngine`.
-        out: Stream every evaluated record to this JSONL/CSV store (with a
+        out: Stream every evaluated record to this store (with a
             ``search_round`` column).  Required for ``resume``.
         resume: Replay candidates already present in ``out`` (torn tail
             repaired first) instead of re-evaluating them, then continue

@@ -16,19 +16,19 @@ provides the scale-out machinery for that:
     :func:`~repro.sweep.engine.reference_records`, the serial scalar
     oracle whose records the engine reproduces bit for bit.
 :mod:`repro.sweep.store`
-    Streaming JSONL/CSV result stores (crash-safe, constant memory) and
-    the :class:`~repro.sweep.store.SweepRow` adapter that
-    :func:`repro.core.explorer.pareto_front` and
+    The streaming JSONL result store (crash-safe, constant memory), its
+    one-shot CSV export and the :class:`~repro.sweep.store.SweepRow`
+    adapter that :func:`repro.core.explorer.pareto_front` and
     :meth:`repro.api.Session.explore` read records through.
 """
 
 from repro.sweep.engine import SweepEngine, SweepSummary, reference_records
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec, load_spec
 from repro.sweep.store import (
-    CsvResultStore,
-    JsonlResultStore,
+    ResultStore,
     SweepRow,
     completed_scenario_ids,
+    export_csv,
     iter_records,
     load_records,
     load_rows,
@@ -47,9 +47,9 @@ __all__ = [
     "SweepEngine",
     "SweepSummary",
     "reference_records",
-    "JsonlResultStore",
-    "CsvResultStore",
+    "ResultStore",
     "SweepRow",
+    "export_csv",
     "open_store",
     "iter_records",
     "load_records",

@@ -172,7 +172,7 @@ def make_record(
     fab_source: str,
     cost_usd: Optional[float] = None,
 ) -> Record:
-    """Flatten one evaluated scenario into a JSON/CSV-friendly record.
+    """Flatten one evaluated scenario into a record of the result store.
 
     The numeric keys are :data:`NUMERIC_COLUMNS`, the names the Pareto
     tooling and search metrics read.  The batch engine

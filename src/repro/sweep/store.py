@@ -1,12 +1,15 @@
-"""Streaming result stores for scenario sweeps.
+"""The streaming JSONL result store of scenario sweeps.
 
 Sweep runs can produce tens of thousands of result rows; holding them all in
 memory (the failure mode of the old ``node_configuration_sweep`` dict) does
-not scale and loses everything on a crash.  The stores here append as the
+not scale and loses everything on a crash.  The store appends as the
 sweep goes: one record (:meth:`ResultStore.append`) or one record block —
 the rows of one template group (:meth:`ResultStore.append_block`) — is
-rendered to complete lines/rows and written in one ``os.write``, so memory
-stays bounded by the largest group regardless of sweep size.
+rendered to complete lines and written in one ``os.write``, so memory
+stays bounded by the largest group regardless of sweep size.  A store is
+always JSONL (a ``.jsonl``, ``.ndjson`` or ``.json`` file); CSV is a
+one-shot export of a finished store (:func:`export_csv`, ``eco-chip
+export``).
 
 Reloaded records wrap into :class:`SweepRow` objects, the
 ``objective(name)`` protocol :func:`repro.core.explorer.pareto_front` reads
@@ -25,7 +28,7 @@ full records once (:meth:`repro.sweep.engine.SweepEngine.run` with
 ``resume=``), since the stored rows are checked against the run's columns
 and fold into the resumed run's summary.
 
-Three properties make the stores safe for a multi-job server
+Three properties make the store safe for a multi-job server
 (:mod:`repro.serve`) where several sweeps stream to sibling files at once,
 and for resume after a crash:
 
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import json
 import math
 import os
@@ -149,15 +151,12 @@ def _acquire_store_lock(path: Path) -> Path:
 # Writers
 # ---------------------------------------------------------------------------
 class ResultStore:
-    """Base class: append flattened records to a file incrementally.
+    """Append records to a JSONL file incrementally, one object per line.
 
-    Subclasses implement :meth:`_render` (record -> complete encoded
-    line(s)) and may override :meth:`_render_block` (block -> the encoded
-    lines of all its rows; the default renders row by row).  Each append
-    writes its bytes to an ``O_APPEND`` descriptor in one ``os.write``,
-    continued until every byte is on disk, so a killed run leaves at most
-    one torn *tail* line behind (repairable via :func:`repair_torn_tail`),
-    never an interleaved or mid-file torn row.
+    Each append writes its bytes to an ``O_APPEND`` descriptor in one
+    ``os.write``, continued until every byte is on disk, so a killed run
+    leaves at most one torn *tail* line behind (repairable via
+    :func:`repair_torn_tail`), never an interleaved or mid-file torn line.
 
     Args:
         path: Store file to create or extend.
@@ -187,14 +186,14 @@ class ResultStore:
     def append(self, record: Mapping[str, Any]) -> None:
         """Write one record as one whole line."""
         self._check_open()
-        self._write(self._render(record))
+        self._write(_jsonl_line(record).encode("utf-8"))
         self.count += 1
 
     def append_block(self, block: RecordBlock) -> None:
         """Write every row of ``block``, in row order, with one write."""
         self._check_open()
         if block.size:
-            self._write(self._render_block(block))
+            self._write(_jsonl_block(block).encode("utf-8"))
             self.count += block.size
 
     def _check_open(self) -> None:
@@ -214,12 +213,6 @@ class ResultStore:
             if written <= 0:
                 raise OSError(errno.EIO, f"write to store {self.path} made no progress")
             view = view[written:]
-
-    def _render(self, record: Mapping[str, Any]) -> bytes:
-        raise NotImplementedError
-
-    def _render_block(self, block: RecordBlock) -> bytes:
-        return b"".join(map(self._render, block.records()))
 
     def _release_lock(self) -> None:
         if self._lock_path is not None:
@@ -241,16 +234,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class JsonlResultStore(ResultStore):
-    """One JSON object per line (the default sweep output format)."""
-
-    def _render(self, record: Mapping[str, Any]) -> bytes:
-        return _jsonl_line(record).encode("utf-8")
-
-    def _render_block(self, block: RecordBlock) -> bytes:
-        return _jsonl_block(block).encode("utf-8")
 
 
 def _jsonl_line(record: Mapping[str, Any]) -> str:
@@ -319,124 +302,43 @@ def _column_text(column: Sequence[Any]) -> Union[str, Iterable[str]]:
     return map(encoded.__getitem__, column)
 
 
-class CsvResultStore(ResultStore):
-    """CSV rows with a header derived from the first record.
-
-    Numeric lists (e.g. node configurations) are flattened to
-    ``;``-separated strings — with a trailing ``;`` marking one-element
-    lists — so the file stays one row per scenario and round-trips through
-    :func:`load_records`.  The header — the one on disk at the first
-    write, otherwise the first record's keys — wins for the life of the
-    store: records are
-    written in that column order, and record keys the header does not know
-    are dropped — columns can never misalign, and a store written by an
-    older version (fewer columns) stays resumable by a newer one, keeping
-    its original schema.  (One consequence: a contained-failure row's
-    ``error`` column only survives when an error record fixed the header;
-    JSONL is the canonical format for resilient sweeps.)
-    """
-
-    _fieldnames: Optional[List[str]] = None
-
-    @staticmethod
-    def _flatten(value: Any) -> Any:
-        if isinstance(value, (list, tuple)):
-            text = ";".join(str(v) for v in value)
-            return text + ";" if len(value) == 1 else text
-        return value
-
-    def _render(self, record: Mapping[str, Any]) -> bytes:
-        flat = {key: self._flatten(value) for key, value in record.items()}
-        if self._fieldnames is None and self.path.stat().st_size:
-            # Read at the first write, not at open: a resume opens the store
-            # before the engine repairs its tail, which may empty the file.
-            with open(self.path, "r", encoding="utf-8", newline="") as handle:
-                self._fieldnames = next(csv.reader(handle), None)
-        write_header = self._fieldnames is None
-        if write_header:
-            self._fieldnames = list(flat)
-        # Rows are rendered to an untranslated text buffer first (the csv
-        # module's native "\r\n" terminators pass through byte-identically)
-        # so the whole row — plus the header on first write — lands in one
-        # os.write.
-        buffer = io.StringIO(newline="")
-        writer = csv.DictWriter(
-            buffer,
-            fieldnames=self._fieldnames,
-            restval="",
-            extrasaction="ignore",
-        )
-        if write_header:
-            writer.writeheader()
-        writer.writerow(flat)
-        return buffer.getvalue().encode("utf-8")
+#: File suffixes of a result store: every store is JSONL.
+_STORE_SUFFIXES = frozenset({".jsonl", ".ndjson", ".json"})
 
 
-#: File suffix -> store class.
-_STORE_FOR_SUFFIX = {
-    ".jsonl": JsonlResultStore,
-    ".ndjson": JsonlResultStore,
-    ".json": JsonlResultStore,
-    ".csv": CsvResultStore,
-}
+def check_store_suffix(path: PathLike) -> Path:
+    """``path`` as a :class:`~pathlib.Path`; a :class:`ValueError` unless
+    its suffix is a store's.  Runs before a store file is opened or
+    repaired: read as JSONL, a CSV file's last row would fail to decode
+    and be truncated as a torn tail."""
+    target = Path(path)
+    key = target.suffix.lower()
+    if key not in _STORE_SUFFIXES:
+        message = f"unknown result-store format {key!r}; known formats: {sorted(_STORE_SUFFIXES)}"
+        if key == ".csv":
+            message += (
+                "; a result store is JSONL: write one and convert it with "
+                "`eco-chip export STORE OUT.csv`"
+            )
+        raise ValueError(message)
+    return target
 
 
-def open_store(
-    path: PathLike,
-    fmt: Optional[str] = None,
-    append: bool = False,
-    exclusive: bool = True,
-) -> ResultStore:
-    """Open the store matching ``fmt`` (or the file suffix).
+def open_store(path: PathLike, append: bool = False, exclusive: bool = True) -> ResultStore:
+    """Open the JSONL store at ``path`` for writing.
 
     Raises:
-        ValueError: for unknown formats/suffixes.
+        ValueError: for a path without a store suffix
+            (:func:`check_store_suffix`).
         StoreLockError: when ``exclusive`` and another live writer owns the
             store's lock.
     """
-    target = Path(path)
-    if fmt is not None:
-        key = "." + fmt.strip().lower().lstrip(".")
-    else:
-        key = target.suffix.lower()
-    store_cls = _STORE_FOR_SUFFIX.get(key)
-    if store_cls is None:
-        raise ValueError(
-            f"unknown result-store format {key!r}; known formats: "
-            f"{sorted(set(_STORE_FOR_SUFFIX))}"
-        )
-    return store_cls(target, append=append, exclusive=exclusive)
+    return ResultStore(check_store_suffix(path), append=append, exclusive=exclusive)
 
 
 # ---------------------------------------------------------------------------
 # Readers
 # ---------------------------------------------------------------------------
-def _revive_scalar(value: str) -> Any:
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
-
-
-def _revive_csv_value(value: str) -> Any:
-    if value == "":
-        return None
-    if ";" in value:
-        parts = value.split(";")
-        if parts[-1] == "":  # trailing ';' marks a one-element list
-            parts = parts[:-1]
-        revived = [_revive_scalar(part) for part in parts]
-        if revived and all(isinstance(item, (int, float)) for item in revived):
-            return revived
-        return value  # a plain string that happens to contain ';'
-    return _revive_scalar(value)
-
-
 #: The C scanner of the default decoder: ``json.loads`` minus its wrapper.
 _scan_value = json.JSONDecoder().scan_once
 #: The same scanner with float text kept as text: the resume scan reads one
@@ -518,14 +420,8 @@ def _decode_tolerating_torn_tail(path: Path, decode: Callable[[str], Any]) -> It
 
 
 def iter_records(path: PathLike) -> Iterator[Dict[str, Any]]:
-    """Stream records back from a JSONL or CSV store file."""
-    target = Path(path)
-    if target.suffix.lower() == ".csv":
-        with open(target, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.DictReader(handle):
-                yield {key: _revive_csv_value(value) for key, value in row.items()}
-        return
-    yield from map(_decode_line, _jsonl_lines(target))
+    """Stream records back from a store file."""
+    return map(_decode_line, _jsonl_lines(Path(path)))
 
 
 def load_records(path: PathLike) -> List[Dict[str, Any]]:
@@ -548,20 +444,17 @@ def completed_scenario_ids(source: Union["ResultStore", PathLike]) -> Set[int]:
     nothing has been evaluated yet.  Records without a ``scenario`` field
     (foreign files) are ignored.
 
-    A crash can tear the *last* JSONL line mid-write (disk full, SIGKILL);
+    A crash can tear the *last* line mid-write (disk full, SIGKILL);
     since resume exists to rescue exactly such runs, an undecodable final
     line is treated as not-yet-evaluated rather than an error.  A torn line
     anywhere else still raises — that is real corruption, not a crash tail.
-    Every JSONL line is validated in full, but no record is built: only
+    Every line is validated in full, but no record is built: only
     the id is read (:func:`_scenario_id_of_line`).
     """
     path = _nonempty_store(source)
     if path is None:
         return set()
-    if path.suffix.lower() == ".csv":
-        ids = set(map(_scenario_of, _iter_csv_tolerating_torn_row(path)))
-    else:
-        ids = set(_decode_tolerating_torn_tail(path, _scenario_id_of_line))
+    ids = set(_decode_tolerating_torn_tail(path, _scenario_id_of_line))
     ids.discard(None)
     return ids
 
@@ -583,107 +476,51 @@ def records_by_scenario(
     records: Dict[int, Dict[str, Any]] = {}
     if path is None:
         return records
-    if path.suffix.lower() == ".csv":
-        stream: Iterator[Dict[str, Any]] = _iter_csv_tolerating_torn_row(path)
-    else:
-        stream = _decode_tolerating_torn_tail(path, _decode_line)
-    for record in stream:
+    for record in _decode_tolerating_torn_tail(path, _decode_line):
         scenario_id = _scenario_of(record)
         if scenario_id is not None:
             records.setdefault(scenario_id, record)
     return records
 
 
-def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:
-    """Like :func:`iter_records` for CSV, but drop an unparseable final row.
-
-    A crash mid-append can leave a final row torn mid-record: without its
-    line terminator (a row cut inside its last field still has the
-    header's field count), with fewer fields than the header, or with
-    garbage such as NUL padding, which the csv module rejects on Python
-    <= 3.10; such a row is treated as not-yet-evaluated.  A bad row
-    anywhere else raises — that is real corruption, not a crash tail.
-    Rows are parsed line by line (store writers never emit embedded
-    newlines), mirroring :func:`_decode_tolerating_torn_tail` with one
-    line of lookahead (constant memory).
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = (line for line in handle if line.strip())
-        header_line = next(lines, None)
-        if header_line is None:
-            return
-        header = next(csv.reader([header_line]))
-
-        def parse_strict(line: str) -> Dict[str, Any]:
-            row = next(csv.reader([line]))
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: CSV row with {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            return {key: _revive_csv_value(value) for key, value in zip(header, row)}
-
-        previous: Optional[str] = None
-        for line in lines:
-            if previous is not None:
-                yield parse_strict(previous)  # strict: not the last line
-            previous = line
-        if previous is not None and previous.endswith(("\n", "\r")):
-            try:
-                row = next(csv.reader([previous]))
-            except csv.Error:
-                return  # torn tail (e.g. NUL bytes) of a crashed run
-            if len(row) == len(header):
-                yield {
-                    key: _revive_csv_value(value) for key, value in zip(header, row)
-                }
-            # a short or unterminated final row is the torn tail of a
-            # crashed run: skip it
-
-
 #: How far back repair_torn_tail looks for the final line boundary.
 _TAIL_CHUNK_BYTES = 1 << 20
 
 
-def _read_tail(path: Path, size: int) -> "tuple[int, bytes]":
-    """``(offset, data)`` of the final chunk of ``path``."""
-    with open(path, "rb") as handle:
-        if size > _TAIL_CHUNK_BYTES:
-            handle.seek(size - _TAIL_CHUNK_BYTES)
-        data = handle.read()
-    return size - len(data), data
-
-
 def repair_torn_tail(source: Union["ResultStore", PathLike]) -> bool:
-    """Repair the tail of a JSONL or CSV store left behind by a crash.
+    """Repair the tail of a store left behind by a crash.
 
     Appending to a file whose last write was torn would weld the next
     record onto the torn fragment and corrupt the stream, so resume paths
     call this before reopening a store for append.  Two crash artifacts are
     handled, both touching only the final line:
 
-    * an unparseable final line (torn mid-record: undecodable JSON, or a
-      CSV row with fewer fields than the header or without any line
-      terminator) is truncated away;
+    * an unparseable final line (torn mid-record: undecodable JSON) is
+      truncated away;
     * a parseable final line missing its terminating newline (torn between
       the record and the line ending) gets the terminator appended.
 
-    Intact files are left untouched.  (Store rows never contain embedded
-    newlines — both writers flatten values to scalars — so line-based tail
-    inspection is safe for CSV too.)
+    Intact files are left untouched.  The suffix is checked first
+    (:func:`check_store_suffix`), so a file of another format is never
+    truncated.
 
     Returns:
         True when the tail was repaired.
+
+    Raises:
+        ValueError: for a path without a store suffix.
     """
-    path = source.path if isinstance(source, ResultStore) else Path(source)
+    path = check_store_suffix(source.path if isinstance(source, ResultStore) else source)
     if not path.is_file():
         return False
     size = path.stat().st_size
     if size == 0:
         return False
-    if path.suffix.lower() == ".csv":
-        return _repair_csv_tail(path, size)
-    offset, data = _read_tail(path, size)
+    with open(path, "rb") as handle:
+        if size > _TAIL_CHUNK_BYTES:
+            handle.seek(size - _TAIL_CHUNK_BYTES)
+        data = handle.read()
+    offset = size - len(data)
     stripped = data.rstrip(b"\r\n\t ")
     if not stripped:
         return False
@@ -706,54 +543,60 @@ def repair_torn_tail(source: Union["ResultStore", PathLike]) -> bool:
     return True
 
 
-def _repair_csv_tail(path: Path, size: int) -> bool:
-    """CSV flavour of :func:`repair_torn_tail`.
+# ---------------------------------------------------------------------------
+# CSV export
+# ---------------------------------------------------------------------------
+def _csv_field(value: Any) -> Any:
+    """A list as ``;``-joined text (a trailing ``;`` marks a one-element
+    list); any other value as it is."""
+    if isinstance(value, list):
+        text = ";".join(map(str, value))
+        return text + ";" if len(value) == 1 else text
+    return value
 
-    A final row is whole only if a ``\\n`` or a dangling ``\\r`` follows
-    it: a row cut inside its last field still has the header's field
-    count, so a final row without a terminator, or with fewer fields than
-    the header, is truncated away; a whole row left with a dangling
-    ``\\r`` (torn between the two bytes of ``\\r\\n``) is re-terminated.
-    A lone header line is truncated away, leaving an empty file: a store
-    writes its header and first rows in one append, so a header without
-    rows is a torn first write — possibly torn mid-header — with no row
-    to save.
+
+def export_csv(store: PathLike, out: PathLike) -> int:
+    """Write the records of ``store`` to the CSV file ``out``.
+
+    The header is the sorted union of every record's keys, found by a
+    first pass over the store, so a column only some rows carry (a
+    contained failure's ``error``) is kept wherever those rows fall; a
+    row without the column, or with ``null``, leaves the field empty.
+    Both passes stream the store (constant memory) and, as resume does,
+    drop an undecodable last line: the torn tail of a crashed run.  The
+    CSV is written beside ``out`` and renamed into place, so a failed
+    export leaves no partial file.
+
+    Returns:
+        The number of rows written.
+
+    Raises:
+        ValueError: when ``out`` lacks a ``.csv`` suffix, or a line before
+            the last is not a JSON object.
+        OSError: when ``store`` cannot be read or ``out`` written.
     """
-    offset, data = _read_tail(path, size)
-    stripped = data.rstrip(b"\r\n\t ")
-    if not stripped:
-        return False
-    newline_index = stripped.rfind(b"\n")
-    if newline_index < 0 and offset > 0:
-        return False  # last line longer than the tail window: don't guess
-    if offset == 0 and newline_index < 0:  # a lone header: torn first write
-        with open(path, "rb+") as handle:
-            handle.truncate(0)
-        return True
-    with open(path, "rb") as handle:
-        header_bytes = handle.readline()
-    last_line = stripped[newline_index + 1 :]
+    source, target = Path(store), Path(out)
+    if target.suffix.lower() != ".csv":
+        raise ValueError(f"export writes CSV: {target} needs a .csv suffix")
+    columns: Set[str] = set()
+    for record in _decode_tolerating_torn_tail(source, _decode_line):
+        if type(record) is not dict:
+            raise ValueError(f"{source}: a store line is not a JSON object")
+        columns.update(record)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    count = 0
     try:
-        header = next(csv.reader([header_bytes.decode("utf-8")]))
-        fields = next(csv.reader([last_line.decode("utf-8")]))
-    except (UnicodeDecodeError, StopIteration, csv.Error):
-        # csv.Error covers NUL bytes in the torn row (Python <= 3.10
-        # rejects them; it is not a ValueError subclass).
-        fields = header = None
-    terminated = data.rstrip(b"\t ").endswith((b"\n", b"\r"))
-    if fields is None or len(fields) != len(header) or not terminated:
-        keep = offset + (0 if newline_index < 0 else newline_index + 1)
-        with open(path, "rb+") as handle:
-            handle.truncate(keep)
-        return True
-    if data.endswith(b"\n"):
-        return False
-    # Complete row, torn terminator: drop any dangling '\r' and re-terminate.
-    with open(path, "rb+") as handle:
-        handle.truncate(offset + len(stripped))
-        handle.seek(0, 2)
-        handle.write(b"\r\n")
-    return True
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=sorted(columns), restval="")
+            writer.writeheader()
+            for record in _decode_tolerating_torn_tail(source, _decode_line):
+                writer.writerow({key: _csv_field(value) for key, value in record.items()})
+                count += 1
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,11 @@ def baseline_records() -> Tuple[Dict, ...]:
 @functools.lru_cache(maxsize=1)
 def baseline_bytes() -> bytes:
     """Fault-free JSONL store bytes of the chaos grid (oracle records)."""
-    from repro.sweep.store import JsonlResultStore
+    from repro.sweep.store import ResultStore
 
     with tempfile.TemporaryDirectory(prefix="chaos-baseline-") as tmp:
         path = Path(tmp) / "baseline.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             for record in baseline_records():
                 store.append(dict(record))
         return path.read_bytes()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 
-import pytest
 from chaos_helpers import CHAOS_COUNT, CHAOS_SPEC, baseline_bytes, read_rows
 
 from repro.api import Session

@@ -10,7 +10,6 @@ re-fire them; that is what makes these runs deterministic.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest

@@ -11,6 +11,7 @@ to the same JSON text, so an int-vs-float drift cannot hide behind ``==``.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import sys
@@ -24,9 +25,9 @@ from repro.fastpath import BatchEstimator
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec
 from repro.sweep.store import (
-    CsvResultStore,
-    JsonlResultStore,
+    ResultStore,
     completed_scenario_ids,
+    export_csv,
     load_records,
 )
 from repro.testcases import ga102
@@ -283,9 +284,9 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "out.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             engine.run(scenarios[:5], store=store)
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             summary = engine.run(scenarios, store=store, resume=store)
         assert summary.skipped_count == 5
         assert summary.scenario_count == len(scenarios) - 5
@@ -295,14 +296,14 @@ class TestResume:
     def test_resumed_store_equals_uninterrupted_run(self, tmp_path):
         scenarios = SweepSpec.preset("ga102-quick").expand()
         full = tmp_path / "full.jsonl"
-        with JsonlResultStore(full) as store:
+        with ResultStore(full) as store:
             for record in reference_records(scenarios):
                 store.append(record)
         part = tmp_path / "part.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(part) as store:
+        with ResultStore(part) as store:
             engine.run(scenarios[:7], store=store)
-        with JsonlResultStore(part, append=True) as store:
+        with ResultStore(part, append=True) as store:
             engine.run(scenarios, store=store, resume=part)
         by_id = {r["scenario"]: r for r in load_records(part)}
         for record in load_records(full):
@@ -319,7 +320,7 @@ class TestResume:
     def test_cli_resume_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "resume.jsonl"
         scenarios = SweepSpec.preset("ga102-quick").expand()
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             SweepEngine(jobs=1).run(scenarios[:6], store=store)
         code = main(
             ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--quiet"]
@@ -379,7 +380,7 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         full_line = path.read_text(encoding="utf-8")
         torn = full_line + '{"scenario": 4, "total_car'
@@ -393,11 +394,11 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"scenario": 4, "total_car')  # torn: no newline
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             summary = engine.run(scenarios, store=store, resume=path)
         assert summary.skipped_count == 4
         records = load_records(path)  # strict reader: file must be intact
@@ -408,7 +409,7 @@ class TestResume:
     def test_cli_resume_repairs_torn_tail(self, tmp_path, capsys):
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             SweepEngine(jobs=1).run(scenarios[:3], store=store)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"scenario": 3, "tot')
@@ -429,7 +430,7 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             engine.run(scenarios[:4], store=store)
         content = path.read_text(encoding="utf-8")
         assert content.endswith("\n")
@@ -437,7 +438,7 @@ class TestResume:
         assert repair_torn_tail(path) is True
         assert path.read_text(encoding="utf-8") == content
         assert repair_torn_tail(path) is False  # idempotent
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             summary = engine.run(scenarios, store=store, resume=path)
         assert summary.skipped_count == 4
         records = load_records(path)
@@ -454,16 +455,16 @@ class TestResume:
         stored = [s for s in scenarios if s.index == best_id]
         path = tmp_path / "partial.jsonl"
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             engine.run(stored, store=store)
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             summary = engine.run(scenarios, store=store, resume=path)
         assert summary.best is not None
         assert summary.best["scenario"] == best_id
         assert summary.best["total_carbon_g"] == full.best["total_carbon_g"]
         # CLI path: the printed best line names the stored best scenario
         path_cli = tmp_path / "partial_cli.jsonl"
-        with JsonlResultStore(path_cli) as store:
+        with ResultStore(path_cli) as store:
             SweepEngine(jobs=1).run(stored, store=store)
         code = main(
             ["sweep", "--preset", "ga102-quick", "--resume", str(path_cli)]
@@ -484,160 +485,6 @@ class TestResume:
             completed_scenario_ids(path)
 
 
-class TestCsvResume:
-    """CSV stores survive the same crash artifacts as JSONL ones."""
-
-    @staticmethod
-    def _seed_store(tmp_path, count):
-        scenarios = SweepSpec.preset("ga102-quick").expand()
-        path = tmp_path / "crashed.csv"
-        engine = SweepEngine(jobs=1)
-        with CsvResultStore(path) as store:
-            engine.run(scenarios[:count], store=store)
-        return scenarios, path, engine
-
-    def test_resume_tolerates_torn_final_csv_row(self, tmp_path):
-        # A crash mid-append leaves a row with fewer fields than the
-        # header; resume must treat it as not-yet-evaluated instead of
-        # counting (or choking on) the fragment.
-        scenarios, path, _ = self._seed_store(tmp_path, 4)
-        with open(path, "a", encoding="utf-8", newline="") as handle:
-            handle.write("4,ga102-3chiplet,7.0;7.0")  # torn: no newline
-        assert completed_scenario_ids(path) == {0, 1, 2, 3}
-
-    def test_resume_repairs_torn_csv_tail_before_appending(self, tmp_path):
-        # Appending after a torn row (which has no newline) would weld the
-        # next record onto the fragment; run(resume=...) must truncate it.
-        scenarios, path, engine = self._seed_store(tmp_path, 4)
-        intact = path.read_bytes()
-        with open(path, "ab") as handle:
-            handle.write(b"4,ga102-3chiplet,7.0;7.0")
-        with CsvResultStore(path, append=True) as store:
-            summary = engine.run(scenarios, store=store, resume=path)
-        assert summary.skipped_count == 4
-        assert path.read_bytes().startswith(intact)  # fragment gone, rows intact
-        records = load_records(path)
-        assert sorted(r["scenario"] for r in records) == [s.index for s in scenarios]
-        assert completed_scenario_ids(path) == {s.index for s in scenarios}
-
-    def test_resume_repairs_missing_final_csv_newline(self, tmp_path):
-        # A crash can also tear *between* the record and its line ending:
-        # the last row parses fine but is unterminated, and a naive append
-        # would weld the next record onto it.
-        from repro.sweep.store import repair_torn_tail
-
-        scenarios, path, engine = self._seed_store(tmp_path, 4)
-        content = path.read_bytes()
-        assert content.endswith(b"\r\n")
-        path.write_bytes(content[:-1])  # cut only the '\n', leaving a bare '\r'
-        assert repair_torn_tail(path) is True
-        assert path.read_bytes() == content
-        assert repair_torn_tail(path) is False  # idempotent
-        with CsvResultStore(path, append=True) as store:
-            summary = engine.run(scenarios, store=store, resume=path)
-        assert summary.skipped_count == 4
-        records = load_records(path)
-        assert sorted(r["scenario"] for r in records) == [s.index for s in scenarios]
-
-    def test_resumed_csv_equals_uninterrupted_run(self, tmp_path):
-        scenarios = SweepSpec.preset("ga102-quick").expand()
-        full = tmp_path / "full.csv"
-        with CsvResultStore(full) as store:
-            for record in reference_records(scenarios):
-                store.append(record)
-        part = tmp_path / "part.csv"
-        engine = SweepEngine(jobs=1)
-        with CsvResultStore(part) as store:
-            engine.run(scenarios[:7], store=store)
-        with open(part, "ab") as handle:
-            handle.write(b"7,ga102-3chiplet")  # torn row from the "crash"
-        with CsvResultStore(part, append=True) as store:
-            engine.run(scenarios, store=store, resume=part)
-        by_id = {r["scenario"]: r for r in load_records(part)}
-        for record in load_records(full):
-            assert by_id[record["scenario"]] == record
-
-    def test_cli_csv_resume_repairs_torn_tail(self, tmp_path, capsys):
-        scenarios, path, _ = self._seed_store(tmp_path, 3)
-        with open(path, "ab") as handle:
-            handle.write(b"3,ga102-3chiplet,7.0")
-        code = main(
-            ["sweep", "--preset", "ga102-quick", "--resume", str(path), "--quiet"]
-        )
-        assert code == 0
-        assert "repaired torn tail" in capsys.readouterr().out
-        records = load_records(path)
-        assert sorted(r["scenario"] for r in records) == [s.index for s in scenarios]
-
-    def test_csv_resume_tolerates_nul_padded_torn_row(self, tmp_path):
-        # Power-loss crashes can leave NUL padding in the torn final row;
-        # Python <= 3.10's csv module raises on NULs, so both the repair
-        # path and the tolerant reader must treat the row as unwritten
-        # rather than crash on the file they exist to rescue.
-        from repro.sweep.store import repair_torn_tail
-
-        scenarios, path, engine = self._seed_store(tmp_path, 4)
-        intact = path.read_bytes()
-        with open(path, "ab") as handle:
-            handle.write(b"4,ga102-3chiplet,\x00\x00\x00\x00")
-        assert completed_scenario_ids(path) == {0, 1, 2, 3}
-        assert repair_torn_tail(path) is True
-        assert path.read_bytes() == intact
-        with CsvResultStore(path, append=True) as store:
-            summary = engine.run(scenarios, store=store, resume=path)
-        assert summary.skipped_count == 4
-        records = load_records(path)
-        assert sorted(r["scenario"] for r in records) == [s.index for s in scenarios]
-
-    def test_csv_resume_still_rejects_mid_file_corruption(self, tmp_path):
-        path = tmp_path / "corrupt.csv"
-        path.write_text(
-            "scenario,total_carbon_g\r\n0\r\n1,2.5\r\n",  # short row mid-file
-            encoding="utf-8",
-            newline="",
-        )
-        with pytest.raises(ValueError):
-            completed_scenario_ids(path)
-
-    def test_empty_and_header_only_csv_files(self, tmp_path):
-        from repro.sweep.store import repair_torn_tail
-
-        empty = tmp_path / "empty.csv"
-        empty.write_bytes(b"")
-        assert repair_torn_tail(empty) is False
-        assert completed_scenario_ids(empty) == set()
-        header_only = tmp_path / "header.csv"
-        header_only.write_bytes(b"scenario,total_carbon_g")  # unterminated header
-        # A store writes its header with its first rows: a lone header is a
-        # torn first write, possibly torn mid-header, with no row to save.
-        assert repair_torn_tail(header_only) is True
-        assert header_only.read_bytes() == b""
-        assert completed_scenario_ids(header_only) == set()
-
-    @staticmethod
-    def _torn_header_store(tmp_path):
-        path = tmp_path / "torn-header.csv"
-        path.write_bytes(b"scenario,base,nod")  # the first write, torn
-        return path
-
-    def test_cli_resume_of_a_torn_header_equals_a_fresh_run(self, tmp_path, capsys):
-        sweep = ["sweep", "--preset", "ga102-quick", "--quiet"]
-        fresh = tmp_path / "fresh.csv"
-        assert main(sweep + ["--out", str(fresh)]) == 0
-        path = self._torn_header_store(tmp_path)
-        assert main(sweep + ["--resume", str(path)]) == 0
-        assert "repaired torn tail" in capsys.readouterr().out
-        assert path.read_bytes() == fresh.read_bytes()
-
-    def test_session_resume_of_a_torn_header_equals_a_fresh_run(self, tmp_path):
-        fresh = Session().sweep(preset="ga102-quick", out=tmp_path / "fresh.csv")
-        path = self._torn_header_store(tmp_path)
-        resumed = Session().sweep(preset="ga102-quick", out=path, resume=True)
-        assert resumed.summary.skipped_count == 0
-        assert resumed.records == fresh.records
-        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-
-
 class TestCostRoundTrip:
     def test_cost_usd_round_trips_jsonl_and_csv(self, tmp_path):
         scenarios = SweepSpec.preset("volume-amortisation").expand()
@@ -645,7 +492,7 @@ class TestCostRoundTrip:
         assert all("cost_usd" in r for r in records)
 
         jsonl_path = tmp_path / "cost.jsonl"
-        with JsonlResultStore(jsonl_path) as store:
+        with ResultStore(jsonl_path) as store:
             for record in records:
                 store.append(record)
         assert load_records(jsonl_path) == [
@@ -653,12 +500,11 @@ class TestCostRoundTrip:
         ]
 
         csv_path = tmp_path / "cost.csv"
-        with CsvResultStore(csv_path) as store:
-            for record in records:
-                store.append(record)
-        revived = load_records(csv_path)
-        assert [r["cost_usd"] for r in revived] == [r["cost_usd"] for r in records]
-        assert [r["scenario"] for r in revived] == [r["scenario"] for r in records]
+        export_csv(jsonl_path, csv_path)
+        with open(csv_path, encoding="utf-8", newline="") as handle:
+            revived = list(csv.DictReader(handle))
+        assert [float(r["cost_usd"]) for r in revived] == [r["cost_usd"] for r in records]
+        assert [int(r["scenario"]) for r in revived] == [r["scenario"] for r in records]
 
     def test_cost_usd_varies_with_volume_axis(self):
         records = _batch_records(SweepSpec.preset("volume-amortisation").expand())

@@ -24,7 +24,7 @@ from repro.serve.jobs import JobManager
 from repro.serve.quota import QuotaTracker
 from repro.sweep.engine import reference_records
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 
 SPEC = {
     "name": "serve-it",
@@ -150,7 +150,7 @@ class TestServeFlow:
             wait_for_state(base, job["id"])
             _, body, _ = request("GET", f"{base}/v1/sweeps/{job['id']}/results")
             direct = tmp_path / "direct.jsonl"
-            with JsonlResultStore(direct) as store:
+            with ResultStore(direct) as store:
                 for record in reference_records(SweepSpec.from_dict(SPEC)):
                     store.append(record)
             assert body == direct.read_bytes()

@@ -23,7 +23,7 @@ from repro.axes.registry import register_axis
 from repro.serve.jobs import JobManager
 from repro.sweep.engine import reference_records
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -64,7 +64,7 @@ def wait_for(predicate, timeout=60.0):
 
 def write_oracle_store(path):
     """The uninterrupted store the scalar reference oracle writes."""
-    with JsonlResultStore(path) as store:
+    with ResultStore(path) as store:
         for record in reference_records(SweepSpec.from_dict(SLOW_SPEC)):
             store.append(record)
     return path.read_bytes()

@@ -10,6 +10,7 @@ here, where CI machines may expose a single core.)
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -37,10 +38,10 @@ class TestParallelEngine:
         )
 
     def test_parallel_run_streams_to_store(self, tmp_path):
-        from repro.sweep.store import JsonlResultStore
+        from repro.sweep.store import ResultStore
 
         scenarios = GRID.expand()[:40]
-        with JsonlResultStore(tmp_path / "out.jsonl") as store:
+        with ResultStore(tmp_path / "out.jsonl") as store:
             summary = SweepEngine(jobs=2).run(scenarios, store=store)
         assert summary.scenario_count == 40
         assert len(load_records(tmp_path / "out.jsonl")) == 40
@@ -76,10 +77,14 @@ class TestSweepCli:
         spec_path.write_text(
             json.dumps({"testcases": ["ga102-3chiplet"], "nodes": [7, 14], "packaging": ["rdl"]})
         )
-        out = tmp_path / "results.csv"
+        out = tmp_path / "results.jsonl"
         code = main(["sweep", "--spec", str(spec_path), "--out", str(out), "--quiet"])
         assert code == 0
         assert len(load_records(out)) == 8
+        exported = tmp_path / "results.csv"
+        assert main(["export", str(out), str(exported)]) == 0
+        with open(exported, encoding="utf-8", newline="") as handle:
+            assert len(list(csv.DictReader(handle))) == 8
 
     def test_pareto_report(self, capsys):
         code = main(

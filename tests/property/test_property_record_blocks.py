@@ -1,6 +1,6 @@
 """Property: a record block renders to exactly the per-record JSONL bytes.
 
-:meth:`repro.sweep.store.JsonlResultStore.append_block` encodes shared
+:meth:`repro.sweep.store.ResultStore.append_block` encodes shared
 values once, repeated strings once and every row through one format
 string.  For any block — NaN/±inf/-0.0/subnormal/large floats, ``100000``
 next to ``100000.0`` in one column, strings with ``%``, quotes, escapes
@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sweep.block import RecordBlock
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 
 SPECIAL_FLOATS = (
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 100000.0, 0.1, 1e-7,
@@ -104,7 +104,7 @@ def per_record_bytes(records):
 def stored_bytes(block_list):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             for block in block_list:
                 store.append_block(block)
             assert store.count == sum(block.size for block in block_list)

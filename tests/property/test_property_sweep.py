@@ -37,7 +37,7 @@ from repro.api import Session
 from repro.search.space import GridSpace
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore, completed_scenario_ids, load_records
+from repro.sweep.store import ResultStore, completed_scenario_ids, load_records
 
 #: chiplet counts of the base systems the strategy draws from.
 _TESTCASES = {"emr-2chiplet": 2, "ga102-3chiplet": 3}
@@ -146,10 +146,10 @@ class TestResumeIdempotence:
         cut = int(len(full) * cut_fraction)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "partial.jsonl"
-            with JsonlResultStore(path) as store:
+            with ResultStore(path) as store:
                 for record in full[:cut]:
                     store.append(record)
-            with JsonlResultStore(path, append=True) as store:
+            with ResultStore(path, append=True) as store:
                 summary = engine.run(scenarios, store=store, resume=store)
             assert summary.skipped_count == cut
             assert summary.scenario_count == len(full) - cut
@@ -162,10 +162,10 @@ class TestResumeIdempotence:
         engine = SweepEngine(jobs=1)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "done.jsonl"
-            with JsonlResultStore(path) as store:
+            with ResultStore(path) as store:
                 engine.run(scenarios, store=store)
             before = load_records(path)
-            with JsonlResultStore(path, append=True) as store:
+            with ResultStore(path, append=True) as store:
                 summary = engine.run(scenarios, store=store, resume=store)
             assert summary.scenario_count == 0
             assert summary.skipped_count == len(scenarios)
@@ -175,17 +175,16 @@ class TestResumeIdempotence:
 class TestSessionResume:
     @given(
         spec=sweep_specs(),
-        fmt=st.sampled_from(["jsonl", "csv"]),
         cut_fraction=st.floats(0.0, 1.0),
     )
     @settings(max_examples=10)
     def test_a_resumed_session_sweep_returns_the_uninterrupted_records(
-        self, spec, fmt, cut_fraction
+        self, spec, cut_fraction
     ):
         with tempfile.TemporaryDirectory() as tmp:
-            full_path = Path(tmp) / f"full.{fmt}"
+            full_path = Path(tmp) / "full.jsonl"
             full = Session().sweep(spec, out=full_path)
-            path = Path(tmp) / f"cut.{fmt}"
+            path = Path(tmp) / "cut.jsonl"
             data = full_path.read_bytes()
             path.write_bytes(data[: int(len(data) * cut_fraction)])
             stored = len(completed_scenario_ids(path))
@@ -261,7 +260,7 @@ class TestTemplateGroups:
                 engine = SweepEngine(jobs=jobs, mp_context="fork")
                 for sweep in (spec, spec.expand()):
                     path.unlink(missing_ok=True)
-                    with JsonlResultStore(path) as store:
+                    with ResultStore(path) as store:
                         engine.run(sweep, store=store)
                     if reference is None:
                         reference = path.read_bytes()
@@ -269,6 +268,6 @@ class TestTemplateGroups:
                         cut = reference[: int(len(reference) * cut_fraction)]
                     assert path.read_bytes() == reference
                     path.write_bytes(cut)
-                    with JsonlResultStore(path, append=True) as store:
+                    with ResultStore(path, append=True) as store:
                         engine.run(sweep, store=store, resume=store)
                     assert path.read_bytes() == reference

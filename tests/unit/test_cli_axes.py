@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.sweep.store import load_records
 

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import pytest
 
@@ -45,6 +46,12 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cli.json"
 
 #: The first 6 rows of a ``ga102-quick`` store: a sweep cut short.
 CUT_STORE = GOLDEN.with_name("ga102-quick-6.jsonl")
+
+#: The same 6 rows as the removed CSV store wrote them.
+OLD_CSV_STORE = GOLDEN.with_name("ga102-quick-6.csv")
+
+#: Cases that name a CSV file as the store: each is refused untouched.
+CSV_STORE_CASES = ("sweep/out-csv", "sweep/resume-csv", "search/resume-csv")
 
 #: A device every write to fails with ENOSPC (store write failures).
 DEV_FULL = "/dev/full"
@@ -137,6 +144,8 @@ CASES: Dict[str, List[List[str]]] = {
     "sweep/resume-out-conflict": [SWEEP + ["--resume", "a.jsonl", "--out", "b.jsonl"]],
     "sweep/resume-directory": [SWEEP + ["--resume", "dir.jsonl"]],
     "sweep/out-unknown-format": [SWEEP + ["--out", "x.txt"]],
+    "sweep/out-csv": [SWEEP + ["--out", "x.csv"]],
+    "sweep/resume-csv": [SWEEP + ["--resume", "old.csv"]],
     "sweep/out-under-file": [SWEEP + ["--out", "afile/x.jsonl"]],
     "sweep/out-locked": [SWEEP + ["--out", "locked.jsonl"]],
     "sweep/out-device-full": [SWEEP + ["--out", "full.jsonl", "--quiet"]],
@@ -177,6 +186,7 @@ CASES: Dict[str, List[List[str]]] = {
     "search/resume-out-conflict": [SEARCH + ["--resume", "a.jsonl", "--out", "b.jsonl"]],
     "search/resume-garbage": [SEARCH + ["--resume", "garbage.jsonl"]],
     "search/resume-directory": [SEARCH + ["--resume", "dir.jsonl"]],
+    "search/resume-csv": [SEARCH + ["--resume", "old.csv"]],
     "search/out-under-file": [SEARCH + ["--out", "afile/x.jsonl"]],
     "search/out-locked": [SEARCH + ["--out", "locked.jsonl"]],
     "search/out-device-full": [SEARCH + ["--out", "full.jsonl", "--quiet"]],
@@ -185,6 +195,11 @@ CASES: Dict[str, List[List[str]]] = {
         SEARCH_GRID + ["--budget", "8", "--no-cost", "--out", "s.jsonl"],
         SEARCH_GRID + ["--budget", "16", "--resume", "s.jsonl"],
     ],
+    # -- export -------------------------------------------------------------------
+    "export/store": [["export", "cut.jsonl", "cut.csv"]],
+    "export/missing-store": [["export", "missing.jsonl", "x.csv"]],
+    "export/corrupt-store": [["export", "garbage.jsonl", "x.csv"]],
+    "export/out-not-csv": [["export", "cut.jsonl", "x.txt"]],
     # -- serve (flag checks only; no server starts) ---------------------------------
     "serve/workers-zero": [["serve", "--workers", "0"]],
     "serve/queue-size-zero": [["serve", "--queue-size", "0"]],
@@ -214,6 +229,7 @@ def populate(directory: Path) -> None:
     if os.path.exists(DEV_FULL):
         (directory / "full.jsonl").symlink_to(DEV_FULL)
     (directory / "cut.jsonl").write_bytes(CUT_STORE.read_bytes())
+    (directory / "old.csv").write_bytes(OLD_CSV_STORE.read_bytes())
     (directory / "design").mkdir()
     for name, content in DESIGN_FILES.items():
         text = content if isinstance(content, str) else json.dumps(content)
@@ -233,19 +249,26 @@ def invoke(argv: List[str]) -> dict:
     }
 
 
-def run_case(name: str) -> List[dict]:
-    """The transcript of one case, run in a fresh populated directory."""
+@contextlib.contextmanager
+def case_directory() -> Iterator[Path]:
+    """A fresh populated working directory, current for the block."""
     previous = os.getcwd()
     cache_env = os.environ.pop(COMPILE_CACHE_ENV, None)
     with tempfile.TemporaryDirectory() as scratch:
         try:
             os.chdir(scratch)
             populate(Path(scratch))
-            return [invoke(argv) for argv in CASES[name]]
+            yield Path(scratch)
         finally:
             os.chdir(previous)
             if cache_env is not None:
                 os.environ[COMPILE_CACHE_ENV] = cache_env
+
+
+def run_case(name: str) -> List[dict]:
+    """The transcript of one case, run in a fresh populated directory."""
+    with case_directory():
+        return [invoke(argv) for argv in CASES[name]]
 
 
 def needs_dev_full(name: str) -> bool:
@@ -278,6 +301,27 @@ def test_a_resumed_sweep_prints_the_uninterrupted_tables():
         return stdout[stdout.index("best Ctot") :].replace("results written to cut.jsonl\n", "")
 
     assert tables(resumed["stdout"]) == tables(fresh["stdout"])
+
+
+def digests(directory: Path) -> Dict[str, str]:
+    """SHA-256 of every file under ``directory``, by relative path."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and not path.is_symlink()
+    }
+
+
+@pytest.mark.parametrize("name", CSV_STORE_CASES)
+def test_a_csv_store_is_refused_untouched(name):
+    # A store is JSONL: a .csv --out or --resume exits 2 naming the export
+    # command, before any file is created, repaired or truncated.
+    with case_directory() as directory:
+        before = digests(directory)
+        [transcript] = [invoke(argv) for argv in CASES[name]]
+        assert digests(directory) == before
+    assert transcript["exit"] == 2
+    assert "eco-chip export" in transcript["stderr"]
 
 
 def main_script(argv=None) -> int:

@@ -12,8 +12,7 @@ from repro.sweep.block import RecordBlock
 from repro.sweep.engine import SweepEngine, reference_records
 from repro.sweep.spec import SweepSpec, TemplateGroup
 from repro.sweep.store import (
-    CsvResultStore,
-    JsonlResultStore,
+    ResultStore,
     load_records,
     open_store,
 )
@@ -150,7 +149,7 @@ class TestBlockAppends:
 
         block = sample_block()
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             monkeypatch.setattr(os, "write", counting_write)
             store.append_block(block)
             monkeypatch.undo()
@@ -158,26 +157,15 @@ class TestBlockAppends:
         assert len(writes) == 1
         assert path.read_bytes() == per_record_bytes(block.records())
 
-    def test_csv_block_matches_per_record_appends(self, tmp_path):
-        records = sample_block().records()
-        by_record = tmp_path / "rows.csv"
-        with CsvResultStore(by_record) as store:
-            for record in records:
-                store.append(record)
-        by_block = tmp_path / "block.csv"
-        with CsvResultStore(by_block) as store:
-            store.append_block(sample_block())
-        assert by_block.read_bytes() == by_record.read_bytes()
-
     def test_empty_block_writes_nothing(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append_block(RecordBlock({"a": None}, ("a",), []))
             assert store.count == 0
         assert path.read_bytes() == b""
 
     def test_closed_store_rejects_blocks(self, tmp_path):
-        store = JsonlResultStore(tmp_path / "out.jsonl")
+        store = ResultStore(tmp_path / "out.jsonl")
         store.close()
         with pytest.raises(ValueError, match="closed"):
             store.append_block(sample_block())
@@ -196,14 +184,14 @@ class TestBlockAppends:
     def test_values_equal_in_python_keep_their_own_json(self, tmp_path, column):
         block = RecordBlock({"x": None, "k": "%d"}, ("x",), [(value,) for value in column])
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append_block(block)
         assert path.read_bytes() == per_record_bytes(block.records())
 
     def test_non_string_keys_fall_back_to_json_dumps(self, tmp_path):
         records = [{10: 1.0, 9: "x"}, {10: 2.0, 9: "y"}]
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append_block(RecordBlock.from_records(records))
         assert path.read_bytes() == per_record_bytes(records)
 
@@ -228,7 +216,7 @@ class TestShortWrites:
     def test_append_finishes_short_writes(self, tmp_path, monkeypatch):
         records = sample_block().records()
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             calls = self.short_writes(monkeypatch, 7)
             for record in records:
                 store.append(record)
@@ -237,7 +225,7 @@ class TestShortWrites:
         assert path.read_bytes() == per_record_bytes(records)
         assert load_records(path) == records
 
-    @pytest.mark.parametrize("suffix, limit", [(".jsonl", 5), (".csv", 3)])
+    @pytest.mark.parametrize("suffix, limit", [(".jsonl", 5)])
     def test_append_block_finishes_short_writes(self, tmp_path, monkeypatch, suffix, limit):
         block = sample_block()
         records = block.records() + block.records()[:1]
@@ -257,7 +245,7 @@ class TestShortWrites:
 
     def test_a_write_that_makes_no_progress_raises(self, tmp_path, monkeypatch):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             monkeypatch.setattr(os, "write", lambda fd, data: 0)
             with pytest.raises(OSError, match="no progress"):
                 store.append_block(sample_block())

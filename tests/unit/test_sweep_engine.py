@@ -14,7 +14,7 @@ from repro.sweep.engine import (
     shard,
 )
 from repro.sweep.spec import Scenario, SweepSpec
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 from repro.testcases import ga102
 
 QUICK = SweepSpec.preset("ga102-quick")
@@ -23,7 +23,7 @@ QUICK = SweepSpec.preset("ga102-quick")
 class TestSerialEngine:
     def test_run_counts_and_best(self, tmp_path):
         engine = SweepEngine(jobs=1)
-        with JsonlResultStore(tmp_path / "out.jsonl") as store:
+        with ResultStore(tmp_path / "out.jsonl") as store:
             summary = engine.run(QUICK, store=store)
         assert summary.scenario_count == QUICK.count()
         assert summary.jobs == 1

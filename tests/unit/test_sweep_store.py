@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.core.explorer import pareto_front
 from repro.sweep.store import (
-    CsvResultStore,
-    JsonlResultStore,
+    ResultStore,
     StoreLockError,
     SweepRow,
     iter_records,
     load_records,
     load_rows,
     open_store,
+    repair_torn_tail,
     rows_from_records,
 )
+
+#: The first 6 rows of a ``ga102-quick`` sweep, as the removed CSV store wrote them.
+OLD_CSV_STORE = Path(__file__).resolve().parents[1] / "golden" / "ga102-quick-6.csv"
 
 RECORDS = [
     {"scenario": 0, "base": "ga102-3chiplet", "nodes": [7.0, 14.0, 10.0],
@@ -33,7 +38,7 @@ RECORDS = [
 class TestJsonlStore:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             for record in RECORDS:
                 store.append(record)
             assert store.count == 3
@@ -43,7 +48,7 @@ class TestJsonlStore:
         # Crash-safety: the file must be complete and valid after every append,
         # without waiting for close().
         path = tmp_path / "out.jsonl"
-        store = JsonlResultStore(path)
+        store = ResultStore(path)
         for done, record in enumerate(RECORDS, start=1):
             store.append(record)
             lines = [l for l in path.read_text().splitlines() if l.strip()]
@@ -53,14 +58,14 @@ class TestJsonlStore:
 
     def test_append_mode_extends_existing_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append(RECORDS[0])
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             store.append(RECORDS[1])
         assert load_records(path) == RECORDS[:2]
 
     def test_append_after_close_rejected(self, tmp_path):
-        store = JsonlResultStore(tmp_path / "out.jsonl")
+        store = ResultStore(tmp_path / "out.jsonl")
         store.close()
         store.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
@@ -68,107 +73,31 @@ class TestJsonlStore:
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append(RECORDS[0])
         assert path.exists()
 
 
-class TestCsvStore:
-    def test_round_trip_revives_numbers_and_lists(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            for record in RECORDS:
-                store.append(record)
-        reloaded = load_records(path)
-        assert len(reloaded) == 3
-        assert reloaded[0]["total_carbon_g"] == 100.0
-        assert reloaded[0]["nodes"] == [7.0, 14.0, 10.0]
-        assert reloaded[1]["packaging"] == "silicon_bridge"
-
-    def test_single_element_lists_round_trip(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            store.append({"scenario": 0, "nodes": [7.0], "total_carbon_g": 5.0})
-        [record] = load_records(path)
-        assert record["nodes"] == [7.0]
-
-    def test_strings_containing_semicolons_stay_strings(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            store.append({"scenario": 0, "base": "designs;v2", "total_carbon_g": 5.0})
-        [record] = load_records(path)
-        assert record["base"] == "designs;v2"
-
-    def test_append_mode_respects_existing_header_order(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            store.append({"a": 1, "b": 2})
-        with CsvResultStore(path, append=True) as store:
-            store.append({"b": 20, "a": 10})  # different key order
-        first, second = load_records(path)
-        assert first == {"a": 1, "b": 2}
-        assert second == {"a": 10, "b": 20}
-
-    def test_append_mode_drops_unknown_columns(self, tmp_path):
-        # The on-disk header wins: unknown keys are dropped (never
-        # misaligned), so older stores stay resumable by newer versions
-        # that add record columns.
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            store.append({"a": 1})
-        with CsvResultStore(path, append=True) as store:
-            store.append({"a": 2, "surprise": 3})
-        assert load_records(path) == [{"a": 1}, {"a": 2}]
-
-    def test_header_written_once(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with CsvResultStore(path) as store:
-            for record in RECORDS:
-                store.append(record)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4  # header + 3 rows
-        assert lines[0].startswith("scenario,")
-
-    def test_row_cut_inside_its_last_field_is_torn(self, tmp_path):
-        # The cut row keeps the header's field count, with cost_usd
-        # shortened to 1073.612924222: only its missing terminator shows
-        # that the crash tore it.
-        from repro.api import Session
-        from repro.sweep import SweepSpec
-        from repro.sweep.store import completed_scenario_ids, repair_torn_tail
-
-        spec = SweepSpec.preset("ga102-quick")
-        full = tmp_path / "full.csv"
-        Session().sweep(spec, out=full, collect_records=False)
-        data = full.read_bytes()
-        header_and_six_rows = data.split(b"\r\n", 7)[:7]
-        cut_at = len(b"\r\n".join(header_and_six_rows)) - 4  # 4 bytes before row 6 ends
-        assert data[:cut_at].endswith(b",1073.612924222")
-        path = tmp_path / "cut.csv"
-        path.write_bytes(data[:cut_at])
-        assert completed_scenario_ids(path) == set(range(5))
-        assert repair_torn_tail(path) is True
-        assert load_records(path) == load_records(full)[:5]
-
-        path.write_bytes(data[:cut_at])
-        resumed = Session().sweep(spec, out=path, resume=True)
-        assert resumed.summary.skipped_count == 5
-        assert resumed.records[5]["cost_usd"] == 1073.6129242228844
-        assert path.read_bytes() == data
-
-
 class TestOpenStore:
     def test_suffix_dispatch(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "a.jsonl"), JsonlResultStore)
-        assert isinstance(open_store(tmp_path / "a.ndjson"), JsonlResultStore)
-        assert isinstance(open_store(tmp_path / "a.csv"), CsvResultStore)
-
-    def test_explicit_format_overrides_suffix(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "a.dat", fmt="csv"), CsvResultStore)
+        assert isinstance(open_store(tmp_path / "a.jsonl"), ResultStore)
+        assert isinstance(open_store(tmp_path / "a.ndjson"), ResultStore)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown result-store format"):
             open_store(tmp_path / "a.parquet")
+
+    def test_csv_is_refused_before_the_file_is_touched(self, tmp_path):
+        # Read as JSONL, the CSV's last row would not decode and a repair
+        # would truncate it as a torn tail.
+        path = tmp_path / "old.csv"
+        path.write_bytes(OLD_CSV_STORE.read_bytes())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for touch in (open_store, lambda p: open_store(p, append=True), repair_torn_tail):
+            with pytest.raises(ValueError, match="eco-chip export"):
+                touch(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert os.listdir(tmp_path) == ["old.csv"]
 
 
 class TestSweepRow:
@@ -187,7 +116,7 @@ class TestSweepRow:
 
     def test_load_rows_from_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             for record in RECORDS:
                 store.append(record)
         rows = load_rows(path)
@@ -195,7 +124,7 @@ class TestSweepRow:
 
     def test_iter_records_streams(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             for record in RECORDS:
                 store.append(record)
         iterator = iter_records(path)
@@ -205,18 +134,18 @@ class TestSweepRow:
 class TestStoreLocking:
     def test_second_writer_rejected_while_lock_held(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append(RECORDS[0])
             with pytest.raises(StoreLockError, match="locked"):
-                JsonlResultStore(path, append=True)
+                ResultStore(path, append=True)
         # close() released the lock: a new writer succeeds.
-        with JsonlResultStore(path, append=True) as store:
+        with ResultStore(path, append=True) as store:
             store.append(RECORDS[1])
         assert load_records(path) == RECORDS[:2]
 
     def test_lock_file_removed_on_close(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path):
+        with ResultStore(path):
             assert (tmp_path / "out.jsonl.lock").exists()
         assert not (tmp_path / "out.jsonl.lock").exists()
 
@@ -224,15 +153,15 @@ class TestStoreLocking:
         path = tmp_path / "out.jsonl"
         # Forge a lock naming a pid that cannot be alive.
         (tmp_path / "out.jsonl.lock").write_text("99999999\n")
-        with JsonlResultStore(path) as store:
+        with ResultStore(path) as store:
             store.append(RECORDS[0])
         assert load_records(path) == RECORDS[:1]
 
     def test_exclusive_false_skips_locking(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as first:
+        with ResultStore(path) as first:
             first.append(RECORDS[0])
-            with JsonlResultStore(path, append=True, exclusive=False) as second:
+            with ResultStore(path, append=True, exclusive=False) as second:
                 second.append(RECORDS[1])
         assert load_records(path) == RECORDS[:2]
 
@@ -240,8 +169,8 @@ class TestStoreLocking:
         # O_APPEND with one os.write per record: two fds interleaving must
         # never produce torn or interleaved lines.
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path) as first:
-            with JsonlResultStore(path, append=True, exclusive=False) as second:
+        with ResultStore(path) as first:
+            with ResultStore(path, append=True, exclusive=False) as second:
                 for record in RECORDS:
                     first.append(record)
                     second.append(record)
@@ -250,7 +179,7 @@ class TestStoreLocking:
         assert [json.loads(line)["scenario"] for line in lines] == [0, 0, 1, 1, 2, 2]
 
     def test_open_store_passes_exclusive_through(self, tmp_path):
-        path = tmp_path / "out.csv"
+        path = tmp_path / "out.jsonl"
         with open_store(path):
             with pytest.raises(StoreLockError):
                 open_store(path, append=True)
@@ -258,27 +187,6 @@ class TestStoreLocking:
 
     def test_lock_held_by_live_process_reports_pid(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        with JsonlResultStore(path):
+        with ResultStore(path):
             with pytest.raises(StoreLockError, match=str(os.getpid())):
-                JsonlResultStore(path, append=True)
-
-
-class TestCsvForwardCompatibleAppend:
-    def test_appending_records_with_new_columns_keeps_old_schema(self, tmp_path):
-        # A store written by an older version (fewer columns) must stay
-        # resumable: new-version records append in the on-disk schema, with
-        # unknown keys dropped rather than raising mid-resume.
-        from repro.sweep.store import CsvResultStore, load_records
-
-        path = tmp_path / "old.csv"
-        with CsvResultStore(path) as store:
-            store.append({"scenario": 0, "total_carbon_g": 1.5})
-        with CsvResultStore(path, append=True) as store:
-            store.append(
-                {"scenario": 1, "total_carbon_g": 2.5, "packaging_params": "{}"}
-            )
-        records = load_records(path)
-        assert records == [
-            {"scenario": 0, "total_carbon_g": 1.5},
-            {"scenario": 1, "total_carbon_g": 2.5},
-        ]
+                ResultStore(path, append=True)
